@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import BridgekitError, ConfigError, ParseError
@@ -40,7 +40,6 @@ from .harmonize import (
 from .ingest import (
     DIALECT_PARSERS,
     emit_canonical,
-    guess_dialect,
     read_documents,
 )
 from .model import Document
@@ -75,9 +74,9 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, data: str | bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
 
 
 # ---------------------------------------------------------------------------
@@ -112,42 +111,14 @@ class PipelineConfig:
     lemma_top_k: int = 200
     cv_folds: int = 5
     grid: tuple[HyperParams, ...] = field(default_factory=lambda: tuple(default_grid()))
-    grid_name: str = "default"
     baseline_p: float = 1.0 / 3.0
     baseline_runs: int = 5
     tau: float = 0.10
     residual_source: str = "dataset"
     distribution_threshold: float = 0.01
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "corpora": [
-                {
-                    "name": c.name,
-                    "dialect": c.dialect,
-                    "train": list(c.train),
-                    "dev": list(c.dev),
-                    "test": list(c.test),
-                    "extra_test": list(c.extra_test),
-                }
-                for c in self.corpora
-            ],
-            "exclusion_list": self.exclusion_list,
-            "pronoun_tags": list(self.pronoun_tags),
-            "lemma_top_k": self.lemma_top_k,
-            "cv_folds": self.cv_folds,
-            "grid": [hp.to_dict() for hp in self.grid],
-            "baseline_p": self.baseline_p,
-            "baseline_runs": self.baseline_runs,
-            "tau": self.tau,
-            "residual_source": self.residual_source,
-            "distribution_threshold": self.distribution_threshold,
-        }
-
     def run_id(self) -> str:
-        payload = self.to_dict()
+        payload = asdict(self)
         del payload["output_dir"]
         digest = hashlib.sha256(
             json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -168,6 +139,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except UnicodeDecodeError:
+        raise ConfigError("config is not valid UTF-8")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc.msg}")
     if not isinstance(raw, dict):
@@ -202,9 +175,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         raise ConfigError("corpus names must be unique")
 
     grid_raw = raw.get("grid", "default")
-    grid_name = "custom"
     if grid_raw == "default":
-        grid, grid_name = tuple(default_grid()), "default"
+        grid = tuple(default_grid())
     elif isinstance(grid_raw, list) and grid_raw:
         try:
             grid = tuple(HyperParams(**entry) for entry in grid_raw)
@@ -229,7 +201,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         lemma_top_k=int(raw.get("lemma_top_k", 200)),
         cv_folds=int(raw.get("cv_folds", 5)),
         grid=grid,
-        grid_name=grid_name,
         baseline_p=float(raw.get("baseline_p", 1.0 / 3.0)),
         baseline_runs=int(raw.get("baseline_runs", 5)),
         tau=float(raw.get("tau", 0.10)),
@@ -241,20 +212,75 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
 
 
 def _check_paths(config: PipelineConfig, base: Path) -> None:
+    """Relative paths resolve against the config directory `base`;
+    absolute paths stay as they are."""
     for corpus in config.corpora:
         for rel in corpus.train_files + corpus.eval_files:
-            if not (base / rel).exists() and not Path(rel).exists():
+            if not (base / rel).exists():
                 raise ConfigError(f"corpus {corpus.name!r}: input path does not exist: {rel}")
-    if config.exclusion_list is not None:
-        if not (base / config.exclusion_list).exists() and not Path(config.exclusion_list).exists():
-            raise ConfigError(f"exclusion list does not exist: {config.exclusion_list}")
+    if config.exclusion_list is not None and not (base / config.exclusion_list).exists():
+        raise ConfigError(f"exclusion list does not exist: {config.exclusion_list}")
 
 
-def _resolve(base: Path, rel: str) -> Path:
-    p = Path(rel)
-    if p.exists():
-        return p
-    return base / rel
+# ---------------------------------------------------------------------------
+# stage helpers shared by the subcommands and the run
+
+# Hyperparameter names, in HyperParams field order; each is also a train flag.
+PARAM_KEYS = tuple(f.name for f in fields(HyperParams))
+
+SMALL_GRID = tuple(HyperParams(n_rounds=n, max_depth=d) for n in (25, 50) for d in (3, 4))
+
+PAIR_TYPE_KEYS = ("ante_type", "ana_type", "proportion", "visible")
+LABEL_KEYS = ("label", "count", "proportion")
+
+
+def _load(what: str, path, loader):
+    """`loader(path)` for one input file. A file that cannot be read is a
+    configuration error; malformed content is a parse error."""
+    try:
+        return loader(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except ParseError:
+        raise
+    except (BridgekitError, AttributeError, KeyError, TypeError, ValueError,
+            RecursionError) as exc:
+        raise ParseError(f"malformed {what} {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _read_many(paths, dialect: str | None) -> list[Document]:
+    return [
+        doc
+        for path in paths
+        for doc in _load("corpus file", path, lambda p: read_documents(p, dialect))
+    ]
+
+
+def _read_pairs(path) -> PairDataset:
+    return _load("pair dataset", path, lambda p: dataset_from_jsonl(Path(p).read_bytes()))
+
+
+def _cv_records(results) -> list[dict]:
+    return [
+        {"params": asdict(r.params), "mean_f1": r.mean_f1, "fold_f1": list(r.fold_f1)}
+        for r in results
+    ]
+
+
+def _fit(dataset: PairDataset, best: HyperParams, seed: int, lemma_top_k: int):
+    X, y, schema = encode(dataset, lemma_top_k=lemma_top_k)
+    return train(X, y, best, seed=seed, schema=schema)
+
+
+def _importance(model, dataset: PairDataset, repeats: int, seed: int) -> dict:
+    return {
+        "gain": gain_importance(model),
+        "mda": mda_importance(model, dataset, repeats=repeats, seed=seed),
+    }
+
+
+def _records(rows, keys: tuple[str, ...]) -> list[dict]:
+    return [dict(zip(keys, row)) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +288,20 @@ def _resolve(base: Path, rel: str) -> Path:
 
 
 def cmd_convert(args) -> int:
-    docs = read_documents(args.input, args.dialect)
+    docs = _read_many([args.input], args.dialect)
     Path(args.out).write_bytes(emit_canonical(docs))
     print(f"wrote {len(docs)} documents to {args.out}")
     return EXIT_OK
 
 
 def cmd_harmonize(args) -> int:
-    docs = read_documents(args.input, args.dialect)
+    docs = _read_many([args.input], args.dialect)
     options = HarmonizeOptions(
-        exclusions=read_exclusion_list(args.exclusions) if args.exclusions else frozenset()
+        exclusions=(
+            _load("exclusion list", args.exclusions, read_exclusion_list)
+            if args.exclusions
+            else frozenset()
+        )
     )
     harmonized, report = harmonize_corpus(docs, options)
     Path(args.out).write_bytes(emit_canonical(harmonized))
@@ -285,13 +315,6 @@ def cmd_harmonize(args) -> int:
             file=sys.stderr,
         )
     return EXIT_OK
-
-
-def _read_many(paths: list[str], dialect: str | None) -> list[Document]:
-    docs: list[Document] = []
-    for path in paths:
-        docs.extend(read_documents(path, dialect))
-    return docs
 
 
 def cmd_pairs(args) -> int:
@@ -319,55 +342,34 @@ def cmd_pairs(args) -> int:
     return EXIT_OK
 
 
-def _explicit_params(args) -> HyperParams | None:
-    keys = ("n_rounds", "max_depth", "learning_rate", "l2_leaf_penalty",
-            "split_gain_threshold", "min_child_hessian")
-    given = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
-    if not given:
-        return None
-    return HyperParams(**given)
-
-
 def cmd_train(args) -> int:
-    dataset = dataset_from_jsonl(Path(args.pairs).read_bytes())
-    explicit = _explicit_params(args)
-    if explicit is not None:
-        best = explicit
-        cv_results = []
+    dataset = _read_pairs(args.pairs)
+    given = {k: getattr(args, k) for k in PARAM_KEYS if getattr(args, k) is not None}
+    if given:
+        best, cv_results = HyperParams(**given), []
     else:
-        grid = default_grid() if args.grid == "default" else _small_grid()
-        best, cv_results = cross_validate(dataset, grid, k=args.folds, seed=args.seed)
-    X, y, schema = encode(dataset, lemma_top_k=args.lemma_top_k)
-    model = train(X, y, best, seed=args.seed, schema=schema)
+        grid = default_grid() if args.grid == "default" else list(SMALL_GRID)
+        best, cv_results = cross_validate(
+            dataset, grid, k=args.folds, seed=args.seed, lemma_top_k=args.lemma_top_k
+        )
+    model = _fit(dataset, best, args.seed, args.lemma_top_k)
     save_model(model, args.out)
     summary = {
-        "params": best.to_dict(),
+        "params": asdict(best),
         "final_training_loss": model.training_loss[-1],
-        "cv": [
-            {"params": r.params.to_dict(), "mean_f1": r.mean_f1, "fold_f1": list(r.fold_f1)}
-            for r in cv_results
-        ],
+        "cv": _cv_records(cv_results),
     }
     print(_dump_json(summary), end="")
     return EXIT_OK
 
 
-def _small_grid() -> list[HyperParams]:
-    return [
-        HyperParams(n_rounds=n, max_depth=d, learning_rate=0.3,
-                    l2_leaf_penalty=1.0, split_gain_threshold=0.0, min_child_hessian=1.0)
-        for n in (25, 50)
-        for d in (3, 4)
-    ]
-
-
 def cmd_eval(args) -> int:
-    model = load_model(args.model)
-    dataset = dataset_from_jsonl(Path(args.pairs).read_bytes())
+    model = _load("model", args.model, load_model)
+    dataset = _read_pairs(args.pairs)
     metrics = evaluate(model, dataset)
     baseline = random_baseline(dataset, p=args.baseline_p, runs=args.baseline_runs,
                                seed=args.seed)
-    payload = {"model": metrics.to_dict(), "random_baseline": baseline.to_dict()}
+    payload = {"model": asdict(metrics), "random_baseline": asdict(baseline)}
     if args.out:
         _write(Path(args.out), _dump_json(payload))
     print(_dump_json(payload), end="")
@@ -375,11 +377,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_importance(args) -> int:
-    model = load_model(args.model)
-    dataset = dataset_from_jsonl(Path(args.pairs).read_bytes())
-    gain = gain_importance(model)
-    mda = mda_importance(model, dataset, repeats=args.repeats, seed=args.seed)
-    payload = {"gain": gain, "mda": mda}
+    model = _load("model", args.model, load_model)
+    dataset = _read_pairs(args.pairs)
+    payload = _importance(model, dataset, args.repeats, args.seed)
     if args.out:
         _write(Path(args.out), _dump_json(payload))
     print(_dump_json(payload), end="")
@@ -387,7 +387,7 @@ def cmd_importance(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    dataset = dataset_from_jsonl(Path(args.pairs).read_bytes())
+    dataset = _read_pairs(args.pairs)
     payload: dict = {}
 
     table = definiteness_contingency(dataset)
@@ -401,27 +401,18 @@ def cmd_analyze(args) -> int:
         pair_types = entity_pair_distribution(docs, threshold=args.threshold)
         anaphor_types = anaphor_entity_distribution(docs)
         subtypes = subtype_distribution(docs)
-        payload["pair_type_distribution"] = [
-            {"ante_type": a, "ana_type": b, "proportion": p, "visible": v}
-            for a, b, p, v in pair_types.rows()
-        ]
-        payload["anaphor_entity_distribution"] = [
-            {"label": label, "count": count, "proportion": p}
-            for label, count, p in anaphor_types.rows()
-        ]
-        payload["subtype_distribution"] = [
-            {"label": label, "count": count, "proportion": p}
-            for label, count, p in subtypes.rows()
-        ]
+        payload["pair_type_distribution"] = _records(pair_types.rows(), PAIR_TYPE_KEYS)
+        payload["anaphor_entity_distribution"] = _records(anaphor_types.rows(), LABEL_KEYS)
+        payload["subtype_distribution"] = _records(subtypes.rows(), LABEL_KEYS)
         print("\nanaphor entity types:")
         print(anaphor_types.to_text())
         print("\nbridging subtypes:")
         print(subtypes.to_text())
 
     if args.model:
-        model = load_model(args.model)
+        model = _load("model", args.model, load_model)
         errors = confident_errors(model, dataset, tau=args.tau)
-        payload["confident_errors"] = [e.to_dict() for e in errors]
+        payload["confident_errors"] = [asdict(e) for e in errors]
         print(f"\n{len(errors)} gold bridging pairs under probability {args.tau}")
 
     if args.out:
@@ -441,21 +432,24 @@ class _StageFailure(Exception):
 
 
 def cmd_run(args) -> int:
-    overrides: dict = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out_dir is not None:
-        overrides["output_dir"] = args.out_dir
+    overrides = {
+        key: value
+        for key, value in (("seed", args.seed), ("output_dir", args.out_dir))
+        if value is not None
+    }
     config = load_config(args.config, overrides)
     base = Path(args.config).parent
+    run_id = config.run_id()
+    run_dir = Path(config.output_dir) / run_id
 
-    run_dir = Path(config.output_dir) / config.run_id()
-    run_dir.mkdir(parents=True, exist_ok=True)
-    _write(run_dir / "resolved_config.json", _dump_json(config.to_dict()))
+    def write(rel: str, payload) -> None:
+        _write(run_dir / rel, payload if isinstance(payload, (str, bytes)) else _dump_json(payload))
 
+    resolved = asdict(config)
+    write("resolved_config.json", resolved)
     report: dict = {
-        "run_id": config.run_id(),
-        "config": config.to_dict(),
+        "run_id": run_id,
+        "config": resolved,
         "corpora": {},
         "metrics": {},
         "baselines": {},
@@ -468,196 +462,136 @@ def cmd_run(args) -> int:
     stage = "load"
     try:
         exclusions = (
-            read_exclusion_list(_resolve(base, config.exclusion_list))
+            _load("exclusion list", base / config.exclusion_list, read_exclusion_list)
             if config.exclusion_list
             else frozenset()
         )
         options = HarmonizeOptions(exclusions=exclusions)
-        pronoun_tags = frozenset(config.pronoun_tags)
 
         splits: dict[str, dict[str, list[Document]]] = {}
         for corpus in config.corpora:
-            stage = f"load:{corpus.name}"
-            raw_train = [
-                doc
-                for rel in corpus.train_files
-                for doc in read_documents(_resolve(base, rel), corpus.dialect)
-            ]
-            raw_eval = [
-                doc
-                for rel in corpus.eval_files
-                for doc in read_documents(_resolve(base, rel), corpus.dialect)
-            ]
+            name = corpus.name
+            stage = f"load:{name}"
+            raw_train = _read_many([base / rel for rel in corpus.train_files], corpus.dialect)
+            raw_eval = _read_many([base / rel for rel in corpus.eval_files], corpus.dialect)
 
-            stage = f"harmonize:{corpus.name}"
-            train_docs, train_report = harmonize_corpus(raw_train, options)
+            stage = f"harmonize:{name}"
+            train_docs, harmonize_report = harmonize_corpus(raw_train, options)
             eval_docs, eval_report = harmonize_corpus(raw_eval, options)
-            train_report.merge(eval_report)
-            splits[corpus.name] = {"train": train_docs, "eval": eval_docs}
-            _write(
-                run_dir / "harmonized" / f"{corpus.name}_train.jsonl",
-                emit_canonical(train_docs).decode("utf-8"),
-            )
-            _write(
-                run_dir / "harmonized" / f"{corpus.name}_eval.jsonl",
-                emit_canonical(eval_docs).decode("utf-8"),
-            )
-            _write(
-                run_dir / f"harmonize_report_{corpus.name}.json",
-                _dump_json(train_report.to_dict()),
-            )
-            report["corpora"][corpus.name] = {
-                "harmonize": train_report.to_dict(),
+            harmonize_report.merge(eval_report)
+            splits[name] = {"train": train_docs, "eval": eval_docs}
+            for role, docs in splits[name].items():
+                write(f"harmonized/{name}_{role}.jsonl", emit_canonical(docs))
+            write(f"harmonize_report_{name}.json", harmonize_report.to_dict())
+            report["corpora"][name] = {
+                "harmonize": harmonize_report.to_dict(),
                 "bridging_rate_per_1k": bridging_rate_per_1k(train_docs + eval_docs),
             }
             report["warnings"].extend(
-                f"{corpus.name}: unresolved entity type {label!r}"
-                for label in train_report.unresolved_entity_types
+                f"{name}: unresolved entity type {label!r}"
+                for label in harmonize_report.unresolved_entity_types
             )
 
         datasets: dict[str, dict[str, PairDataset]] = {}
         for corpus in config.corpora:
-            stage = f"datasets:{corpus.name}"
-            per_role = {}
+            name = corpus.name
+            stage = f"datasets:{name}"
+            datasets[name] = {}
             for role in ("train", "eval"):
                 dataset = build_balanced_dataset(
-                    splits[corpus.name][role],
+                    splits[name][role],
                     seed=config.seed,
-                    corpus=corpus.name,
+                    corpus=name,
                     partition=role,
-                    pronoun_tags=pronoun_tags,
+                    pronoun_tags=frozenset(config.pronoun_tags),
                 )
-                per_role[role] = dataset
-                _write(
-                    run_dir / "datasets" / f"{corpus.name}_{role}.jsonl",
-                    dataset_to_jsonl(dataset).decode("utf-8"),
-                )
-                _write(
-                    run_dir / "datasets" / f"{corpus.name}_{role}.csv",
-                    dataset_to_csv(dataset),
-                )
-                report["warnings"].extend(
-                    f"{corpus.name}/{role}: {w}" for w in dataset.warnings
-                )
-            datasets[corpus.name] = per_role
-            report["corpora"][corpus.name]["dataset_counts"] = {
-                role: per_role[role].label_counts() for role in per_role
+                datasets[name][role] = dataset
+                write(f"datasets/{name}_{role}.jsonl", dataset_to_jsonl(dataset))
+                write(f"datasets/{name}_{role}.csv", dataset_to_csv(dataset))
+                report["warnings"].extend(f"{name}/{role}: {w}" for w in dataset.warnings)
+            report["corpora"][name]["dataset_counts"] = {
+                role: ds.label_counts() for role, ds in datasets[name].items()
             }
-            report["corpora"][corpus.name]["max_distance"] = {
-                role: per_role[role].provenance.max_distance for role in per_role
+            report["corpora"][name]["max_distance"] = {
+                role: ds.provenance.max_distance for role, ds in datasets[name].items()
             }
 
         models = {}
         for corpus in config.corpora:
-            stage = f"cv:{corpus.name}"
+            name = corpus.name
+            stage = f"cv:{name}"
             best, cv_results = cross_validate(
-                datasets[corpus.name]["train"], list(config.grid),
-                k=config.cv_folds, seed=config.seed,
+                datasets[name]["train"], list(config.grid), k=config.cv_folds,
+                seed=config.seed, lemma_top_k=config.lemma_top_k,
             )
-            _write(
-                run_dir / "cv" / f"{corpus.name}.json",
-                _dump_json(
-                    [
-                        {
-                            "params": r.params.to_dict(),
-                            "mean_f1": r.mean_f1,
-                            "fold_f1": list(r.fold_f1),
-                        }
-                        for r in cv_results
-                    ]
-                ),
+            write(f"cv/{name}.json", _cv_records(cv_results))
+            stage = f"train:{name}"
+            model = models[name] = _fit(
+                datasets[name]["train"], best, config.seed, config.lemma_top_k
             )
-            stage = f"train:{corpus.name}"
-            X, y, schema = encode(
-                datasets[corpus.name]["train"], lemma_top_k=config.lemma_top_k
-            )
-            model = train(X, y, best, seed=config.seed, schema=schema)
-            models[corpus.name] = model
-            (run_dir / "models").mkdir(parents=True, exist_ok=True)
-            save_model(model, run_dir / "models" / f"{corpus.name}.json")
-            report["corpora"][corpus.name]["best_params"] = best.to_dict()
-            report["corpora"][corpus.name]["final_training_loss"] = model.training_loss[-1]
+            (run_dir / "models").mkdir(exist_ok=True)
+            save_model(model, run_dir / "models" / f"{name}.json")
+            report["corpora"][name]["best_params"] = asdict(best)
+            report["corpora"][name]["final_training_loss"] = model.training_loss[-1]
 
         stage = "evaluate"
         for model_name, model in models.items():
-            report["metrics"][model_name] = {}
-            for corpus in config.corpora:
-                metrics = evaluate(model, datasets[corpus.name]["eval"])
-                report["metrics"][model_name][corpus.name] = metrics.to_dict()
+            report["metrics"][model_name] = {
+                corpus.name: asdict(evaluate(model, datasets[corpus.name]["eval"]))
+                for corpus in config.corpora
+            }
         for corpus in config.corpora:
-            baseline = random_baseline(
+            report["baselines"][corpus.name] = asdict(random_baseline(
                 datasets[corpus.name]["eval"], p=config.baseline_p,
                 runs=config.baseline_runs, seed=config.seed,
-            )
-            report["baselines"][corpus.name] = baseline.to_dict()
-        _write(
-            run_dir / "eval" / "metrics.json",
-            _dump_json({"models": report["metrics"], "baselines": report["baselines"]}),
-        )
+            ))
+        write("eval/metrics.json", {"models": report["metrics"], "baselines": report["baselines"]})
 
         for corpus in config.corpora:
-            stage = f"importance:{corpus.name}"
-            model = models[corpus.name]
-            gain = gain_importance(model)
-            mda = mda_importance(
-                model, datasets[corpus.name]["eval"], repeats=config.baseline_runs,
-                seed=config.seed,
+            name = corpus.name
+            stage = f"importance:{name}"
+            report["importance"][name] = _importance(
+                models[name], datasets[name]["eval"], config.baseline_runs, config.seed
             )
-            report["importance"][corpus.name] = {"gain": gain, "mda": mda}
-            _write(
-                run_dir / "importance" / f"{corpus.name}.json",
-                _dump_json({"gain": gain, "mda": mda}),
-            )
+            write(f"importance/{name}.json", report["importance"][name])
 
         stage = "analysis"
         for corpus in config.corpora:
+            name = corpus.name
+            eval_docs = splits[name]["eval"]
             if config.residual_source == "dataset":
-                table = definiteness_contingency(datasets[corpus.name]["eval"])
+                table = definiteness_contingency(datasets[name]["eval"])
             else:
-                table = definiteness_contingency_corpus(splits[corpus.name]["eval"])
-            residuals = chi_square_residuals(table)
-            report["residuals"][corpus.name] = residuals.to_dict()
-
-            all_docs = splits[corpus.name]["train"] + splits[corpus.name]["eval"]
+                table = definiteness_contingency_corpus(eval_docs)
+            report["residuals"][name] = chi_square_residuals(table).to_dict()
             pair_types = entity_pair_distribution(
-                all_docs, threshold=config.distribution_threshold
+                splits[name]["train"] + eval_docs, threshold=config.distribution_threshold
             )
-            eval_docs = splits[corpus.name]["eval"]
-            report["distributions"][corpus.name] = {
-                "pair_types": [
-                    {"ante_type": a, "ana_type": b, "proportion": p, "visible": v}
-                    for a, b, p, v in pair_types.rows()
-                ],
-                "anaphor_entity": [
-                    {"label": label, "count": count, "proportion": p}
-                    for label, count, p in anaphor_entity_distribution(eval_docs).rows()
-                ],
-                "subtypes": [
-                    {"label": label, "count": count, "proportion": p}
-                    for label, count, p in subtype_distribution(eval_docs).rows()
-                ],
+            report["distributions"][name] = {
+                "pair_types": _records(pair_types.rows(), PAIR_TYPE_KEYS),
+                "anaphor_entity": _records(
+                    anaphor_entity_distribution(eval_docs).rows(), LABEL_KEYS
+                ),
+                "subtypes": _records(subtype_distribution(eval_docs).rows(), LABEL_KEYS),
             }
-            _write(
-                run_dir / "analysis" / f"{corpus.name}_pair_types.csv",
-                pair_types.to_csv(),
-            )
+            write(f"analysis/{name}_pair_types.csv", pair_types.to_csv())
 
         for model_name, model in models.items():
             for corpus in config.corpora:
-                errors = confident_errors(
-                    model, datasets[corpus.name]["eval"], tau=config.tau
-                )
+                errors = confident_errors(model, datasets[corpus.name]["eval"], tau=config.tau)
                 report["confident_errors"][f"{model_name}_on_{corpus.name}"] = [
-                    e.to_dict() for e in errors
+                    asdict(e) for e in errors
                 ]
 
         stage = "report"
-        _write(run_dir / "report.json", _dump_json(report))
-    except BridgekitError as exc:
+        write("report.json", report)
+    except Exception as exc:
         report["failed_stage"] = stage
         report["error"] = str(exc)
-        _write(run_dir / "report.partial.json", _dump_json(report))
-        raise _StageFailure(stage, exc)
+        write("report.partial.json", report)
+        if isinstance(exc, BridgekitError):
+            raise _StageFailure(stage, exc)
+        raise
 
     print(f"run complete: {run_dir / 'report.json'}")
     return EXIT_OK
@@ -708,13 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--grid", choices=("default", "small"), default="default")
     p.add_argument("--lemma-top-k", type=int, default=200)
-    p.add_argument("--n-rounds", dest="n_rounds", type=int, default=None)
-    p.add_argument("--max-depth", dest="max_depth", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--l2-leaf-penalty", dest="l2_leaf_penalty", type=float, default=None)
-    p.add_argument("--split-gain-threshold", dest="split_gain_threshold", type=float,
-                   default=None)
-    p.add_argument("--min-child-hessian", dest="min_child_hessian", type=float, default=None)
+    for f in fields(HyperParams):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on a pair dataset")
@@ -759,21 +688,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (BridgekitError, _StageFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _StageFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc.cause, ParseError):
-            return EXIT_PARSE
-        if isinstance(exc.cause, ConfigError):
+        cause = exc.cause if isinstance(exc, _StageFailure) else exc
+        if isinstance(cause, ConfigError):
             return EXIT_CONFIG
-        return EXIT_PIPELINE
-    except BridgekitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(cause, ParseError):
+            return EXIT_PARSE
         return EXIT_PIPELINE
 
 

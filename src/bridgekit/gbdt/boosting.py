@@ -14,7 +14,7 @@ stored leaf weights are the raw closed-form values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Union
 
@@ -44,16 +44,6 @@ class HyperParams:
             raise ConfigError("learning_rate must be positive")
         if self.l2_leaf_penalty < 0 or self.split_gain_threshold < 0 or self.min_child_hessian < 0:
             raise ConfigError("penalties must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_rounds": self.n_rounds,
-            "max_depth": self.max_depth,
-            "learning_rate": self.learning_rate,
-            "l2_leaf_penalty": self.l2_leaf_penalty,
-            "split_gain_threshold": self.split_gain_threshold,
-            "min_child_hessian": self.min_child_hessian,
-        }
 
 
 def default_grid() -> list[HyperParams]:
@@ -302,7 +292,7 @@ def model_to_dict(model: GbdtModel) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "base_score": model.base_score,
-        "params": model.params.to_dict(),
+        "params": asdict(model.params),
         "seed": model.seed,
         "n_features": model.n_features,
         "schema": model.schema.to_dict() if model.schema is not None else None,

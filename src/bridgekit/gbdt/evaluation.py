@@ -10,7 +10,7 @@ import numpy as np
 from ..errors import ConfigError, EmptyDatasetError
 from ..pairgen import PairDataset, PairExample
 from .boosting import GbdtModel, HyperParams, predict_proba, train
-from .encoding import encode, fit_schema
+from .encoding import DEFAULT_LEMMA_TOP_K, encode, fit_schema
 
 # Probabilities at or above this threshold count as a positive prediction.
 DECISION_THRESHOLD = 0.5
@@ -25,17 +25,6 @@ class Metrics:
     fp: float
     fn: float
     tn: float
-
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-        }
 
 
 def metrics_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:
@@ -140,12 +129,15 @@ def cross_validate(
     grid: list[HyperParams],
     k: int = 5,
     seed: int = 0,
+    lemma_top_k: int = DEFAULT_LEMMA_TOP_K,
 ) -> tuple[HyperParams, list[CvResult]]:
     """Grid search by mean positive-class F1 over seeded stratified folds.
 
     The encoder is refit on each fold's training split so no test-fold
-    vocabulary leaks into the encoding. Ties in mean F1 prefer fewer
-    rounds, then smaller depth, then earlier grid position.
+    vocabulary leaks into the encoding; pass the final model's
+    `lemma_top_k` so selection sees the encoding that will be served. Ties
+    in mean F1 prefer fewer rounds, then smaller depth, then earlier grid
+    position.
     """
     if not grid:
         raise ConfigError("hyperparameter grid is empty")
@@ -158,7 +150,7 @@ def cross_validate(
         held = set(fold)
         train_examples = [ex for i, ex in enumerate(examples) if i not in held]
         val_examples = [examples[i] for i in fold]
-        schema = fit_schema(train_examples)
+        schema = fit_schema(train_examples, lemma_top_k=lemma_top_k)
         X_tr, y_tr, _ = encode(train_examples, schema=schema)
         X_va, y_va, _ = encode(val_examples, schema=schema)
         split_data.append((X_tr, y_tr, X_va, y_va))

@@ -701,6 +701,8 @@ def parse_canonical(data: bytes | str) -> list[Document]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", line_no)
+        except RecursionError:
+            raise ParseError("invalid JSON: nested too deeply", line_no)
         docs.append(document_from_dict(obj, path=f"doc[{len(docs)}]"))
     return docs
 
@@ -725,10 +727,17 @@ def guess_dialect(path: str | Path) -> str:
 
 
 def read_documents(path: str | Path, dialect: str | None = None) -> list[Document]:
+    """Parse one corpus file. Any malformed content, including bytes that
+    are not UTF-8 and documents that break a model invariant, raises
+    ParseError or DialectViolationError."""
     dialect = dialect or guess_dialect(path)
     if dialect not in DIALECT_PARSERS:
         raise ValidationError(f"unknown dialect {dialect!r}")
-    return DIALECT_PARSERS[dialect](Path(path).read_bytes())
+    data = Path(path).read_bytes()
+    try:
+        return DIALECT_PARSERS[dialect](data)
+    except (ValidationError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def write_canonical(path: str | Path, docs: list[Document]) -> None:

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import EmptyDatasetError, UndefinedDistanceError, ValidationError
 from .model import Document, Mention, is_given, mention_order_key, mention_start
@@ -302,6 +302,10 @@ def dataset_to_jsonl(dataset: PairDataset) -> bytes:
     return ("".join(line + "\n" for line in lines)).encode("utf-8")
 
 
+# Feature name -> the type its JSON value must have (annotations are strings).
+_FEATURE_TYPES = {f.name: int if f.type == "int" else str for f in fields(FeatureVector)}
+
+
 def dataset_from_jsonl(data: bytes | str) -> PairDataset:
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     lines = [line for line in text.split("\n") if line.strip()]
@@ -311,14 +315,20 @@ def dataset_from_jsonl(data: bytes | str) -> PairDataset:
     if "provenance" not in header:
         raise ValidationError("first line must be the provenance header")
     examples = []
-    for line in lines[1:]:
+    for i, line in enumerate(lines[1:]):
         obj = json.loads(line)
+        if obj["label"] not in LABELS:
+            raise ValidationError(f"example {i}: unknown label {obj['label']!r}")
+        features = obj["features"]
+        wrong = [k for k, kind in _FEATURE_TYPES.items() if type(features.get(k)) is not kind]
+        if wrong:
+            raise ValidationError(f"example {i}: missing or mistyped features {wrong}")
         examples.append(
             PairExample(
                 doc_id=obj["doc_id"],
                 antecedent_id=obj["antecedent_id"],
                 anaphor_id=obj["anaphor_id"],
-                features=FeatureVector(**obj["features"]),
+                features=FeatureVector(**features),
                 label=obj["label"],
             )
         )

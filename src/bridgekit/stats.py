@@ -247,14 +247,6 @@ class ConfidentError:
     anaphor_id: str
     probability: float
 
-    def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "antecedent_id": self.antecedent_id,
-            "anaphor_id": self.anaphor_id,
-            "probability": self.probability,
-        }
-
 
 def confident_errors(
     model: GbdtModel, dataset: PairDataset, tau: float = 0.10

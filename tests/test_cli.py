@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, and the full run."""
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import bridgekit.cli
 from bridgekit.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -69,6 +71,26 @@ def pipeline_run(tmp_path_factory):
     return {"tmp": tmp, "config_path": config_path, "run_dir": run_dir, "report": report}
 
 
+def run_files(run_dir: Path) -> dict[str, bytes]:
+    return {
+        str(path.relative_to(run_dir)): path.read_bytes()
+        for path in sorted(run_dir.rglob("*"))
+        if path.is_file()
+    }
+
+
+# sha256 of pure-Python artifacts of the base_config run; resolved_config.json
+# is hashed with the temporary directory replaced by "TMP".
+GOLDEN_RUN_ID = "run-c52f9fd6fbd1"
+GOLDEN_SHA256 = {
+    "datasets/corpusA_eval.jsonl": "139e31f3d28c785fb81a207d2f088e9998850dbc1601111ca5ba71132c90d887",
+    "datasets/corpusA_train.jsonl": "273cdd19d2cd59eb76336f0f6065e67d52b1d79c6afe281dfb6e45200aaa9976",
+    "datasets/corpusB_eval.jsonl": "d536a7360069e0824b50bc6266e0005b5e3375e45c975c6437eacc310a1073af",
+    "datasets/corpusB_train.jsonl": "0be7724d7826ac6f22891776286757be07e1a1ab0acbc7a98e64878c2bc88bf7",
+    "resolved_config.json": "f24a516ae284923a0d113d9cf7280d5366f326dd17791f913f4f005f755ecb56",
+}
+
+
 class TestConvert:
     def test_bracket_to_canonical(self, tmp_path, capsys):
         docs = planted_rule_corpus(1, n_docs=2, single_link_per_anaphor=True)
@@ -88,6 +110,24 @@ class TestConvert:
         err = capsys.readouterr().err
         assert "line 1" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"1\ta\ta\tNN\tsing\tdep\t99999\t_\n",  # token head out of range
+            b"1\ta\ta\tNN\tsing\tdep\t0\t_\n\xff\n",  # not UTF-8
+        ],
+    )
+    def test_structurally_invalid_input_exits_2(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.brk"
+        bad.write_bytes(content)
+        assert main(["convert", "--in", str(bad), "--out", str(tmp_path / "o.jsonl")]) == EXIT_PARSE
+        assert "bad.brk" in capsys.readouterr().err
+
+    def test_missing_input_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "missing.brk"
+        assert main(["convert", "--in", str(missing), "--out", str(tmp_path / "o.jsonl")]) == EXIT_CONFIG
+        assert "missing.brk" in capsys.readouterr().err
 
     def test_explicit_dialect_overrides_suffix(self, tmp_path):
         docs = planted_rule_corpus(1, n_docs=1, label_pool=ARRAU_POOL, schema="arrau_like")
@@ -248,6 +288,21 @@ class TestPairsTrainEvalChain:
         assert "definiteness residuals:" in printed
         assert "bridging subtypes:" in printed
 
+    def test_pairs_line_without_a_key_exits_2(self, chain, tmp_path, capsys):
+        lines = chain["pairs"].read_text().splitlines()
+        example = json.loads(lines[1])
+        del example["label"]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(example)] + lines[2:]) + "\n")
+        assert main(["analyze", "--pairs", str(bad)]) == EXIT_PARSE
+        assert "bad.jsonl" in capsys.readouterr().err
+
+    def test_model_that_is_not_json_exits_2(self, chain, tmp_path, capsys):
+        bad = tmp_path / "model.json"
+        bad.write_text("not a model\n")
+        assert main(["eval", "--model", str(bad), "--pairs", str(chain["pairs"])]) == EXIT_PARSE
+        assert "model.json" in capsys.readouterr().err
+
 
 class TestConfig:
     def write(self, tmp_path, payload) -> Path:
@@ -345,6 +400,27 @@ class TestConfig:
         loaded = load_config(path)
         assert loaded.output_dir == str(tmp_path / "from_env")
 
+    def test_relative_paths_ignore_the_working_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        (tmp_path / "cwd" / "only_here.brk").write_text("1\ta\ta\tNN\tsing\tdep\t0\t_\n")
+        payload = {
+            "seed": 1,
+            "corpora": [
+                {"name": "x", "dialect": "bracket", "train": ["only_here.brk"],
+                 "test": ["only_here.brk"]}
+            ],
+        }
+        (tmp_path / "conf").mkdir()
+        with pytest.raises(ConfigError, match="only_here.brk"):
+            load_config(self.write(tmp_path / "conf", payload))
+
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"seed": 1, "name": "\xff"}')
+        with pytest.raises(ConfigError, match="UTF-8"):
+            load_config(path)
+
     def test_config_error_exits_1(self, tmp_path, capsys):
         path = self.write(tmp_path, {"seed": "x"})
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
@@ -427,10 +503,20 @@ class TestRun:
             assert counts["bridging"] > 0
 
     def test_rerun_is_byte_identical(self, pipeline_run):
-        before = (pipeline_run["run_dir"] / "report.json").read_bytes()
+        before = run_files(pipeline_run["run_dir"])
         code = main(["run", "--config", str(pipeline_run["config_path"])])
         assert code == EXIT_OK
-        assert (pipeline_run["run_dir"] / "report.json").read_bytes() == before
+        assert run_files(pipeline_run["run_dir"]) == before
+
+    def test_pure_python_artifacts_match_golden_hashes(self, pipeline_run):
+        run_dir = pipeline_run["run_dir"]
+        assert run_dir.name == GOLDEN_RUN_ID
+        files = run_files(run_dir)
+        tmp = str(pipeline_run["tmp"]).encode()
+        files["resolved_config.json"] = files["resolved_config.json"].replace(tmp, b"TMP")
+        assert {
+            rel: hashlib.sha256(files[rel]).hexdigest() for rel in GOLDEN_SHA256
+        } == GOLDEN_SHA256
 
     def test_seed_override_creates_a_sibling_run(self, pipeline_run):
         code = main(["run", "--config", str(pipeline_run["config_path"]), "--seed", "14"])
@@ -449,6 +535,55 @@ class TestRun:
         assert partial["failed_stage"] == "load:corpusA"
         assert "line 1" in partial["error"]
         assert not (run_dir / "report.json").exists()
+
+    def test_invalid_corpus_content_exits_2_with_the_failed_stage(self, tmp_path):
+        config = base_config(tmp_path)
+        (tmp_path / "b_test.sff").write_bytes(b"DOC\td g\nTOK\t1 a a NN sing dep 7\n")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path)]) == EXIT_PARSE
+        run_dir = next((tmp_path / "runs").iterdir())
+        partial = json.loads((run_dir / "report.partial.json").read_text())
+        assert partial["failed_stage"] == "load:corpusB"
+        assert "b_test.sff" in partial["error"]
+
+    def test_any_exception_leaves_a_partial_report(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("harmonizer broke")
+
+        monkeypatch.setattr(bridgekit.cli, "harmonize_corpus", broken)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(tmp_path)))
+        with pytest.raises(RuntimeError, match="harmonizer broke"):
+            main(["run", "--config", str(path)])
+        run_dir = next((tmp_path / "runs").iterdir())
+        partial = json.loads((run_dir / "report.partial.json").read_text())
+        assert partial["failed_stage"] == "harmonize:corpusA"
+        assert partial["error"] == "harmonizer broke"
+        assert not (run_dir / "report.json").exists()
+
+    def test_relative_corpus_paths_resolve_against_the_config_directory(
+        self, tmp_path, monkeypatch
+    ):
+        config_dir = tmp_path / "conf"
+        config_dir.mkdir()
+        config = base_config(config_dir)
+        path = config_dir / "config.json"
+        path.write_text(json.dumps(config))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        (cwd / "a_train.brk").write_text("1\tdecoy\n")  # would fail to parse
+        monkeypatch.chdir(cwd)
+
+        def stop(*args, **kwargs):
+            raise RuntimeError("stop after loading")
+
+        monkeypatch.setattr(bridgekit.cli, "cross_validate", stop)
+        with pytest.raises(RuntimeError, match="stop after loading"):
+            main(["run", "--config", str(path)])
+        run_dir = next((config_dir / "runs").iterdir())
+        partial = json.loads((run_dir / "report.partial.json").read_text())
+        assert partial["failed_stage"] == "cv:corpusA"
 
     def test_pipeline_failure_exits_3_with_the_failed_stage(self, tmp_path):
         config = base_config(tmp_path)

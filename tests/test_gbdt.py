@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from bridgekit.gbdt import (
     stratified_folds,
     train,
 )
+from bridgekit.gbdt import evaluation
 from bridgekit.gbdt.evaluation import _beats
 from bridgekit.pairgen import FEATURE_NAMES, FeatureVector, PairExample
 
@@ -348,7 +350,7 @@ class TestMetrics:
 
     def test_metrics_serialize_to_plain_dicts(self):
         m = metrics_from_predictions(np.array([1, 0]), np.array([1, 0]))
-        assert json.loads(json.dumps(m.to_dict()))["f1"] == 1.0
+        assert json.loads(json.dumps(asdict(m)))["f1"] == 1.0
 
 
 class TestRandomBaseline:
@@ -413,6 +415,18 @@ class TestCrossValidate:
         by_params = {r.params: r for r in results}
         assert by_params[strong].mean_f1 > by_params[weak].mean_f1
         assert all(len(r.fold_f1) == 4 for r in results)
+
+    def test_fold_schemas_use_the_given_lemma_top_k(self, planted_train_dataset, monkeypatch):
+        seen = []
+
+        def spy(examples, lemma_top_k):
+            seen.append(lemma_top_k)
+            return fit_schema(examples, lemma_top_k=lemma_top_k)
+
+        monkeypatch.setattr(evaluation, "fit_schema", spy)
+        grid = [HyperParams(n_rounds=2, max_depth=2)]
+        cross_validate(planted_train_dataset, grid, k=3, seed=0, lemma_top_k=2)
+        assert seen == [2, 2, 2]
 
     def test_empty_grid_is_rejected(self, planted_train_dataset):
         with pytest.raises(ConfigError, match="grid is empty"):

@@ -5,10 +5,11 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bridgekit.errors import DialectViolationError, ParseError, ValidationError
 from bridgekit.ingest import (
+    DIALECT_PARSERS,
     emit_bracket,
     emit_canonical,
     find_head,
@@ -368,6 +369,8 @@ class TestCanonical:
         good = emit_canonical(random_corpus(5, n_docs=1)).decode()
         with pytest.raises(ParseError, match="line 2: invalid JSON"):
             parse_canonical(good + "{broken\n")
+        with pytest.raises(ParseError, match="line 2: invalid JSON: nested too deeply"):
+            parse_canonical(good + "[" * 100_000 + "\n")
 
     @pytest.mark.parametrize(
         ("mutate", "message"),
@@ -421,8 +424,52 @@ class TestFileHelpers:
         with pytest.raises(ValidationError, match="unknown dialect"):
             read_documents(path, dialect="xml")
 
+    def test_invalid_utf8_and_model_invariant_breaches_are_parse_errors(self, tmp_path):
+        path = tmp_path / "bad.brk"
+        path.write_bytes(b"1\ta\ta\tNN\tsing\tdep\t0\t_\n\xff\n")
+        with pytest.raises(ParseError, match="utf-8"):
+            read_documents(path)
+        path.write_text("1\ta\ta\tNN\tsing\tdep\t99999\t_\n")
+        with pytest.raises(ParseError, match="head 99999"):
+            read_documents(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(dialect=st.sampled_from(sorted(DIALECT_PARSERS)), data=st.data())
+    def test_any_bytes_yield_documents_or_a_typed_input_error(self, tmp_path, dialect, data):
+        valid = VALID_INPUT[dialect]
+        edits = st.lists(
+            st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)), min_size=1, max_size=4
+        )
+        raw = data.draw(st.one_of(
+            st.binary(max_size=300),
+            st.tuples(edits, st.integers(0, len(valid))).map(lambda e: _mutate(valid, *e)),
+        ))
+        path = tmp_path / "fuzz"
+        path.write_bytes(raw)
+        try:
+            docs = read_documents(path, dialect)
+        except (ParseError, DialectViolationError):
+            return
+        assert all(isinstance(doc, Document) for doc in docs)
+
     def test_read_documents_honors_explicit_dialect_over_suffix(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text(BRACKET_DOC)
         docs = read_documents(path, dialect="bracket")
         assert docs[0].doc_id == "demo"
+
+
+VALID_INPUT = {
+    "bracket": BRACKET_DOC.encode(),
+    "standoff": STANDOFF_DOC.encode(),
+    "canonical": emit_canonical(parse_standoff(STANDOFF_DOC)),
+}
+
+
+def _mutate(valid: bytes, edits: list[tuple[int, int]], cut: int) -> bytes:
+    """`valid` with the given byte overwrites, truncated to `cut` bytes."""
+    out = bytearray(valid)
+    for position, value in edits:
+        out[position] = value
+    return bytes(out[:cut])

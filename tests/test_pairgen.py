@@ -367,6 +367,14 @@ class TestSerialization:
             dataset_from_jsonl("\n".join(lines[1:]))
         with pytest.raises(ValidationError, match="declares"):
             dataset_from_jsonl("\n".join(lines[:-1]))
+        example = json.loads(lines[1])
+        example["label"] = "maybe"
+        with pytest.raises(ValidationError, match="example 0: unknown label 'maybe'"):
+            dataset_from_jsonl("\n".join([lines[0], json.dumps(example)] + lines[2:]))
+        example = json.loads(lines[1])
+        example["features"]["t_a_dist"] = "far"
+        with pytest.raises(ValidationError, match=r"mistyped features \['t_a_dist'\]"):
+            dataset_from_jsonl("\n".join([lines[0], json.dumps(example)] + lines[2:]))
         with pytest.raises(EmptyDatasetError):
             dataset_from_jsonl("\n\n")
 

@@ -283,6 +283,6 @@ class TestConfidentErrors:
 
     def test_entries_serialize(self):
         e = ConfidentError("d", "a", "n", 0.05)
-        assert e.to_dict() == {
+        assert dataclasses.asdict(e) == {
             "doc_id": "d", "antecedent_id": "a", "anaphor_id": "n", "probability": 0.05,
         }
