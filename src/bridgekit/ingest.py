@@ -61,14 +61,14 @@ def _decode(data: bytes | str) -> str:
 def find_head(tokens: tuple[Token, ...], spans: tuple[tuple[int, int], ...]) -> int:
     """Token inside the spans whose dependency head lies outside them.
 
-    Leftmost such token wins; if every head stays inside, fall back to the
-    last token of the last span.
+    ``tokens`` is in index order, ``tokens[k].index == k + 1``, as the
+    bracket and standoff parsers enforce. Leftmost such token wins; if every
+    head stays inside, fall back to the last token of the last span.
     """
     covered = {i for start, end in spans for i in range(start, end + 1)}
-    by_index = {t.index: t for t in tokens}
     for start, end in spans:
         for i in range(start, end + 1):
-            if by_index[i].head not in covered:
+            if tokens[i - 1].head not in covered:
                 return i
     return spans[-1][1]
 
@@ -115,7 +115,7 @@ class _BracketDocBuilder:
         self.genre: str = ""
         self.tokens: list[Token] = []
         self.stack: list[dict] = []
-        self.records: list[dict] = []  # mention records in opening order
+        self.records: dict[str, dict] = {}  # mention id -> record, in opening order
         self.links: list[dict] = []
 
     @property
@@ -178,16 +178,16 @@ class _BracketDocBuilder:
             raise ParseError(f"malformed annotation item {item!r}", line)
 
     def _add_record(self, mention_id, etype, infstat, definite, span, line) -> dict:
-        if any(rec["id"] == mention_id for rec in self.records):
+        if mention_id in self.records:
             raise ParseError(f"duplicate mention id {mention_id!r}", line)
         rec = {"id": mention_id, "etype": etype, "infstat": infstat,
                "definite": definite, "span": span, "chain": None, "line": line}
-        self.records.append(rec)
+        self.records[mention_id] = rec
         return rec
 
     def _suffixes(self, mention_id: str, suffix_parts: list[str], line: int) -> None:
         suffixes = _parse_suffixes(suffix_parts, line)
-        rec = next(r for r in self.records if r["id"] == mention_id)
+        rec = self.records[mention_id]
         if "Chain" in suffixes:
             rec["chain"] = suffixes["Chain"]
         if "Subtype" in suffixes and "Bridge" not in suffixes:
@@ -217,9 +217,8 @@ class _BracketDocBuilder:
             rec = self.stack[-1]
             raise ParseError(f"mention {rec['id']!r} opened on line {rec['line']} never closes", line)
         tokens = tuple(self.tokens)
-        known = {rec["id"] for rec in self.records}
         for link in self.links:
-            if link["ante"] not in known:
+            if link["ante"] not in self.records:
                 raise ParseError(
                     f"bridge antecedent {link['ante']!r} does not resolve to a mention",
                     link["line"],
@@ -235,7 +234,7 @@ class _BracketDocBuilder:
                 definiteness=rec["definite"],
                 chain_id=rec["chain"],
             )
-            for rec in self.records
+            for rec in self.records.values()
         )
         bridging = tuple(
             BridgingLink(link["anaphor"], (link["ante"],), link["subtype"]) for link in self.links

@@ -181,9 +181,14 @@ def validate_document(doc: Document) -> None:
             f"bad value {m.entity_type_unified!r}",
         )
 
+    seen_links: set[tuple[str, frozenset[str]]] = set()
     for i, link in enumerate(doc.bridging):
         path = f"{where}.bridging[{i}]"
-        _check(len(link.antecedent_ids) > 0, f"{path}.antecedent_ids", "empty antecedent list")
+        antecedents = frozenset(link.antecedent_ids)
+        _check(len(antecedents) > 0, f"{path}.antecedent_ids", "empty antecedent list")
+        _check(len(antecedents) == len(link.antecedent_ids), f"{path}.antecedent_ids", "repeated antecedent")
+        _check((link.anaphor_id, antecedents) not in seen_links, path, f"duplicate link for anaphor {link.anaphor_id!r}")
+        seen_links.add((link.anaphor_id, antecedents))
         _check(
             link.anaphor_id in seen_ids,
             f"{path}.anaphor_id",

@@ -166,16 +166,9 @@ def max_bridging_distance(docs: list[Document]) -> int:
     return max(distances)
 
 
-def _pair_label(doc: Document, ante: Mention, ana: Mention, bridged: set[tuple[str, str]]) -> str:
-    if (ante.id, ana.id) in bridged:
-        return "bridging"
-    if ante.chain_id is not None and ante.chain_id == ana.chain_id:
-        return "coref"
-    return "none"
-
-
-def enumerate_labeled_pairs(doc: Document) -> list[PairExample]:
-    """All ordered mention pairs with the antecedent strictly earlier.
+def enumerate_labeled_pairs(doc: Document) -> list[tuple[Mention, Mention, str]]:
+    """All ordered mention pairs with the antecedent strictly earlier, as
+    ``(antecedent, anaphor, label)`` triples in document order.
 
     A pair matching a bridging link is labeled bridging; otherwise shared
     chain membership yields coref; everything else is none.
@@ -191,20 +184,19 @@ def enumerate_labeled_pairs(doc: Document) -> list[PairExample]:
         for ana in ordered[i + 1:]:
             if mention_start(ana) <= mention_start(ante):
                 continue
-            pairs.append(
-                PairExample(
-                    doc_id=doc.doc_id,
-                    antecedent_id=ante.id,
-                    anaphor_id=ana.id,
-                    features=extract_features(doc, ante, ana),
-                    label=_pair_label(doc, ante, ana, bridged),
-                )
-            )
+            if (ante.id, ana.id) in bridged:
+                label = "bridging"
+            elif ante.chain_id is not None and ante.chain_id == ana.chain_id:
+                label = "coref"
+            else:
+                label = "none"
+            pairs.append((ante, ana, label))
     return pairs
 
 
-def _candidate_sort_key(ex: PairExample) -> tuple[str, str, str]:
-    return (ex.doc_id, ex.antecedent_id, ex.anaphor_id)
+def _candidate_sort_key(candidate: tuple[Document, Mention, Mention]) -> tuple[str, str, str]:
+    doc, ante, ana = candidate
+    return (doc.doc_id, ante.id, ana.id)
 
 
 def build_balanced_dataset(
@@ -220,43 +212,41 @@ def build_balanced_dataset(
     replacement, one draw per class, from candidates whose anaphor is not a
     pronoun and whose distance does not exceed the longest attested
     bridging distance. Classes short of candidates are taken whole with a
-    recorded warning. The result is a deterministic function of
-    (docs, seed).
+    recorded warning. Features are extracted for the kept pairs only. The
+    result is a deterministic function of (docs, seed).
     """
     cap = max_bridging_distance(docs)
 
-    bridging: list[PairExample] = []
-    pools: dict[str, list[PairExample]] = {"coref": [], "none": []}
-    pronoun_cache: dict[tuple[str, str], bool] = {}
+    pools: dict[str, list[tuple[Document, Mention, Mention]]] = {label: [] for label in LABELS}
     for doc in docs:
-        for ex in enumerate_labeled_pairs(doc):
-            if ex.label == "bridging":
-                bridging.append(ex)
+        pronouns = {m.id for m in doc.mentions if is_pronoun(doc, m, pronoun_tags)}
+        for ante, ana, label in enumerate_labeled_pairs(doc):
+            if label != "bridging" and (
+                ana.id in pronouns or mention_start(ana) - mention_start(ante) > cap
+            ):
                 continue
-            key = (doc.doc_id, ex.anaphor_id)
-            if key not in pronoun_cache:
-                pronoun_cache[key] = is_pronoun(doc, doc.mention_by_id[ex.anaphor_id], pronoun_tags)
-            if pronoun_cache[key] or ex.features.t_a_dist > cap:
-                continue
-            pools[ex.label].append(ex)
+            pools[label].append((doc, ante, ana))
 
-    n_bridging = len(bridging)
+    n_bridging = len(pools["bridging"])
     if n_bridging == 0:
         raise EmptyDatasetError("no bridging pairs in corpus")
 
     rng = random.Random(seed)
     warnings = []
-    chosen: list[PairExample] = sorted(bridging, key=_candidate_sort_key)
-    for label in ("coref", "none"):
+    chosen: list[PairExample] = []
+    for label in LABELS:
         pool = sorted(pools[label], key=_candidate_sort_key)
-        if len(pool) < n_bridging:
-            warnings.append(
-                f"only {len(pool)} {label} candidates for {n_bridging} bridging pairs"
-            )
-            sampled = pool
-        else:
-            sampled = rng.sample(pool, n_bridging)
-        chosen.extend(sorted(sampled, key=_candidate_sort_key))
+        if label != "bridging":
+            if len(pool) < n_bridging:
+                warnings.append(
+                    f"only {len(pool)} {label} candidates for {n_bridging} bridging pairs"
+                )
+            else:
+                pool = sorted(rng.sample(pool, n_bridging), key=_candidate_sort_key)
+        chosen.extend(
+            PairExample(doc.doc_id, ante.id, ana.id, extract_features(doc, ante, ana), label)
+            for doc, ante, ana in pool
+        )
 
     return PairDataset(
         examples=tuple(chosen),

@@ -124,6 +124,23 @@ class TestConvert:
         assert main(["convert", "--in", str(bad), "--out", str(tmp_path / "o.jsonl")]) == EXIT_PARSE
         assert "bad.brk" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "links, message",
+        [
+            ("BRG\tm2 m1+m1 _\n", "repeated antecedent"),
+            ("BRG\tm2 m1 _\nBRG\tm2 m1 _\n", "duplicate link"),
+        ],
+    )
+    def test_invalid_standoff_links_exit_2(self, tmp_path, capsys, links, message):
+        bad = tmp_path / "bad.sff"
+        bad.write_text(
+            "DOC\td g\nTOK\t1 a a NN sing dep 0\nTOK\t2 b b NN sing dep 1\n"
+            "MEN\tm1 1-1 object _\nMEN\tm2 2-2 object _\n" + links
+        )
+        assert main(["convert", "--in", str(bad), "--out", str(tmp_path / "o.jsonl")]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "bad.sff" in err and message in err
+
     def test_missing_input_exits_1(self, tmp_path, capsys):
         missing = tmp_path / "missing.brk"
         assert main(["convert", "--in", str(missing), "--out", str(tmp_path / "o.jsonl")]) == EXIT_CONFIG

@@ -181,3 +181,29 @@ class TestValidation:
         doc = make_doc(mentions=[self.ok_mention()], bridging=[BridgingLink("m1", ())])
         with pytest.raises(ValidationError, match="empty antecedent list"):
             validate_document(doc)
+
+    def three_mentions(self):
+        return [
+            self.ok_mention(id="m1", spans=((1, 1),), head_index=1),
+            self.ok_mention(id="m2", spans=((3, 3),), head_index=3),
+            self.ok_mention(id="m3", spans=((5, 5),), head_index=5),
+        ]
+
+    def test_repeated_antecedent_is_rejected(self):
+        doc = make_doc(mentions=self.three_mentions(), bridging=[BridgingLink("m2", ("m1", "m1"))])
+        with pytest.raises(ValidationError, match=r"bridging\[0\]\.antecedent_ids: repeated antecedent"):
+            validate_document(doc)
+
+    @pytest.mark.parametrize("second", [("m1",), ("m1", "m2")])
+    def test_duplicate_link_is_rejected(self, second):
+        first = BridgingLink("m3", second[::-1], subtype="part")
+        doc = make_doc(mentions=self.three_mentions(), bridging=[first, BridgingLink("m3", second)])
+        with pytest.raises(ValidationError, match=r"bridging\[1\]: duplicate link for anaphor 'm3'"):
+            validate_document(doc)
+
+    def test_split_and_single_links_sharing_a_pair_are_valid(self):
+        doc = make_doc(
+            mentions=self.three_mentions(),
+            bridging=[BridgingLink("m3", ("m1", "m2")), BridgingLink("m3", ("m1",))],
+        )
+        validate_document(doc)

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bridgekit import pairgen
 from bridgekit.errors import EmptyDatasetError, UndefinedDistanceError, ValidationError
 from bridgekit.harmonize import harmonize_corpus
 from bridgekit.model import BridgingLink, Document, Mention, Token, validate_document
@@ -28,7 +30,7 @@ from bridgekit.pairgen import (
     is_pronoun,
     max_bridging_distance,
 )
-from bridgekit.synth import balanced_sampling_corpus, planted_rule_corpus
+from bridgekit.synth import balanced_sampling_corpus, planted_rule_corpus, random_corpus
 
 
 def make_tokens(specs):
@@ -176,7 +178,7 @@ class TestExtractFeatures:
 class TestEnumerateLabeledPairs:
     def test_labels_and_ordering(self, feature_doc):
         pairs = enumerate_labeled_pairs(feature_doc)
-        by_ids = {(p.antecedent_id, p.anaphor_id): p.label for p in pairs}
+        by_ids = {(ante.id, ana.id): label for ante, ana, label in pairs}
         assert by_ids == {
             ("m1", "m2"): "bridging",
             ("m1", "m3"): "none",
@@ -194,7 +196,7 @@ class TestEnumerateLabeledPairs:
                 Mention(id="z", spans=((5, 5),), head_index=5, entity_type_original="t", chain_id="c2"),
             ),
         )
-        labels = {(p.antecedent_id, p.anaphor_id): p.label for p in enumerate_labeled_pairs(doc)}
+        labels = {(ante.id, ana.id): label for ante, ana, label in enumerate_labeled_pairs(doc)}
         assert labels == {("x", "y"): "coref", ("x", "z"): "none", ("y", "z"): "none"}
 
     def test_bridging_label_wins_over_coref(self):
@@ -207,8 +209,8 @@ class TestEnumerateLabeledPairs:
             ),
             bridging=(BridgingLink("y", ("x",)),),
         )
-        (pair,) = enumerate_labeled_pairs(doc)
-        assert pair.label == "bridging"
+        ((_, _, label),) = enumerate_labeled_pairs(doc)
+        assert label == "bridging"
 
     def test_equal_start_pairs_are_skipped(self, feature_doc):
         import dataclasses
@@ -216,7 +218,7 @@ class TestEnumerateLabeledPairs:
         nested = Mention(id="m9", spans=((1, 1),), head_index=1, entity_type_original="x")
         doc = dataclasses.replace(feature_doc, mentions=feature_doc.mentions + (nested,))
         pairs = enumerate_labeled_pairs(doc)
-        assert not any({p.antecedent_id, p.anaphor_id} == {"m1", "m9"} for p in pairs)
+        assert not any({ante.id, ana.id} == {"m1", "m9"} for ante, ana, _ in pairs)
 
 
 class TestMaxBridgingDistance:
@@ -287,6 +289,44 @@ class TestBalancedDataset:
         ]
         assert len(kept) == 1
         assert kept[0].features.t_a_dist == 58
+
+    @pytest.mark.parametrize(
+        "make_corpus, seed, digest",
+        [
+            (lambda: balanced_sampling_corpus(9), 0,
+             "2bfa1ce7b82a612949d2ea15e8cad14f7f34dfce1b7176aa36b75f5d9debf00a"),
+            (lambda: balanced_sampling_corpus(9), 7,
+             "a5f40b7a1c339b1af7af45ca8a94851f2666365a37f0ee4a8df259a133803956"),
+            (lambda: random_corpus(5, 60), 0,
+             "156a7c3ec8437aca036a0ac54df4717174ef1162751ef98bbf90cbe7b430e4d1"),
+            (lambda: random_corpus(5, 60), 7,
+             "d2f9262dbedb95bd20b2f36d283a0e57bd2c3eb772749b41d444f76d8d1d1223"),
+            (lambda: random_corpus(6, 60, flavor="arrau_like"), 0,
+             "a3d69c8c4707dcac6c92360cbfdc8c53e6ecf20cb5683fc68e2eec9d40a5ee82"),
+            (lambda: random_corpus(6, 60, flavor="arrau_like"), 7,
+             "994e1f7cc3f28761c285f533f7b51fda765d68cbe65e7dd25464c3da4da58bf2"),
+        ],
+        ids=["balanced-0", "balanced-7", "random-0", "random-7", "arrau-0", "arrau-7"],
+    )
+    def test_dataset_bytes_match_golden_hashes(self, make_corpus, seed, digest):
+        # Together the cases cover the pronoun filter, the distance cap,
+        # short-pool warnings, split-antecedent links dropped by harmonize and
+        # chain-derived infstat.
+        docs, _ = harmonize_corpus(make_corpus())
+        data = dataset_to_jsonl(build_balanced_dataset(docs, seed))
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_features_are_extracted_for_kept_pairs_only(self, sampling_docs, monkeypatch):
+        calls = []
+
+        def counting(doc, ante, ana):
+            calls.append((doc.doc_id, ante.id, ana.id))
+            return extract_features(doc, ante, ana)
+
+        monkeypatch.setattr(pairgen, "extract_features", counting)
+        ds = build_balanced_dataset(sampling_docs, seed=7)
+        assert len(calls) == len(ds.examples)
+        assert calls == [(ex.doc_id, ex.antecedent_id, ex.anaphor_id) for ex in ds.examples]
 
     def test_shortage_is_taken_whole_with_a_warning(self):
         docs = planted_rule_corpus(5, n_docs=2, n_chains=1, chain_size=2, n_free=10)
