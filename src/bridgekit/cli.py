@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import BridgekitError, ConfigError, ParseError
@@ -87,7 +87,7 @@ def _write(path: Path, data: str | bytes) -> None:
 class CorpusSpec:
     name: str
     dialect: str
-    train: tuple[str, ...]
+    train: tuple[str, ...] = ()
     dev: tuple[str, ...] = ()
     test: tuple[str, ...] = ()
     extra_test: tuple[str, ...] = ()
@@ -126,12 +126,30 @@ class PipelineConfig:
         return f"run-{digest[:12]}"
 
 
-def _as_path_tuple(value, key: str) -> tuple[str, ...]:
+# JSON check, expected-type wording and conversion for each annotation of a
+# PipelineConfig or CorpusSpec field that has a plain default.
+_CONFIG_TYPES = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", int),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number", float),
+    "str": (lambda v: isinstance(v, str), "a string", str),
+    "str | None": (lambda v: isinstance(v, str), "a string", str),
+    "tuple[str, ...]": (
+        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+        "a list of strings",
+        tuple,
+    ),
+}
+
+
+def _config_value(value, f: Field):
+    """`value` from the config JSON for field `f`; absent or null means the
+    field default."""
     if value is None:
-        return ()
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise ConfigError(f"{key} must be a list of paths")
-    return tuple(value)
+        return f.default
+    check, expected, convert = _CONFIG_TYPES[f.type]
+    if not check(value):
+        raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
+    return convert(value)
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
@@ -154,17 +172,17 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         raise ConfigError("config requires a non-empty corpora list")
     corpora = []
     for entry in corpora_raw:
-        if not isinstance(entry, dict) or "name" not in entry or "dialect" not in entry:
-            raise ConfigError("each corpus needs at least name and dialect")
+        if not isinstance(entry, dict) or not all(
+            isinstance(entry.get(key), str) for key in ("name", "dialect")
+        ):
+            raise ConfigError("each corpus needs at least a string name and dialect")
         if entry["dialect"] not in DIALECT_PARSERS:
             raise ConfigError(f"unknown dialect {entry['dialect']!r}")
         spec = CorpusSpec(
             name=entry["name"],
             dialect=entry["dialect"],
-            train=_as_path_tuple(entry.get("train"), "train"),
-            dev=_as_path_tuple(entry.get("dev"), "dev"),
-            test=_as_path_tuple(entry.get("test"), "test"),
-            extra_test=_as_path_tuple(entry.get("extra_test"), "extra_test"),
+            **{f.name: _config_value(entry.get(f.name), f)
+               for f in fields(CorpusSpec) if f.default is not MISSING},
         )
         if not spec.train_files:
             raise ConfigError(f"corpus {spec.name!r} has no training files")
@@ -174,8 +192,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     if len({c.name for c in corpora}) != len(corpora):
         raise ConfigError("corpus names must be unique")
 
-    grid_raw = raw.get("grid", "default")
-    if grid_raw == "default":
+    grid_raw = raw.get("grid")
+    if grid_raw in (None, "default"):
         grid = tuple(default_grid())
     elif isinstance(grid_raw, list) and grid_raw:
         try:
@@ -185,28 +203,15 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     else:
         raise ConfigError("grid must be \"default\" or a non-empty list of objects")
 
-    if raw.get("residual_source", "dataset") not in ("dataset", "corpus"):
+    scalars = {
+        f.name: _config_value(raw.get(f.name), f)
+        for f in fields(PipelineConfig)
+        if f.default is not MISSING
+    }
+    if scalars["residual_source"] not in ("dataset", "corpus"):
         raise ConfigError("residual_source must be dataset or corpus")
-
-    config = PipelineConfig(
-        seed=raw["seed"],
-        corpora=tuple(corpora),
-        output_dir=os.environ.get(OUTPUT_DIR_ENV) or raw.get("output_dir", "runs"),
-        exclusion_list=raw.get("exclusion_list"),
-        pronoun_tags=tuple(
-            sorted(DEFAULT_PRONOUN_TAGS)
-            if raw.get("pronoun_tags") is None
-            else raw["pronoun_tags"]
-        ),
-        lemma_top_k=int(raw.get("lemma_top_k", 200)),
-        cv_folds=int(raw.get("cv_folds", 5)),
-        grid=grid,
-        baseline_p=float(raw.get("baseline_p", 1.0 / 3.0)),
-        baseline_runs=int(raw.get("baseline_runs", 5)),
-        tau=float(raw.get("tau", 0.10)),
-        residual_source=raw.get("residual_source", "dataset"),
-        distribution_threshold=float(raw.get("distribution_threshold", 0.01)),
-    )
+    scalars["output_dir"] = os.environ.get(OUTPUT_DIR_ENV) or scalars["output_dir"]
+    config = PipelineConfig(seed=raw["seed"], corpora=tuple(corpora), grid=grid, **scalars)
     _check_paths(config, base=Path(path).parent)
     return config
 

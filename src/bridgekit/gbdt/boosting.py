@@ -14,7 +14,7 @@ stored leaf weights are the raw closed-form values.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Union
 
@@ -36,6 +36,10 @@ class HyperParams:
     min_child_hessian: float = 1.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ConfigError(f"{f.name} must be an integer")
         if self.n_rounds < 0:
             raise ConfigError("n_rounds must be >= 0")
         if self.max_depth < 1:
@@ -264,41 +268,24 @@ def predict_proba(model: GbdtModel, X: np.ndarray) -> np.ndarray | float:
 # serialization
 
 
-def _node_to_dict(node: Node) -> dict:
-    if isinstance(node, Leaf):
-        return {"weight": node.weight}
-    return {
-        "column": node.column,
-        "threshold": node.threshold,
-        "gain": node.gain,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
+# Per node class: each field with the converter its annotation implies;
+# child fields (annotated with the node union) recurse.
+_NODE_FIELDS = {
+    cls: tuple((f.name, {"int": int, "float": float}.get(f.type)) for f in fields(cls))
+    for cls in (Leaf, Split)
+}
 
 
 def _node_from_dict(obj: dict) -> Node:
-    if "weight" in obj:
-        return Leaf(weight=float(obj["weight"]))
-    return Split(
-        column=int(obj["column"]),
-        threshold=float(obj["threshold"]),
-        gain=float(obj["gain"]),
-        left=_node_from_dict(obj["left"]),
-        right=_node_from_dict(obj["right"]),
-    )
+    cls = Leaf if "weight" in obj else Split
+    return cls(**{
+        name: convert(obj[name]) if convert else _node_from_dict(obj[name])
+        for name, convert in _NODE_FIELDS[cls]
+    })
 
 
 def model_to_dict(model: GbdtModel) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "base_score": model.base_score,
-        "params": asdict(model.params),
-        "seed": model.seed,
-        "n_features": model.n_features,
-        "schema": model.schema.to_dict() if model.schema is not None else None,
-        "training_loss": list(model.training_loss),
-        "trees": [_node_to_dict(tree) for tree in model.trees],
-    }
+    return {"format_version": FORMAT_VERSION, **asdict(model)}
 
 
 def model_from_dict(obj: dict) -> GbdtModel:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyDatasetError, ValidationError
+from ..errors import ConfigError, EmptyDatasetError, ValidationError
 from ..pairgen import FEATURE_NAMES, NUMERIC_FEATURES, PairDataset, PairExample
 
 LEMMA_FEATURES = ("t_head_lemma", "n_head_lemma")
@@ -77,15 +77,6 @@ class EncoderSchema:
             for _ in range(block.width)
         ]
 
-    def to_dict(self) -> dict:
-        return {
-            "lemma_top_k": self.lemma_top_k,
-            "blocks": [
-                {"feature": b.feature, "kind": b.kind, "categories": list(b.categories)}
-                for b in self.blocks
-            ],
-        }
-
     @classmethod
     def from_dict(cls, obj: dict) -> "EncoderSchema":
         blocks = []
@@ -108,6 +99,8 @@ def _examples(dataset: PairDataset | list[PairExample]) -> list[PairExample]:
 def fit_schema(
     dataset: PairDataset | list[PairExample], lemma_top_k: int = DEFAULT_LEMMA_TOP_K
 ) -> EncoderSchema:
+    if lemma_top_k < 0:
+        raise ConfigError("lemma_top_k must be >= 0")
     examples = _examples(dataset)
     blocks = []
     for feature in sorted(FEATURE_NAMES):

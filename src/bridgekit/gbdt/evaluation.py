@@ -71,6 +71,8 @@ def random_baseline(
     else:
         examples = dataset.examples if isinstance(dataset, PairDataset) else dataset
         y = np.array([ex.label == "bridging" for ex in examples], dtype=bool)
+    if runs < 1:
+        raise ConfigError("runs must be >= 1")
     if len(y) == 0:
         raise EmptyDatasetError("cannot score an empty dataset")
     rng = random.Random(seed)

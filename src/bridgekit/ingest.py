@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import DialectViolationError, ParseError, ValidationError
@@ -532,99 +533,71 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise ValidationError(f"{path}: {message}")
 
 
-def _expect_keys(obj: dict, required: set[str], optional: set[str], path: str) -> None:
+# Layout of each record class, read from its dataclass fields: all keys, the
+# required keys (every field but those defaulting to None), and each scalar
+# field with the check its annotation implies (annotations are strings, as
+# they are postponed). Container fields are checked by the caller.
+_SCALAR_CHECKS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "expected an integer"),
+    "str": (lambda v: isinstance(v, str), "expected a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "expected a string"),
+}
+_LAYOUTS = {
+    cls: (
+        frozenset(f.name for f in fields(cls)),
+        frozenset(f.name for f in fields(cls) if f.default is not None),
+        tuple((f.name, *_SCALAR_CHECKS[f.type]) for f in fields(cls) if f.type in _SCALAR_CHECKS),
+    )
+    for cls in (Document, Token, Mention, BridgingLink)
+}
+
+
+def _scalar_fields(obj, cls: type, path: str) -> dict:
+    """Check `obj` against the layout of `cls`; return its scalar fields."""
     _expect(isinstance(obj, dict), path, "expected an object")
-    keys = set(obj)
+    known, required, scalars = _LAYOUTS[cls]
+    keys = obj.keys()
     _expect(required <= keys, path, f"missing keys {sorted(required - keys)}")
-    extra = keys - required - optional
+    extra = keys - known
     _expect(not extra, path, f"unexpected keys {sorted(extra)}")
+    values = {}
+    for name, check, message in scalars:
+        value = values[name] = obj.get(name)
+        _expect(check(value), f"{path}.{name}", message)
+    return values
 
 
-def _expect_str(obj: dict, key: str, path: str) -> str:
-    value = obj[key]
-    _expect(isinstance(value, str), f"{path}.{key}", "expected a string")
-    return value
-
-
-def _expect_int(obj: dict, key: str, path: str) -> int:
-    value = obj[key]
-    _expect(isinstance(value, int) and not isinstance(value, bool), f"{path}.{key}", "expected an integer")
-    return value
+def _record_dict(record) -> dict:
+    """Field dict of a mention or link, without the optional fields left None."""
+    return {key: value for key, value in vars(record).items() if value is not None}
 
 
 def document_to_dict(doc: Document) -> dict:
-    mentions = []
-    for m in doc.mentions:
-        entry = {
-            "id": m.id,
-            "spans": [[start, end] for start, end in m.spans],
-            "head_index": m.head_index,
-            "entity_type_original": m.entity_type_original,
-            "entity_type_unified": m.entity_type_unified,
-            "infstat": m.infstat,
-            "definiteness": m.definiteness,
-        }
-        if m.chain_id is not None:
-            entry["chain_id"] = m.chain_id
-        mentions.append(entry)
-    bridging = []
-    for link in doc.bridging:
-        entry = {"anaphor_id": link.anaphor_id, "antecedent_ids": list(link.antecedent_ids)}
-        if link.subtype is not None:
-            entry["subtype"] = link.subtype
-        bridging.append(entry)
+    # Listed by hand: a Document's __dict__ also holds its cached properties.
     return {
         "doc_id": doc.doc_id,
         "genre": doc.genre,
         "schema": doc.schema,
-        "tokens": [
-            {
-                "index": t.index,
-                "form": t.form,
-                "lemma": t.lemma,
-                "xpos": t.xpos,
-                "number": t.number,
-                "deprel": t.deprel,
-                "head": t.head,
-            }
-            for t in doc.tokens
-        ],
-        "mentions": mentions,
-        "bridging": bridging,
+        "tokens": [dict(vars(t)) for t in doc.tokens],
+        "mentions": [_record_dict(m) for m in doc.mentions],
+        "bridging": [_record_dict(link) for link in doc.bridging],
     }
 
 
 def document_from_dict(obj: dict, path: str = "doc") -> Document:
-    _expect_keys(obj, {"doc_id", "genre", "schema", "tokens", "mentions", "bridging"}, set(), path)
+    values = _scalar_fields(obj, Document, path)
     for key in ("tokens", "mentions", "bridging"):
         _expect(isinstance(obj[key], list), f"{path}.{key}", "expected a list")
 
-    tokens = []
-    for i, tok in enumerate(obj["tokens"]):
-        tpath = f"{path}.tokens[{i}]"
-        _expect_keys(tok, {"index", "form", "lemma", "xpos", "number", "deprel", "head"}, set(), tpath)
-        tokens.append(
-            Token(
-                index=_expect_int(tok, "index", tpath),
-                form=_expect_str(tok, "form", tpath),
-                lemma=_expect_str(tok, "lemma", tpath),
-                xpos=_expect_str(tok, "xpos", tpath),
-                number=_expect_str(tok, "number", tpath),
-                deprel=_expect_str(tok, "deprel", tpath),
-                head=_expect_int(tok, "head", tpath),
-            )
-        )
+    tokens = tuple(
+        Token(**_scalar_fields(tok, Token, f"{path}.tokens[{i}]"))
+        for i, tok in enumerate(obj["tokens"])
+    )
 
     mentions = []
     for i, men in enumerate(obj["mentions"]):
         mpath = f"{path}.mentions[{i}]"
-        _expect_keys(
-            men,
-            {"id", "spans", "head_index", "entity_type_original", "entity_type_unified",
-             "infstat", "definiteness"},
-            {"chain_id"},
-            mpath,
-        )
+        scalars = _scalar_fields(men, Mention, mpath)
         _expect(isinstance(men["spans"], list) and men["spans"], f"{mpath}.spans", "expected a non-empty list")
         spans = []
         for j, span in enumerate(men["spans"]):
@@ -635,45 +608,21 @@ def document_from_dict(obj: dict, path: str = "doc") -> Document:
                 "expected a [start, end] integer pair",
             )
             spans.append((span[0], span[1]))
-        chain_id = men.get("chain_id")
-        if chain_id is not None:
-            _expect(isinstance(chain_id, str), f"{mpath}.chain_id", "expected a string")
-        mentions.append(
-            Mention(
-                id=_expect_str(men, "id", mpath),
-                spans=tuple(spans),
-                head_index=_expect_int(men, "head_index", mpath),
-                entity_type_original=_expect_str(men, "entity_type_original", mpath),
-                entity_type_unified=_expect_str(men, "entity_type_unified", mpath),
-                infstat=_expect_str(men, "infstat", mpath),
-                definiteness=_expect_str(men, "definiteness", mpath),
-                chain_id=chain_id,
-            )
-        )
+        mentions.append(Mention(spans=tuple(spans), **scalars))
 
     bridging = []
     for i, link in enumerate(obj["bridging"]):
         lpath = f"{path}.bridging[{i}]"
-        _expect_keys(link, {"anaphor_id", "antecedent_ids"}, {"subtype"}, lpath)
+        scalars = _scalar_fields(link, BridgingLink, lpath)
         antes = link["antecedent_ids"]
         _expect(
             isinstance(antes, list) and antes and all(isinstance(a, str) for a in antes),
             f"{lpath}.antecedent_ids",
             "expected a non-empty list of strings",
         )
-        subtype = link.get("subtype")
-        if subtype is not None:
-            _expect(isinstance(subtype, str), f"{lpath}.subtype", "expected a string")
-        bridging.append(BridgingLink(_expect_str(link, "anaphor_id", lpath), tuple(antes), subtype))
+        bridging.append(BridgingLink(antecedent_ids=tuple(antes), **scalars))
 
-    doc = Document(
-        doc_id=_expect_str(obj, "doc_id", path),
-        genre=_expect_str(obj, "genre", path),
-        schema=_expect_str(obj, "schema", path),
-        tokens=tuple(tokens),
-        mentions=tuple(mentions),
-        bridging=tuple(bridging),
-    )
+    doc = Document(tokens=tokens, mentions=tuple(mentions), bridging=tuple(bridging), **values)
     validate_document(doc)
     return doc
 

@@ -27,27 +27,6 @@ _DEFINITE_LEMMAS = frozenset({"the", "this", "that", "these", "those"})
 _POSSESSIVE_TAGS = frozenset({"PRP$", "WP$", "POS"})
 _PROPER_TAGS = frozenset({"NNP", "NNPS"})
 
-FEATURE_NAMES = (
-    "t_entity_type",
-    "n_entity_type",
-    "t_definite",
-    "n_definite",
-    "t_phrase_len",
-    "n_phrase_len",
-    "t_head_deprel",
-    "n_head_deprel",
-    "t_head_xpos",
-    "n_head_xpos",
-    "t_head_lemma",
-    "n_head_lemma",
-    "t_head_number",
-    "n_head_number",
-    "t_infstat",
-    "t_a_dist",
-)
-
-NUMERIC_FEATURES = ("t_a_dist", "t_phrase_len", "n_phrase_len")
-
 
 @dataclass(frozen=True)
 class FeatureVector:
@@ -67,6 +46,10 @@ class FeatureVector:
     n_head_number: str
     t_infstat: str
     t_a_dist: int
+
+
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
+NUMERIC_FEATURES = tuple(f.name for f in fields(FeatureVector) if f.type == "int")
 
 
 @dataclass(frozen=True)

@@ -28,14 +28,6 @@ class ContingencyTable2x2:
     # table but kept on record.
     excluded_none: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": list(ROW_LABELS),
-            "cols": list(COL_LABELS),
-            "counts": [list(row) for row in self.counts],
-            "excluded_none": self.excluded_none,
-        }
-
 
 @dataclass(frozen=True)
 class ResidualTable:

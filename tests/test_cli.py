@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from bridgekit.cli import (
     EXIT_PARSE,
     EXIT_PIPELINE,
     OUTPUT_DIR_ENV,
+    PipelineConfig,
     load_config,
     main,
 )
@@ -87,6 +89,10 @@ GOLDEN_SHA256 = {
     "datasets/corpusA_train.jsonl": "273cdd19d2cd59eb76336f0f6065e67d52b1d79c6afe281dfb6e45200aaa9976",
     "datasets/corpusB_eval.jsonl": "d536a7360069e0824b50bc6266e0005b5e3375e45c975c6437eacc310a1073af",
     "datasets/corpusB_train.jsonl": "0be7724d7826ac6f22891776286757be07e1a1ab0acbc7a98e64878c2bc88bf7",
+    "harmonized/corpusA_eval.jsonl": "518f3bb1c56cea616ffd412c4587cec7f276f341915aedaecc68bc6c9e1e3f88",
+    "harmonized/corpusA_train.jsonl": "46c0563d7c475f4cf08509a1ede91cbf220095337d522773086e708e47f183c4",
+    "harmonized/corpusB_eval.jsonl": "effbb876f82379ddc8a8d2b3757d99a9b64cb655dc68acc3fa1f4cce36f4eff8",
+    "harmonized/corpusB_train.jsonl": "c97a31a013768106f4e68277e52d69cddb124b8e1a7810fd1c5cec36c5e5eb7d",
     "resolved_config.json": "f24a516ae284923a0d113d9cf7280d5366f326dd17791f913f4f005f755ecb56",
 }
 
@@ -314,6 +320,14 @@ class TestPairsTrainEvalChain:
         assert main(["analyze", "--pairs", str(bad)]) == EXIT_PARSE
         assert "bad.jsonl" in capsys.readouterr().err
 
+    def test_eval_without_baseline_runs_exits_1(self, chain, capsys):
+        code = main([
+            "eval", "--model", str(chain["model"]), "--pairs", str(chain["pairs"]),
+            "--baseline-runs", "0",
+        ])
+        assert code == EXIT_CONFIG
+        assert "error: runs must be >= 1" in capsys.readouterr().err
+
     def test_model_that_is_not_json_exits_2(self, chain, tmp_path, capsys):
         bad = tmp_path / "model.json"
         bad.write_text("not a model\n")
@@ -327,6 +341,16 @@ class TestConfig:
         path.write_text(json.dumps(payload))
         return path
 
+    def minimal(self, tmp_path) -> dict:
+        """The required keys only, with one corpus file on disk."""
+        (tmp_path / "f.brk").write_text("1\ta\ta\tNN\tsing\tdep\t0\t_\n")
+        return {
+            "seed": 1,
+            "corpora": [
+                {"name": "x", "dialect": "bracket", "train": ["f.brk"], "test": ["f.brk"]}
+            ],
+        }
+
     def test_missing_file_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
@@ -339,6 +363,12 @@ class TestConfig:
             ({"seed": True}, "integer seed"),
             ({"seed": 1}, "non-empty corpora"),
             ({"seed": 1, "corpora": [{"name": "x"}]}, "name and dialect"),
+            ({"seed": 1, "corpora": [{"name": "x", "dialect": ["bracket"]}]}, "name and dialect"),
+            ({"seed": 1, "corpora": [{"name": ["x"], "dialect": "bracket"}]}, "name and dialect"),
+            (
+                {"seed": 1, "corpora": [{"name": "x", "dialect": "bracket", "train": "f"}]},
+                "train must be a list of strings",
+            ),
             ({"seed": 1, "corpora": [{"name": "x", "dialect": "xml"}]}, "unknown dialect"),
             (
                 {"seed": 1, "corpora": [{"name": "x", "dialect": "bracket", "test": ["f"]}]},
@@ -363,6 +393,45 @@ class TestConfig:
     def test_rejected_configs(self, tmp_path, payload, message):
         with pytest.raises(ConfigError, match=message):
             load_config(self.write(tmp_path, payload))
+
+    @pytest.mark.parametrize(
+        ("key", "value", "message"),
+        [
+            ("lemma_top_k", "x", "lemma_top_k must be an integer"),
+            ("tau", "a", "tau must be a number"),
+            ("pronoun_tags", 5, "pronoun_tags must be a list of strings"),
+            ("exclusion_list", 5, "exclusion_list must be a string"),
+            ("output_dir", 5, "output_dir must be a string"),
+            ("grid", [{"n_rounds": 2.5, "max_depth": 3}], "n_rounds must be an integer"),
+        ],
+    )
+    def test_mistyped_values_exit_1_naming_the_key(self, tmp_path, capsys, key, value, message):
+        payload = {**self.minimal(tmp_path), key: value}
+        assert main(["run", "--config", str(self.write(tmp_path, payload))]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_null_values_load_as_the_field_defaults(self, tmp_path):
+        payload = self.minimal(tmp_path)
+        plain = load_config(self.write(tmp_path, payload))
+        optional = [f.name for f in fields(PipelineConfig) if f.name not in payload]
+        nulls = load_config(self.write(tmp_path, {**payload, **dict.fromkeys(optional)}))
+        assert nulls.cv_folds == 5
+        assert nulls == plain
+
+    def test_readme_config_block_loads_as_the_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Pipeline config\n\n```json\n", 1)[1].split("```", 1)[0]
+        raw = json.loads(block)
+        for corpus in raw["corpora"]:
+            for role in ("train", "dev", "test"):
+                for rel in corpus.get(role, []):
+                    (tmp_path / rel).touch()
+        path = tmp_path / "config.json"
+        path.write_text(block)
+        config = load_config(path)
+        assert config == PipelineConfig(seed=raw["seed"], corpora=config.corpora)
 
     def test_duplicate_corpus_names_are_rejected(self, tmp_path):
         (tmp_path / "f.brk").write_text("1\ta\ta\tNN\tsing\tdep\t0\t_\n")
@@ -601,6 +670,26 @@ class TestRun:
         run_dir = next((config_dir / "runs").iterdir())
         partial = json.loads((run_dir / "report.partial.json").read_text())
         assert partial["failed_stage"] == "cv:corpusA"
+
+    @pytest.mark.parametrize(
+        ("key", "value", "stage", "message"),
+        [
+            ("lemma_top_k", -1, "cv:corpusA", "lemma_top_k must be >= 0"),
+            ("baseline_runs", 0, "evaluate", "runs must be >= 1"),
+        ],
+    )
+    def test_out_of_range_settings_exit_1_with_the_failed_stage(
+        self, tmp_path, capsys, key, value, stage, message
+    ):
+        config = base_config(tmp_path)
+        config.update({key: value, "grid": [{"n_rounds": 2, "max_depth": 2}]})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        run_dir = next((tmp_path / "runs").iterdir())
+        partial = json.loads((run_dir / "report.partial.json").read_text())
+        assert partial["failed_stage"] == stage
 
     def test_pipeline_failure_exits_3_with_the_failed_stage(self, tmp_path):
         config = base_config(tmp_path)

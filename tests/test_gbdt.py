@@ -18,6 +18,7 @@ from bridgekit.errors import (
 from bridgekit.gbdt import (
     CvResult,
     EncoderSchema,
+    FeatureBlock,
     GbdtModel,
     HyperParams,
     Leaf,
@@ -127,13 +128,17 @@ class TestEncoding:
 
     def test_schema_serialization_round_trip(self, planted_train_dataset):
         schema = fit_schema(planted_train_dataset)
-        assert EncoderSchema.from_dict(json.loads(json.dumps(schema.to_dict()))) == schema
+        assert EncoderSchema.from_dict(json.loads(json.dumps(asdict(schema)))) == schema
 
     def test_unknown_block_kind_is_rejected(self):
         with pytest.raises(Exception, match="unknown block kind"):
             EncoderSchema.from_dict({"lemma_top_k": 1, "blocks": [
                 {"feature": "x", "kind": "fuzzy", "categories": []}
             ]})
+
+    def test_negative_lemma_top_k_is_rejected(self, planted_train_dataset):
+        with pytest.raises(ConfigError, match="lemma_top_k"):
+            fit_schema(planted_train_dataset, lemma_top_k=-1)
 
     def test_empty_dataset_cannot_be_encoded(self):
         with pytest.raises(EmptyDatasetError):
@@ -269,6 +274,10 @@ class TestTraining:
             {"l2_leaf_penalty": -1.0},
             {"split_gain_threshold": -0.1},
             {"min_child_hessian": -2.0},
+            {"n_rounds": 2.5},
+            {"n_rounds": True},
+            {"max_depth": 2.5},
+            {"max_depth": "3"},
         ],
     )
     def test_hyperparameter_validation(self, kwargs):
@@ -305,7 +314,49 @@ class TestPrediction:
         assert short.trees == long.trees[:2]
 
 
+# save_model bytes of HAND_BUILT_MODEL: two splits, three leaves, and a
+# schema with a vocab block whose non-ASCII category is escaped.
+HAND_BUILT_MODEL = GbdtModel(
+    base_score=-0.25,
+    trees=(
+        Split(column=0, threshold=2.5, gain=1.5, left=Leaf(-0.5),
+              right=Split(column=2, threshold=0.5, gain=0.75, left=Leaf(0.25), right=Leaf(1.0))),
+        Leaf(0.125),
+    ),
+    params=HyperParams(n_rounds=2, max_depth=2),
+    seed=3,
+    n_features=6,
+    schema=EncoderSchema(
+        blocks=(
+            FeatureBlock("t_a_dist", "numeric"),
+            FeatureBlock("t_head_lemma", "vocab", ("caf\u00e9", "river")),
+            FeatureBlock("t_definite", "categorical", ("def", "ind")),
+        ),
+        lemma_top_k=2,
+    ),
+    training_loss=(0.6875, 0.5),
+)
+HAND_BUILT_MODEL_BYTES = (
+    b'{"base_score":-0.25,"format_version":1,"n_features":6,'
+    b'"params":{"l2_leaf_penalty":1.0,"learning_rate":0.3,"max_depth":2,'
+    b'"min_child_hessian":1.0,"n_rounds":2,"split_gain_threshold":0.0},'
+    b'"schema":{"blocks":[{"categories":[],"feature":"t_a_dist","kind":"numeric"},'
+    b'{"categories":["caf\\u00e9","river"],"feature":"t_head_lemma","kind":"vocab"},'
+    b'{"categories":["def","ind"],"feature":"t_definite","kind":"categorical"}],'
+    b'"lemma_top_k":2},"seed":3,"training_loss":[0.6875,0.5],'
+    b'"trees":[{"column":0,"gain":1.5,"left":{"weight":-0.5},'
+    b'"right":{"column":2,"gain":0.75,"left":{"weight":0.25},"right":{"weight":1.0},'
+    b'"threshold":0.5},"threshold":2.5},{"weight":0.125}]}\n'
+)
+
+
 class TestModelSerialization:
+    def test_saved_bytes_match_the_golden_bytes(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(HAND_BUILT_MODEL, path)
+        assert path.read_bytes() == HAND_BUILT_MODEL_BYTES
+        assert load_model(path) == HAND_BUILT_MODEL
+
     def test_save_load_round_trip(self, planted_model, planted_eval_dataset, tmp_path):
         path = tmp_path / "model.json"
         save_model(planted_model, path)
@@ -380,6 +431,10 @@ class TestRandomBaseline:
     def test_empty_input_is_an_error(self):
         with pytest.raises(EmptyDatasetError):
             random_baseline(np.array([]), p=0.5)
+
+    def test_zero_runs_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="runs must be >= 1"):
+            random_baseline(np.array([1, 0]), runs=0)
 
 
 class TestStratifiedFolds:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -336,7 +337,22 @@ class TestStandoffParsing:
         assert parse_standoff(standoff_text(docs)) == docs
 
 
+# sha256 of emit_canonical(random_corpus(3, 40, flavor)); between them the
+# corpora hold discontinuous spans, split antecedents, and mentions and links
+# with and without chain_id and subtype.
+CANONICAL_SHA256 = {
+    "gum_like": "3206656e75e99e768867fb066921b249ef39cd8b8faaafe6f30f691e26a861d8",
+    "arrau_like": "75d26a1780842187499946713f25ff4b21de635584e8a94f709c9c4c545d54c8",
+    "canonical": "ee7e8e3f503d51f6ea175f013c3157ade625dcd306fd6795c7924be2073792f8",
+}
+
+
 class TestCanonical:
+    @pytest.mark.parametrize("flavor", sorted(CANONICAL_SHA256))
+    def test_emitted_bytes_match_golden_hashes(self, flavor):
+        data = emit_canonical(random_corpus(3, 40, flavor=flavor))
+        assert hashlib.sha256(data).hexdigest() == CANONICAL_SHA256[flavor]
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
     def test_round_trip_preserves_documents_exactly(self, seed):
