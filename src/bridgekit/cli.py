@@ -152,6 +152,13 @@ def _config_value(value, f: Field):
     return convert(value)
 
 
+def _reject_unknown_keys(obj: dict, cls: type, where: str) -> None:
+    """A key that is no field of `cls` is a typo, never something to skip."""
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{where} has unknown key {', '.join(map(repr, unknown))}")
+
+
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -164,6 +171,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     raw.update(overrides or {})
+    _reject_unknown_keys(raw, PipelineConfig, "config")
 
     if "seed" not in raw or not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool):
         raise ConfigError("config requires an integer seed; no clock-based default exists")
@@ -176,6 +184,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
             isinstance(entry.get(key), str) for key in ("name", "dialect")
         ):
             raise ConfigError("each corpus needs at least a string name and dialect")
+        _reject_unknown_keys(entry, CorpusSpec, f"corpus {entry['name']!r}")
         if entry["dialect"] not in DIALECT_PARSERS:
             raise ConfigError(f"unknown dialect {entry['dialect']!r}")
         spec = CorpusSpec(

@@ -14,6 +14,7 @@ stored leaf weights are the raw closed-form values.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Union
@@ -40,6 +41,8 @@ class HyperParams:
             value = getattr(self, f.name)
             if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
                 raise ConfigError(f"{f.name} must be an integer")
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be a finite number")
         if self.n_rounds < 0:
             raise ConfigError("n_rounds must be >= 0")
         if self.max_depth < 1:
@@ -48,6 +51,8 @@ class HyperParams:
             raise ConfigError("learning_rate must be positive")
         if self.l2_leaf_penalty < 0 or self.split_gain_threshold < 0 or self.min_child_hessian < 0:
             raise ConfigError("penalties must be non-negative")
+        if self.l2_leaf_penalty == 0 and self.min_child_hessian == 0:
+            raise ConfigError("l2_leaf_penalty and min_child_hessian cannot both be 0")
 
 
 def default_grid() -> list[HyperParams]:
@@ -114,48 +119,57 @@ def log_loss(y: np.ndarray, p: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
 
 
+# Cells (rows x columns) of one block of the split search. Sorting all
+# columns of a large node at once holds several arrays of its full size;
+# blocks of this many cells keep them small while still spreading the cost
+# of each numpy call over many columns.
+_SPLIT_BLOCK_CELLS = 4096
+
+
 def _find_best_split(
     X: np.ndarray, g: np.ndarray, h: np.ndarray, hp: HyperParams
 ) -> tuple[int, float, float] | None:
     """Exact greedy search; returns (column, threshold, gain) or None.
 
-    Ties resolve to the lowest column, then the lowest threshold, which
-    keeps training deterministic regardless of data order.
+    Each block of columns is sorted once and scanned with column-wise
+    cumulative sums, which add in the same order as a sort and scan of one
+    column at a time, so every gain is exact to the bit. Gains are computed
+    at the valid split positions only, taken column by column, so the first
+    maximum is at the lowest column, then the lowest threshold: ties resolve
+    that way, which keeps training deterministic regardless of data order.
+    No gain is NaN, because `HyperParams` rules out a zero `l2_leaf_penalty`
+    together with a zero `min_child_hessian`, and `_build_tree` a node with
+    `H + lambda == 0`.
     """
+    n_rows, n_cols = X.shape
     lam = hp.l2_leaf_penalty
     G, H = g.sum(), h.sum()
     parent = G * G / (H + lam)
+    width = max(1, _SPLIT_BLOCK_CELLS // n_rows)
     best: tuple[int, float, float] | None = None
-    for col in range(X.shape[1]):
-        x = X[:, col]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        if xs[0] == xs[-1]:
-            continue
-        G_L = np.cumsum(g[order])[:-1]
-        H_L = np.cumsum(h[order])[:-1]
-        G_R = G - G_L
+    for start in range(0, n_cols, width):
+        block = X[:, start:start + width]
+        order = np.argsort(block, axis=0, kind="stable")
+        xs = np.take_along_axis(block, order, axis=0)
+        # a split lies between two distinct sorted values
+        cols, rows = np.nonzero((xs[1:] > xs[:-1]).T)
+        H_L = np.cumsum(h[order], axis=0)[rows, cols]
         H_R = H - H_L
-        valid = np.nonzero(
-            (xs[1:] > xs[:-1])
-            & (H_L >= hp.min_child_hessian)
-            & (H_R >= hp.min_child_hessian)
-        )[0]
-        if valid.size == 0:
+        valid = (H_L >= hp.min_child_hessian) & (H_R >= hp.min_child_hessian)
+        if not valid.any():
             continue
-        gl, hl = G_L[valid], H_L[valid]
-        gr, hr = G_R[valid], H_R[valid]
+        cols, rows, H_L, H_R = cols[valid], rows[valid], H_L[valid], H_R[valid]
+        G_L = np.cumsum(g[order], axis=0)[rows, cols]
+        G_R = G - G_L
         gains = (
-            0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent)
+            0.5 * (G_L**2 / (H_L + lam) + G_R**2 / (H_R + lam) - parent)
             - hp.split_gain_threshold
         )
         j = int(np.argmax(gains))
         gain = float(gains[j])
-        if gain <= 0.0:
-            continue
-        if best is None or gain > best[2]:
-            i = int(valid[j])
-            best = (col, float((xs[i] + xs[i + 1]) / 2.0), gain)
+        if gain > 0.0 and (best is None or gain > best[2]):
+            c, i = int(cols[j]), int(rows[j])
+            best = (start + c, float((xs[i, c] + xs[i + 1, c]) / 2.0), gain)
     return best
 
 
@@ -166,6 +180,11 @@ def _build_tree(
     lam = hp.l2_leaf_penalty
     G = float(g[indices].sum())
     H = float(h[indices].sum())
+    if H + lam == 0.0:
+        # Only a root with lambda == 0 whose every hessian underflowed.
+        raise DegenerateTrainingError(
+            "node hessian sum is 0 with l2_leaf_penalty 0; the model has saturated"
+        )
     if depth >= hp.max_depth or len(indices) < 2:
         return Leaf(-G / (H + lam))
     found = _find_best_split(X[indices], g[indices], h[indices], hp)

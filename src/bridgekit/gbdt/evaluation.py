@@ -3,7 +3,7 @@ search, and the chance baseline."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -157,14 +157,25 @@ def cross_validate(
         X_va, y_va, _ = encode(val_examples, schema=schema)
         split_data.append((X_tr, y_tr, X_va, y_va))
 
+    # Round t of a fit never depends on n_rounds, so grid points that differ
+    # only in n_rounds are prefixes of one fit at the largest of them: train
+    # that once per fold and score each point on its first n_rounds trees.
+    paths: dict[HyperParams, list[int]] = {}
+    for i, hp in enumerate(grid):
+        paths.setdefault(replace(hp, n_rounds=0), []).append(i)
+    fold_f1: list[list[float]] = [[] for _ in grid]
+    for path, members in paths.items():
+        longest = replace(path, n_rounds=max(grid[i].n_rounds for i in members))
+        for X_tr, y_tr, X_va, y_va in split_data:
+            model = train(X_tr, y_tr, longest, seed=seed)
+            for i in members:
+                prefix = replace(model, trees=model.trees[:grid[i].n_rounds], params=grid[i])
+                fold_f1[i].append(evaluate_matrix(prefix, X_va, y_va).f1)
+
     results = []
     best: CvResult | None = None
-    for hp in grid:
-        fold_f1 = []
-        for X_tr, y_tr, X_va, y_va in split_data:
-            model = train(X_tr, y_tr, hp, seed=seed)
-            fold_f1.append(evaluate_matrix(model, X_va, y_va).f1)
-        result = CvResult(params=hp, fold_f1=tuple(fold_f1))
+    for hp, scores in zip(grid, fold_f1):
+        result = CvResult(params=hp, fold_f1=tuple(scores))
         results.append(result)
         if best is None or _beats(result, best):
             best = result

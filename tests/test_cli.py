@@ -328,6 +328,16 @@ class TestPairsTrainEvalChain:
         assert code == EXIT_CONFIG
         assert "error: runs must be >= 1" in capsys.readouterr().err
 
+    def test_train_without_any_leaf_regularizer_exits_1(self, chain, tmp_path, capsys):
+        code = main([
+            "train", "--pairs", str(chain["pairs"]), "--seed", "5",
+            "--out", str(tmp_path / "model.json"),
+            "--l2-leaf-penalty", "0", "--min-child-hessian", "0",
+        ])
+        assert code == EXIT_CONFIG
+        assert "cannot both be 0" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
     def test_model_that_is_not_json_exits_2(self, chain, tmp_path, capsys):
         bad = tmp_path / "model.json"
         bad.write_text("not a model\n")
@@ -371,6 +381,11 @@ class TestConfig:
             ),
             ({"seed": 1, "corpora": [{"name": "x", "dialect": "xml"}]}, "unknown dialect"),
             (
+                {"seed": 1, "corpora": [{"name": "x", "dialect": "bracket", "train": ["f"],
+                                         "tset": ["f"]}]},
+                "corpus 'x' has unknown key 'tset'",
+            ),
+            (
                 {"seed": 1, "corpora": [{"name": "x", "dialect": "bracket", "test": ["f"]}]},
                 "no training files",
             ),
@@ -403,6 +418,8 @@ class TestConfig:
             ("exclusion_list", 5, "exclusion_list must be a string"),
             ("output_dir", 5, "output_dir must be a string"),
             ("grid", [{"n_rounds": 2.5, "max_depth": 3}], "n_rounds must be an integer"),
+            ("cv_fold", 3, "config has unknown key 'cv_fold'"),
+            ("grid", [{"l2_leaf_penalty": float("nan")}], "l2_leaf_penalty must be a finite"),
         ],
     )
     def test_mistyped_values_exit_1_naming_the_key(self, tmp_path, capsys, key, value, message):

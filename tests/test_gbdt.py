@@ -3,11 +3,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bridgekit.errors import (
     ConfigError,
@@ -47,7 +47,8 @@ from bridgekit.gbdt import (
     stratified_folds,
     train,
 )
-from bridgekit.gbdt import evaluation
+from bridgekit.gbdt import boosting, evaluation
+from bridgekit.gbdt.boosting import _find_best_split
 from bridgekit.gbdt.evaluation import _beats
 from bridgekit.pairgen import FEATURE_NAMES, FeatureVector, PairExample
 
@@ -239,6 +240,18 @@ class TestTraining:
         with pytest.raises(DegenerateTrainingError):
             train(np.zeros((4, 1)), np.ones(4), HyperParams())
 
+    def test_saturating_without_any_leaf_regularizer_ends_in_a_typed_error(self):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([0, 0, 1, 1])
+        with pytest.raises(ConfigError, match="cannot both be 0"):
+            train(X, y, HyperParams(n_rounds=60, learning_rate=1.0,
+                                    l2_leaf_penalty=0.0, min_child_hessian=0.0))
+        # one round at this rate saturates every row: all hessians are 0
+        saturating = HyperParams(n_rounds=2, learning_rate=1000.0,
+                                 l2_leaf_penalty=0.0, min_child_hessian=0.1)
+        with pytest.raises(DegenerateTrainingError, match="hessian sum is 0"):
+            train(X, y, saturating)
+
     def test_shape_mismatch_is_rejected(self):
         with pytest.raises(SchemaMismatchError):
             train(np.zeros((4, 1)), np.array([0, 1]), HyperParams())
@@ -278,6 +291,10 @@ class TestTraining:
             {"n_rounds": True},
             {"max_depth": 2.5},
             {"max_depth": "3"},
+            {"l2_leaf_penalty": 0.0, "min_child_hessian": 0.0},
+            {"learning_rate": float("nan")},
+            {"l2_leaf_penalty": float("nan")},
+            {"min_child_hessian": float("inf")},
         ],
     )
     def test_hyperparameter_validation(self, kwargs):
@@ -312,6 +329,155 @@ class TestPrediction:
         short = train(X, y, HyperParams(n_rounds=2, max_depth=3), schema=schema)
         long = train(X, y, HyperParams(n_rounds=4, max_depth=3), schema=schema)
         assert short.trees == long.trees[:2]
+
+
+def reference_best_split(X, g, h, hp):
+    """The per-column split search that the vectorised one must match bit
+    for bit: one sort and one pair of cumulative sums per column."""
+    lam = hp.l2_leaf_penalty
+    G, H = g.sum(), h.sum()
+    parent = G * G / (H + lam)
+    best = None
+    for col in range(X.shape[1]):
+        x = X[:, col]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        if xs[0] == xs[-1]:
+            continue
+        G_L = np.cumsum(g[order])[:-1]
+        H_L = np.cumsum(h[order])[:-1]
+        G_R = G - G_L
+        H_R = H - H_L
+        valid = np.nonzero(
+            (xs[1:] > xs[:-1])
+            & (H_L >= hp.min_child_hessian)
+            & (H_R >= hp.min_child_hessian)
+        )[0]
+        if valid.size == 0:
+            continue
+        gl, hl = G_L[valid], H_L[valid]
+        gr, hr = G_R[valid], H_R[valid]
+        gains = (
+            0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent)
+            - hp.split_gain_threshold
+        )
+        j = int(np.argmax(gains))
+        gain = float(gains[j])
+        if gain <= 0.0:
+            continue
+        if best is None or gain > best[2]:
+            i = int(valid[j])
+            best = (col, float((xs[i] + xs[i + 1]) / 2.0), gain)
+    return best
+
+
+def split_bits(found):
+    if found is None:
+        return None
+    col, threshold, gain = found
+    return col, threshold.hex(), gain.hex()
+
+
+@st.composite
+def split_problems(draw):
+    """A node's rows, gradients and hyperparameters. Columns are binary,
+    complements or duplicates of an earlier column, constant, small
+    integers or continuous; gradients come from probabilities drawn from a
+    few values, so exactly tied gains are common. Large shapes span two or
+    three blocks of the search."""
+    if draw(st.booleans()):
+        n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    else:
+        n_rows = draw(st.integers(300, 600))
+        width = boosting._SPLIT_BLOCK_CELLS // n_rows
+        n_cols = draw(st.integers(width + 1, 3 * width))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(
+        st.sampled_from(["binary", "complement", "duplicate", "constant", "integer", "real"]),
+        min_size=n_cols, max_size=n_cols,
+    ))
+    X = np.empty((n_rows, n_cols))
+    for j, kind in enumerate(kinds):
+        if kind in ("complement", "duplicate") and j > 0:
+            other = X[:, rng.integers(j)]
+            X[:, j] = 1.0 - other if kind == "complement" else other
+        elif kind == "constant":
+            X[:, j] = rng.integers(3)
+        elif kind == "integer":
+            X[:, j] = rng.integers(0, 5, n_rows)
+        elif kind == "real":
+            X[:, j] = rng.normal(size=n_rows)
+        else:
+            X[:, j] = rng.integers(0, 2, n_rows)
+    if draw(st.booleans()):
+        p = rng.choice([0.0, 0.2, 0.5, 0.8, 1.0], n_rows)
+    else:
+        p = rng.uniform(size=n_rows)
+    y = rng.integers(0, 2, n_rows)
+    g, h = p - y, p * (1.0 - p)
+    lam = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    hp = HyperParams(
+        l2_leaf_penalty=lam,
+        min_child_hessian=draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0]).filter(
+            lambda mch: lam > 0 or mch > 0)),
+        split_gain_threshold=draw(st.sampled_from([0.0, 0.05])),
+    )
+    return X, g, h, hp
+
+
+class TestSplitSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(split_problems())
+    def test_matches_the_per_column_reference_bit_for_bit(self, problem):
+        X, g, h, hp = problem
+        # a node with H + lambda == 0 is rejected before its split search
+        assume(h.sum() + hp.l2_leaf_penalty > 0)
+        assert split_bits(_find_best_split(X, g, h, hp)) == split_bits(
+            reference_best_split(X, g, h, hp)
+        )
+
+    def grad(self, y):
+        p = np.full(len(y), 0.5)
+        return p - np.asarray(y, dtype=float), p * (1.0 - p)
+
+    def test_identical_columns_resolve_to_the_lowest(self):
+        X = np.array([[0.0, 7.0, 0.0, 0.0], [0.0, 7.0, 0.0, 0.0],
+                      [1.0, 7.0, 1.0, 1.0], [1.0, 7.0, 1.0, 1.0]])
+        g, h = self.grad([0, 0, 1, 1])
+        hp = HyperParams(min_child_hessian=0.1)
+        col, threshold, _ = _find_best_split(X, g, h, hp)
+        assert (col, threshold) == (0, 0.5)
+        assert _find_best_split(X[:, 1:], g, h, hp)[:2] == (1, 0.5)
+
+    def test_identical_columns_in_different_blocks_resolve_to_the_lowest(self):
+        n_rows = 400
+        width = boosting._SPLIT_BLOCK_CELLS // n_rows
+        y = np.arange(n_rows) % 2
+        X = np.zeros((n_rows, 2 * width + 3))
+        X[:, width - 1] = X[:, 2 * width + 1] = y
+        g, h = self.grad(y)
+        col, threshold, gain = _find_best_split(X, g, h, HyperParams())
+        assert (col, threshold) == (width - 1, 0.5)
+        assert _find_best_split(X[:, width:], g, h, HyperParams())[0] == width + 1
+
+    def test_tied_thresholds_resolve_to_the_lowest(self):
+        # splits at 0.5 and 1.5 mirror each other: the same two terms in
+        # the other order, so their gains are equal to the bit
+        X = np.array([[0.0], [1.0], [2.0]])
+        g = np.array([1.0, 0.0, -1.0])
+        h = np.ones(3)
+        hp = HyperParams(l2_leaf_penalty=1.0, min_child_hessian=0.0)
+        assert _find_best_split(X, g, h, hp) == (0, 0.5, 0.5 * (1 / 2 + 1 / 3))
+        (tree,) = train(X, [1, 0, 0], replace(hp, n_rounds=1, max_depth=1)).trees
+        assert tree.threshold == 0.5
+        # the same tie across two columns goes to the lower column, even
+        # though the other column's split has the lower position
+        X2 = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert _find_best_split(X2, g, h, hp) == (0, 0.5, 0.5 * (1 / 3 + 1 / 2))
+
+    def test_a_single_row_has_no_split(self):
+        assert _find_best_split(np.array([[1.0, 2.0]]), np.array([0.5]), np.array([0.25]),
+                                HyperParams(min_child_hessian=0.0)) is None
 
 
 # save_model bytes of HAND_BUILT_MODEL: two splits, three leaves, and a
@@ -482,6 +648,52 @@ class TestCrossValidate:
         grid = [HyperParams(n_rounds=2, max_depth=2)]
         cross_validate(planted_train_dataset, grid, k=3, seed=0, lemma_top_k=2)
         assert seen == [2, 2, 2]
+
+    def test_grid_paths_share_one_fit_per_fold(self, planted_train_dataset, monkeypatch):
+        base = HyperParams(n_rounds=3, max_depth=2, learning_rate=0.3)
+        grid = [
+            base,
+            replace(base, n_rounds=1),
+            replace(base, max_depth=3, n_rounds=2),
+            base,
+            replace(base, n_rounds=0),
+            replace(base, min_child_hessian=5.0, n_rounds=2),
+        ]
+        k, seed = 3, 4
+
+        # reference: every grid point fitted on its own
+        examples = list(planted_train_dataset.examples)
+        labels = ["pos" if ex.label == "bridging" else "neg" for ex in examples]
+        splits = []
+        for fold in stratified_folds(labels, k, seed):
+            held = set(fold)
+            train_examples = [ex for i, ex in enumerate(examples) if i not in held]
+            schema = fit_schema(train_examples)
+            X_tr, y_tr, _ = encode(train_examples, schema=schema)
+            X_va, y_va, _ = encode([examples[i] for i in fold], schema=schema)
+            splits.append((X_tr, y_tr, X_va, y_va))
+        expected = [
+            CvResult(hp, tuple(evaluate_matrix(train(X_tr, y_tr, hp, seed=seed), X_va, y_va).f1
+                               for X_tr, y_tr, X_va, y_va in splits))
+            for hp in grid
+        ]
+        expected_best = expected[0]
+        for result in expected[1:]:
+            if _beats(result, expected_best):
+                expected_best = result
+
+        fits = []
+
+        def spy(X, y, hp, seed=0, schema=None):
+            fits.append(hp)
+            return train(X, y, hp, seed=seed, schema=schema)
+
+        monkeypatch.setattr(evaluation, "train", spy)
+        best, results = cross_validate(planted_train_dataset, grid, k=k, seed=seed)
+        assert results == expected
+        assert best == expected_best.params
+        assert len({r.fold_f1 for r in results}) > 1
+        assert fits == [base] * k + [grid[2]] * k + [grid[5]] * k
 
     def test_empty_grid_is_rejected(self, planted_train_dataset):
         with pytest.raises(ConfigError, match="grid is empty"):
