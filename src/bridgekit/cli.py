@@ -117,6 +117,11 @@ class PipelineConfig:
     residual_source: str = "dataset"
     distribution_threshold: float = 0.01
 
+    def __post_init__(self) -> None:
+        for key, low in (("lemma_top_k", 0), ("cv_folds", 2), ("baseline_runs", 1)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}")
+
     def run_id(self) -> str:
         payload = asdict(self)
         del payload["output_dir"]
@@ -438,13 +443,6 @@ def cmd_analyze(args) -> int:
 # end-to-end run
 
 
-class _StageFailure(Exception):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage {stage}: {cause}")
-        self.stage = stage
-        self.cause = cause
-
-
 def cmd_run(args) -> int:
     overrides = {
         key: value
@@ -603,9 +601,10 @@ def cmd_run(args) -> int:
         report["failed_stage"] = stage
         report["error"] = str(exc)
         write("report.partial.json", report)
-        if isinstance(exc, BridgekitError):
-            raise _StageFailure(stage, exc)
-        raise
+        if not isinstance(exc, BridgekitError):
+            raise
+        print(f"error: stage {stage}: {exc}", file=sys.stderr)
+        return _exit_code(exc)
 
     print(f"run complete: {run_dir / 'report.json'}")
     return EXIT_OK
@@ -697,19 +696,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_code(exc: BridgekitError) -> int:
+    if isinstance(exc, ConfigError):
+        return EXIT_CONFIG
+    if isinstance(exc, ParseError):
+        return EXIT_PARSE
+    return EXIT_PIPELINE
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BridgekitError, _StageFailure) as exc:
+    except BridgekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        cause = exc.cause if isinstance(exc, _StageFailure) else exc
-        if isinstance(cause, ConfigError):
-            return EXIT_CONFIG
-        if isinstance(cause, ParseError):
-            return EXIT_PARSE
-        return EXIT_PIPELINE
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

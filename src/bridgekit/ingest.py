@@ -29,6 +29,13 @@ Canonical file (``.jsonl``)
 All parsers are pure functions over the input bytes and never silently drop
 annotations: every annotation item either lands in the output document or
 raises.
+
+A document is checked against the model invariants (`validate_document`)
+once, where it is built: by a reader here or by `synth`. `emit_canonical`
+does not check again; its output is a lossless dump that the canonical
+reader checks on the way back in. `emit_bracket` does, because its dialect
+is lossy: it writes a link on its anaphor's closing bracket, so a link whose
+anaphor is no mention would vanish silently.
 """
 from __future__ import annotations
 
@@ -72,6 +79,36 @@ def find_head(tokens: tuple[Token, ...], spans: tuple[tuple[int, int], ...]) -> 
             if tokens[i - 1].head not in covered:
                 return i
     return spans[-1][1]
+
+
+def _assemble(doc_id: str, genre: str, schema: str, tokens: tuple[Token, ...],
+              mentions: list[dict], links: list[dict]) -> Document:
+    """The document a builder's records describe, checked once. The builder's
+    line-numbered checks ran first, so every span lies within ``tokens``."""
+    doc = Document(
+        doc_id=doc_id,
+        genre=genre,
+        schema=schema,
+        tokens=tokens,
+        mentions=tuple(
+            Mention(
+                id=rec["id"],
+                spans=rec["spans"],
+                head_index=find_head(tokens, rec["spans"]),
+                entity_type_original=rec["etype"],
+                entity_type_unified=UNRESOLVED,
+                infstat=rec["infstat"],
+                definiteness=rec["definite"],
+                chain_id=rec["chain"],
+            )
+            for rec in mentions
+        ),
+        bridging=tuple(
+            BridgingLink(link["anaphor"], link["antes"], link["subtype"]) for link in links
+        ),
+    )
+    validate_document(doc)
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +190,7 @@ class _BracketDocBuilder:
         core, suffix_parts = parts[0], parts[1:]
         if core.startswith("(") and core.endswith(")") and len(core) > 2:
             mention_id, etype, infstat, definite = _parse_open_core(core[1:-1], line)
-            self._add_record(mention_id, etype, infstat, definite, (tok_index, tok_index), line)
+            self._add_record(mention_id, etype, infstat, definite, ((tok_index, tok_index),), line)
             self._suffixes(mention_id, suffix_parts, line)
         elif core.startswith("("):
             if suffix_parts:
@@ -173,16 +210,16 @@ class _BracketDocBuilder:
                     line,
                 )
             rec = self.stack.pop()
-            rec["span"] = (rec["start"], tok_index)
+            rec["spans"] = ((rec["start"], tok_index),)
             self._suffixes(mention_id, suffix_parts, line)
         else:
             raise ParseError(f"malformed annotation item {item!r}", line)
 
-    def _add_record(self, mention_id, etype, infstat, definite, span, line) -> dict:
+    def _add_record(self, mention_id, etype, infstat, definite, spans, line) -> dict:
         if mention_id in self.records:
             raise ParseError(f"duplicate mention id {mention_id!r}", line)
         rec = {"id": mention_id, "etype": etype, "infstat": infstat,
-               "definite": definite, "span": span, "chain": None, "line": line}
+               "definite": definite, "spans": spans, "chain": None, "line": line}
         self.records[mention_id] = rec
         return rec
 
@@ -210,46 +247,27 @@ class _BracketDocBuilder:
             if not ante:
                 raise ParseError("empty bridge antecedent", line)
             self.links.append(
-                {"anaphor": ana, "ante": ante, "subtype": suffixes.get("Subtype"), "line": line}
+                {"anaphor": ana, "antes": (ante,), "subtype": suffixes.get("Subtype"), "line": line}
             )
 
     def finish(self, seq: int, line: int) -> Document:
         if self.stack:
             rec = self.stack[-1]
             raise ParseError(f"mention {rec['id']!r} opened on line {rec['line']} never closes", line)
-        tokens = tuple(self.tokens)
         for link in self.links:
-            if link["ante"] not in self.records:
+            if link["antes"][0] not in self.records:
                 raise ParseError(
-                    f"bridge antecedent {link['ante']!r} does not resolve to a mention",
+                    f"bridge antecedent {link['antes'][0]!r} does not resolve to a mention",
                     link["line"],
                 )
-        mentions = tuple(
-            Mention(
-                id=rec["id"],
-                spans=(rec["span"],),
-                head_index=find_head(tokens, (rec["span"],)),
-                entity_type_original=rec["etype"],
-                entity_type_unified=UNRESOLVED,
-                infstat=rec["infstat"],
-                definiteness=rec["definite"],
-                chain_id=rec["chain"],
-            )
-            for rec in self.records.values()
+        return _assemble(
+            self.doc_id if self.doc_id is not None else f"doc_{seq}",
+            self.genre,
+            "gum_like",
+            tuple(self.tokens),
+            list(self.records.values()),
+            self.links,
         )
-        bridging = tuple(
-            BridgingLink(link["anaphor"], (link["ante"],), link["subtype"]) for link in self.links
-        )
-        doc = Document(
-            doc_id=self.doc_id if self.doc_id is not None else f"doc_{seq}",
-            genre=self.genre,
-            schema="gum_like",
-            tokens=tokens,
-            mentions=mentions,
-            bridging=bridging,
-        )
-        validate_document(doc)
-        return doc
 
 
 _HEADER_RE = re.compile(r"^#\s*(\w+)\s*=\s*(.*)$")
@@ -406,10 +424,8 @@ class _StandoffDocBuilder:
         self.links: list[dict] = []
 
     def finish(self) -> Document:
-        tokens = tuple(self.tokens)
-        n = len(tokens)
+        n = len(self.tokens)
         seen: set[str] = set()
-        built: list[Mention] = []
         for rec in self.mentions:
             if rec["id"] in seen:
                 raise ParseError(f"duplicate mention id {rec['id']!r}", rec["line"])
@@ -419,30 +435,9 @@ class _StandoffDocBuilder:
                     raise ParseError(
                         f"span {start}-{end} out of token range 1..{n}", rec["line"]
                     )
-            built.append(
-                Mention(
-                    id=rec["id"],
-                    spans=rec["spans"],
-                    head_index=find_head(tokens, rec["spans"]),
-                    entity_type_original=rec["etype"],
-                    entity_type_unified=UNRESOLVED,
-                    infstat="none",
-                    definiteness="none",
-                    chain_id=rec["chain"],
-                )
-            )
-        doc = Document(
-            doc_id=self.doc_id,
-            genre=self.genre,
-            schema="arrau_like",
-            tokens=tokens,
-            mentions=tuple(built),
-            bridging=tuple(
-                BridgingLink(rec["anaphor"], rec["antes"], rec["subtype"]) for rec in self.links
-            ),
+        return _assemble(
+            self.doc_id, self.genre, "arrau_like", tuple(self.tokens), self.mentions, self.links
         )
-        validate_document(doc)
-        return doc
 
 
 def _split_payload(payload: str, arity: int, line: int) -> list[str]:
@@ -500,6 +495,8 @@ def parse_standoff(data: bytes | str) -> list[Document]:
                     "id": f[0],
                     "spans": _parse_spans(f[1], line_no),
                     "etype": f[2],
+                    "infstat": "none",
+                    "definite": "none",
                     "chain": None if f[3] == _EMPTY_FIELD else f[3],
                     "line": line_no,
                 }
@@ -628,14 +625,13 @@ def document_from_dict(obj: dict, path: str = "doc") -> Document:
 
 
 def emit_canonical(docs: list[Document]) -> bytes:
-    """Serialize documents to canonical JSONL, one per line, sorted keys."""
-    lines = []
-    for doc in docs:
-        validate_document(doc)
-        lines.append(
-            json.dumps(document_to_dict(doc), sort_keys=True, ensure_ascii=False,
-                       separators=(",", ":"))
-        )
+    """Serialize documents to canonical JSONL, one per line, sorted keys.
+    Each document was checked when it was built and is not checked again."""
+    lines = [
+        json.dumps(document_to_dict(doc), sort_keys=True, ensure_ascii=False,
+                   separators=(",", ":"))
+        for doc in docs
+    ]
     return ("".join(line + "\n" for line in lines)).encode("utf-8")
 
 

@@ -95,10 +95,6 @@ class Document:
     def mention_position(self) -> dict[str, int]:
         return {m.id: i for i, m in enumerate(self.mentions)}
 
-    @cached_property
-    def token_by_index(self) -> dict[int, Token]:
-        return {t.index: t for t in self.tokens}
-
     def chain_members(self, chain_id: str) -> list[Mention]:
         return [m for m in self.mentions if m.chain_id == chain_id]
 
@@ -134,70 +130,67 @@ def is_given(doc: Document, mention: Mention) -> bool:
     )
 
 
-def _check(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        raise ValidationError(f"{path}: {message}")
-
-
 def validate_document(doc: Document) -> None:
-    """Raise ValidationError naming the offending field path on any breach."""
+    """Raise ValidationError naming the offending field path on any breach.
+
+    The checks are bare conditions: a message is formatted only when one fails.
+    """
     where = f"doc {doc.doc_id!r}"
-    _check(doc.schema in SCHEMAS, f"{where}.schema", f"unknown schema {doc.schema!r}")
+    if doc.schema not in SCHEMAS:
+        raise ValidationError(f"{where}.schema: unknown schema {doc.schema!r}")
 
     n = len(doc.tokens)
     for i, tok in enumerate(doc.tokens):
-        path = f"{where}.tokens[{i}]"
-        _check(tok.index == i + 1, f"{path}.index", f"expected {i + 1}, got {tok.index}")
-        _check(tok.number in NUMBER_VALUES, f"{path}.number", f"bad value {tok.number!r}")
-        _check(
-            0 <= tok.head <= n and tok.head != tok.index,
-            f"{path}.head",
-            f"head {tok.head} out of range or self-referential",
-        )
+        if tok.index != i + 1:
+            raise ValidationError(f"{where}.tokens[{i}].index: expected {i + 1}, got {tok.index}")
+        if tok.number not in NUMBER_VALUES:
+            raise ValidationError(f"{where}.tokens[{i}].number: bad value {tok.number!r}")
+        if not 0 <= tok.head <= n or tok.head == tok.index:
+            raise ValidationError(f"{where}.tokens[{i}].head: head {tok.head} out of range or self-referential")
 
     seen_ids: set[str] = set()
     for i, m in enumerate(doc.mentions):
-        path = f"{where}.mentions[{i}]"
-        _check(m.id not in seen_ids, f"{path}.id", f"duplicate mention id {m.id!r}")
+        if m.id in seen_ids:
+            raise ValidationError(f"{where}.mentions[{i}].id: duplicate mention id {m.id!r}")
         seen_ids.add(m.id)
-        _check(len(m.spans) > 0, f"{path}.spans", "mention has no spans")
+        if not m.spans:
+            raise ValidationError(f"{where}.mentions[{i}].spans: mention has no spans")
         prev_end = 0
         for j, (start, end) in enumerate(m.spans):
-            span_path = f"{path}.spans[{j}]"
-            _check(start <= end, span_path, f"start {start} > end {end}")
-            _check(1 <= start and end <= n, span_path, f"[{start},{end}] outside tokens 1..{n}")
-            _check(start > prev_end, span_path, "spans not sorted or overlapping")
+            if start > end:
+                raise ValidationError(f"{where}.mentions[{i}].spans[{j}]: start {start} > end {end}")
+            if start < 1 or end > n:
+                raise ValidationError(f"{where}.mentions[{i}].spans[{j}]: [{start},{end}] outside tokens 1..{n}")
+            if start <= prev_end:
+                raise ValidationError(f"{where}.mentions[{i}].spans[{j}]: spans not sorted or overlapping")
             prev_end = end
-        _check(m.covers(m.head_index), f"{path}.head_index", f"{m.head_index} not inside any span")
-        _check(m.infstat in INFSTAT_VALUES, f"{path}.infstat", f"bad value {m.infstat!r}")
-        _check(
-            m.definiteness in DEFINITENESS_VALUES,
-            f"{path}.definiteness",
-            f"bad value {m.definiteness!r}",
-        )
-        _check(
-            m.entity_type_unified == UNRESOLVED or m.entity_type_unified in UNIFIED_ENTITY_TYPES,
-            f"{path}.entity_type_unified",
-            f"bad value {m.entity_type_unified!r}",
-        )
+        if not m.covers(m.head_index):
+            raise ValidationError(f"{where}.mentions[{i}].head_index: {m.head_index} not inside any span")
+        if m.infstat not in INFSTAT_VALUES:
+            raise ValidationError(f"{where}.mentions[{i}].infstat: bad value {m.infstat!r}")
+        if m.definiteness not in DEFINITENESS_VALUES:
+            raise ValidationError(f"{where}.mentions[{i}].definiteness: bad value {m.definiteness!r}")
+        if m.entity_type_unified != UNRESOLVED and m.entity_type_unified not in UNIFIED_ENTITY_TYPES:
+            raise ValidationError(
+                f"{where}.mentions[{i}].entity_type_unified: bad value {m.entity_type_unified!r}"
+            )
 
     seen_links: set[tuple[str, frozenset[str]]] = set()
     for i, link in enumerate(doc.bridging):
-        path = f"{where}.bridging[{i}]"
         antecedents = frozenset(link.antecedent_ids)
-        _check(len(antecedents) > 0, f"{path}.antecedent_ids", "empty antecedent list")
-        _check(len(antecedents) == len(link.antecedent_ids), f"{path}.antecedent_ids", "repeated antecedent")
-        _check((link.anaphor_id, antecedents) not in seen_links, path, f"duplicate link for anaphor {link.anaphor_id!r}")
+        if not antecedents:
+            raise ValidationError(f"{where}.bridging[{i}].antecedent_ids: empty antecedent list")
+        if len(antecedents) != len(link.antecedent_ids):
+            raise ValidationError(f"{where}.bridging[{i}].antecedent_ids: repeated antecedent")
+        if (link.anaphor_id, antecedents) in seen_links:
+            raise ValidationError(f"{where}.bridging[{i}]: duplicate link for anaphor {link.anaphor_id!r}")
         seen_links.add((link.anaphor_id, antecedents))
-        _check(
-            link.anaphor_id in seen_ids,
-            f"{path}.anaphor_id",
-            f"unknown mention {link.anaphor_id!r}",
-        )
+        if link.anaphor_id not in seen_ids:
+            raise ValidationError(f"{where}.bridging[{i}].anaphor_id: unknown mention {link.anaphor_id!r}")
         for ante in link.antecedent_ids:
-            _check(ante in seen_ids, f"{path}.antecedent_ids", f"unknown mention {ante!r}")
-            _check(
-                ante != link.anaphor_id,
-                f"{path}.antecedent_ids",
-                f"anaphor {ante!r} listed as its own antecedent",
-            )
+            if ante not in seen_ids:
+                raise ValidationError(f"{where}.bridging[{i}].antecedent_ids: unknown mention {ante!r}")
+            if ante == link.anaphor_id:
+                raise ValidationError(
+                    f"{where}.bridging[{i}].antecedent_ids: anaphor {ante!r} listed as its own antecedent"
+                )

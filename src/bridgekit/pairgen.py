@@ -90,8 +90,8 @@ def derive_definiteness(doc: Document, m: Mention) -> str:
     """
     if m.definiteness != "none":
         return m.definiteness
-    first = doc.token_by_index[m.spans[0][0]]
-    head = doc.token_by_index[m.head_index]
+    first = doc.tokens[m.spans[0][0] - 1]
+    head = doc.tokens[m.head_index - 1]
     if first.lemma.lower() in _DEFINITE_LEMMAS or first.xpos in _POSSESSIVE_TAGS:
         return "def"
     if head.xpos in _PROPER_TAGS or head.xpos in DEFAULT_PRONOUN_TAGS:
@@ -107,15 +107,15 @@ def derive_infstat(doc: Document, m: Mention) -> str:
 
 
 def is_pronoun(doc: Document, m: Mention, pronoun_tags: frozenset[str] = DEFAULT_PRONOUN_TAGS) -> bool:
-    return doc.token_by_index[m.head_index].xpos in pronoun_tags
+    return doc.tokens[m.head_index - 1].xpos in pronoun_tags
 
 
 def extract_features(doc: Document, ante: Mention, ana: Mention) -> FeatureVector:
     distance = mention_start(ana) - mention_start(ante)
     if distance < 0:
         raise ValidationError(f"antecedent {ante.id!r} does not precede anaphor {ana.id!r}")
-    t_head = doc.token_by_index[ante.head_index]
-    n_head = doc.token_by_index[ana.head_index]
+    t_head = doc.tokens[ante.head_index - 1]
+    n_head = doc.tokens[ana.head_index - 1]
     return FeatureVector(
         t_entity_type=ante.entity_type_unified,
         n_entity_type=ana.entity_type_unified,

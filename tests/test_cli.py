@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import bridgekit.cli
+import bridgekit.ingest
 from bridgekit.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -146,6 +147,29 @@ class TestConvert:
         assert main(["convert", "--in", str(bad), "--out", str(tmp_path / "o.jsonl")]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert "bad.sff" in err and message in err
+
+    @pytest.mark.parametrize("command", ["convert", "harmonize"])
+    @pytest.mark.parametrize("dialect", ["bracket", "standoff"])
+    def test_each_document_is_validated_once(self, tmp_path, monkeypatch, command, dialect):
+        if dialect == "bracket":
+            docs = planted_rule_corpus(1, n_docs=3, single_link_per_anaphor=True)
+            path = tmp_path / "in.brk"
+            write_bracket(path, docs)
+        else:
+            docs = planted_rule_corpus(1, n_docs=3, label_pool=ARRAU_POOL, schema="arrau_like")
+            path = tmp_path / "in.sff"
+            path.write_text(standoff_text(docs))
+        checked = []
+        validate = bridgekit.ingest.validate_document
+
+        def spy(doc):
+            checked.append(doc.doc_id)
+            validate(doc)
+
+        monkeypatch.setattr(bridgekit.ingest, "validate_document", spy)
+        code = main([command, "--in", str(path), "--out", str(tmp_path / "out.jsonl")])
+        assert code == EXIT_OK
+        assert checked == [doc.doc_id for doc in docs]
 
     def test_missing_input_exits_1(self, tmp_path, capsys):
         missing = tmp_path / "missing.brk"
@@ -633,6 +657,7 @@ class TestRun:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert main(["run", "--config", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: stage load:corpusA: line 1: ")
         run_dir = next((tmp_path / "runs").iterdir())
         partial = json.loads((run_dir / "report.partial.json").read_text())
         assert partial["failed_stage"] == "load:corpusA"
@@ -689,24 +714,23 @@ class TestRun:
         assert partial["failed_stage"] == "cv:corpusA"
 
     @pytest.mark.parametrize(
-        ("key", "value", "stage", "message"),
+        ("key", "value", "message"),
         [
-            ("lemma_top_k", -1, "cv:corpusA", "lemma_top_k must be >= 0"),
-            ("baseline_runs", 0, "evaluate", "runs must be >= 1"),
+            ("lemma_top_k", -1, "lemma_top_k must be >= 0"),
+            ("cv_folds", 1, "cv_folds must be >= 2"),
+            ("baseline_runs", 0, "baseline_runs must be >= 1"),
         ],
     )
-    def test_out_of_range_settings_exit_1_with_the_failed_stage(
-        self, tmp_path, capsys, key, value, stage, message
+    def test_out_of_range_settings_exit_1_before_any_stage(
+        self, tmp_path, capsys, key, value, message
     ):
         config = base_config(tmp_path)
         config.update({key: value, "grid": [{"n_rounds": 2, "max_depth": 2}]})
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
-        assert message in capsys.readouterr().err
-        run_dir = next((tmp_path / "runs").iterdir())
-        partial = json.loads((run_dir / "report.partial.json").read_text())
-        assert partial["failed_stage"] == stage
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "runs").exists()
 
     def test_pipeline_failure_exits_3_with_the_failed_stage(self, tmp_path):
         config = base_config(tmp_path)

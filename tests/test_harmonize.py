@@ -342,10 +342,23 @@ class TestHarmonizeDocument:
         assert report.entity_type_remaps == 0
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=0, max_value=10**6))
-    def test_harmonized_output_is_always_valid_and_link_free_of_dropped_shapes(self, seed):
-        docs = random_corpus(seed, n_docs=3, flavor="canonical")
-        out, _ = harmonize_corpus(docs)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from(("gum_like", "arrau_like", "canonical")),
+        st.frozensets(
+            st.tuples(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=8)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_harmonized_output_is_always_valid_and_link_free_of_dropped_shapes(
+        self, seed, flavor, excluded
+    ):
+        # canonical output is written without a re-check, so whatever
+        # harmonize returns must already be valid
+        docs = random_corpus(seed, n_docs=3, flavor=flavor)
+        exclusions = frozenset((f"rand_{flavor}_{d}", f"m{m}") for d, m in excluded)
+        out, _ = harmonize_corpus(docs, HarmonizeOptions(exclusions=exclusions))
         from bridgekit.model import is_given
 
         for doc in out:
@@ -354,6 +367,7 @@ class TestHarmonizeDocument:
             for link in doc.bridging:
                 assert not link.split_antecedent
                 assert not is_given(doc, doc.mention_by_id[link.anaphor_id])
+                assert (doc.doc_id, link.anaphor_id) not in exclusions
 
 
 class TestCorpusFixture:

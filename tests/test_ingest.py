@@ -225,6 +225,14 @@ class TestBracketEmission:
         with pytest.raises(DialectViolationError, match="crosses"):
             emit_bracket(doc)
 
+    def test_link_from_a_non_mention_is_a_validation_error(self):
+        # Links are written on their anaphor's closing bracket, so without the
+        # check a link whose anaphor is no mention would vanish silently.
+        base = parse_one(BRACKET_DOC)
+        bad = dataclasses.replace(base, bridging=(BridgingLink("ghost", ("m1",)),))
+        with pytest.raises(ValidationError, match=r"anaphor_id: unknown mention 'ghost'"):
+            emit_bracket(bad)
+
     def test_reserved_characters_in_ids_are_not_representable(self):
         base = parse_one(BRACKET_DOC)
         bad = dataclasses.replace(

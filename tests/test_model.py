@@ -107,103 +107,177 @@ class TestDocumentLookups:
         doc = make_doc(mentions=[m1, m2])
         assert doc.mention_by_id["m2"] is m2
         assert doc.mention_position == {"m1": 0, "m2": 1}
-        assert doc.token_by_index[3].form == "w3"
         assert [m.id for m in doc.chain_members("c")] == ["m1", "m2"]
         assert doc.chain_members("missing") == []
 
 
+def men(id="m1", spans=((2, 3),), head_index=2, **kw) -> Mention:
+    return Mention(id=id, spans=spans, head_index=head_index, entity_type_original="person", **kw)
+
+
+def with_token(k: int, **kw) -> Document:
+    """``make_doc()`` with fields of its k-th token (1-based) replaced."""
+    doc = make_doc()
+    tokens = list(doc.tokens)
+    tokens[k - 1] = dataclasses.replace(tokens[k - 1], **kw)
+    return dataclasses.replace(doc, tokens=tuple(tokens))
+
+
+def three_mentions() -> list[Mention]:
+    return [men("m1", ((1, 1),), 1), men("m2", ((3, 3),), 3), men("m3", ((5, 5),), 5)]
+
+
+# Each row breaks exactly one check of validate_document (a mention without
+# spans, or with start > end, cannot cover its head either, but those checks
+# come first) and gives the exact str() of the ValidationError it raises.
+INVALID_DOCUMENTS = [
+    pytest.param(
+        lambda: dataclasses.replace(make_doc(), schema="tabular"),
+        "doc 'd1'.schema: unknown schema 'tabular'",
+        id="schema",
+    ),
+    pytest.param(
+        lambda: dataclasses.replace(make_doc(), doc_id="it's", schema="tabular"),
+        "doc \"it's\".schema: unknown schema 'tabular'",
+        id="doc-id-repr",
+    ),
+    pytest.param(
+        lambda: with_token(5, index=6),
+        "doc 'd1'.tokens[4].index: expected 5, got 6",
+        id="token-index",
+    ),
+    pytest.param(
+        lambda: with_token(3, number="dual"),
+        "doc 'd1'.tokens[2].number: bad value 'dual'",
+        id="token-number",
+    ),
+    pytest.param(
+        lambda: with_token(1, head=1),
+        "doc 'd1'.tokens[0].head: head 1 out of range or self-referential",
+        id="token-head-self",
+    ),
+    pytest.param(
+        lambda: with_token(4, head=11),
+        "doc 'd1'.tokens[3].head: head 11 out of range or self-referential",
+        id="token-head-above-range",
+    ),
+    pytest.param(
+        lambda: with_token(4, head=-1),
+        "doc 'd1'.tokens[3].head: head -1 out of range or self-referential",
+        id="token-head-negative",
+    ),
+    pytest.param(
+        lambda: make_doc([men(), men(spans=((5, 5),), head_index=5)]),
+        "doc 'd1'.mentions[1].id: duplicate mention id 'm1'",
+        id="mention-duplicate-id",
+    ),
+    pytest.param(
+        lambda: make_doc([men(spans=())]),
+        "doc 'd1'.mentions[0].spans: mention has no spans",
+        id="mention-no-spans",
+    ),
+    pytest.param(
+        lambda: make_doc([men(spans=((2, 3), (6, 4)))]),
+        "doc 'd1'.mentions[0].spans[1]: start 6 > end 4",
+        id="span-start-after-end",
+    ),
+    pytest.param(
+        lambda: make_doc([men(spans=((9, 11),), head_index=9)]),
+        "doc 'd1'.mentions[0].spans[0]: [9,11] outside tokens 1..10",
+        id="span-after-last-token",
+    ),
+    pytest.param(
+        lambda: make_doc([men(spans=((0, 2),), head_index=1)]),
+        "doc 'd1'.mentions[0].spans[0]: [0,2] outside tokens 1..10",
+        id="span-before-first-token",
+    ),
+    pytest.param(
+        lambda: make_doc([men(spans=((2, 5), (4, 6)))]),
+        "doc 'd1'.mentions[0].spans[1]: spans not sorted or overlapping",
+        id="spans-overlapping",
+    ),
+    pytest.param(
+        lambda: make_doc([men(spans=((6, 7), (2, 3)), head_index=6)]),
+        "doc 'd1'.mentions[0].spans[1]: spans not sorted or overlapping",
+        id="spans-unsorted",
+    ),
+    pytest.param(
+        lambda: make_doc([men(head_index=7)]),
+        "doc 'd1'.mentions[0].head_index: 7 not inside any span",
+        id="head-index",
+    ),
+    pytest.param(
+        lambda: make_doc([men(infstat="old")]),
+        "doc 'd1'.mentions[0].infstat: bad value 'old'",
+        id="infstat",
+    ),
+    pytest.param(
+        lambda: make_doc([men(definiteness="maybe")]),
+        "doc 'd1'.mentions[0].definiteness: bad value 'maybe'",
+        id="definiteness",
+    ),
+    pytest.param(
+        lambda: make_doc([men(entity_type_unified="Person")]),
+        "doc 'd1'.mentions[0].entity_type_unified: bad value 'Person'",
+        id="entity-type-unified",
+    ),
+    pytest.param(
+        lambda: make_doc([men()], [BridgingLink("m1", ())]),
+        "doc 'd1'.bridging[0].antecedent_ids: empty antecedent list",
+        id="empty-antecedents",
+    ),
+    pytest.param(
+        lambda: make_doc(three_mentions(), [BridgingLink("m2", ("m1", "m1"))]),
+        "doc 'd1'.bridging[0].antecedent_ids: repeated antecedent",
+        id="repeated-antecedent",
+    ),
+    pytest.param(
+        lambda: make_doc(
+            three_mentions(),
+            [BridgingLink("m3", ("m1",), subtype="part"), BridgingLink("m3", ("m1",))],
+        ),
+        "doc 'd1'.bridging[1]: duplicate link for anaphor 'm3'",
+        id="duplicate-link",
+    ),
+    pytest.param(
+        lambda: make_doc(
+            three_mentions(),
+            [BridgingLink("m3", ("m2", "m1"), subtype="part"), BridgingLink("m3", ("m1", "m2"))],
+        ),
+        "doc 'd1'.bridging[1]: duplicate link for anaphor 'm3'",
+        id="duplicate-split-link",
+    ),
+    pytest.param(
+        lambda: make_doc(three_mentions(), [BridgingLink("ghost", ("m1",))]),
+        "doc 'd1'.bridging[0].anaphor_id: unknown mention 'ghost'",
+        id="unknown-anaphor",
+    ),
+    pytest.param(
+        lambda: make_doc(three_mentions(), [BridgingLink("m3", ("m1", "ghost"))]),
+        "doc 'd1'.bridging[0].antecedent_ids: unknown mention 'ghost'",
+        id="unknown-antecedent",
+    ),
+    pytest.param(
+        lambda: make_doc(three_mentions(), [BridgingLink("m3", ("m1", "m3"))]),
+        "doc 'd1'.bridging[0].antecedent_ids: anaphor 'm3' listed as its own antecedent",
+        id="self-antecedent",
+    ),
+]
+
+
 class TestValidation:
-    def ok_mention(self, **kw):
-        defaults = dict(id="m1", spans=((2, 3),), head_index=2, entity_type_original="person")
-        defaults.update(kw)
-        return Mention(**defaults)
-
     def test_valid_document_passes(self):
-        doc = make_doc(mentions=[self.ok_mention()], bridging=[])
-        validate_document(doc)
+        validate_document(make_doc(mentions=[men()], bridging=[]))
 
-    def test_unknown_schema_is_rejected(self):
-        doc = dataclasses.replace(make_doc(), schema="tabular")
-        with pytest.raises(ValidationError, match=r"\.schema"):
-            validate_document(doc)
-
-    def test_non_contiguous_token_indices_are_rejected(self):
-        doc = make_doc()
-        bad = doc.tokens[:4] + (tok(6),)
-        with pytest.raises(ValidationError, match=r"tokens\[4\]\.index"):
-            validate_document(dataclasses.replace(doc, tokens=bad))
-
-    def test_self_referential_head_is_rejected(self):
-        doc = make_doc()
-        bad = (tok(1, head=1),) + doc.tokens[1:]
-        with pytest.raises(ValidationError, match=r"tokens\[0\]\.head"):
-            validate_document(dataclasses.replace(doc, tokens=bad))
-
-    def test_duplicate_mention_id_is_rejected(self):
-        doc = make_doc(mentions=[self.ok_mention(), self.ok_mention(spans=((5, 5),), head_index=5)])
-        with pytest.raises(ValidationError, match="duplicate mention id"):
-            validate_document(doc)
-
-    def test_span_outside_token_range_is_rejected(self):
-        doc = make_doc(mentions=[self.ok_mention(spans=((9, 11),), head_index=9)])
-        with pytest.raises(ValidationError, match=r"spans\[0\]"):
-            validate_document(doc)
-
-    def test_overlapping_spans_are_rejected(self):
-        doc = make_doc(mentions=[self.ok_mention(spans=((2, 5), (4, 6)), head_index=2)])
-        with pytest.raises(ValidationError, match="not sorted or overlapping"):
-            validate_document(doc)
-
-    def test_head_outside_spans_is_rejected(self):
-        doc = make_doc(mentions=[self.ok_mention(head_index=7)])
-        with pytest.raises(ValidationError, match=r"\.head_index"):
-            validate_document(doc)
-
-    def test_bad_infstat_is_rejected(self):
-        doc = make_doc(mentions=[self.ok_mention(infstat="old")])
-        with pytest.raises(ValidationError, match=r"\.infstat"):
-            validate_document(doc)
-
-    def test_link_to_unknown_mention_is_rejected(self):
-        doc = make_doc(
-            mentions=[self.ok_mention()],
-            bridging=[BridgingLink("m1", ("ghost",))],
-        )
-        with pytest.raises(ValidationError, match="unknown mention 'ghost'"):
-            validate_document(doc)
-
-    def test_self_link_is_rejected(self):
-        doc = make_doc(mentions=[self.ok_mention()], bridging=[BridgingLink("m1", ("m1",))])
-        with pytest.raises(ValidationError, match="its own antecedent"):
-            validate_document(doc)
-
-    def test_empty_antecedent_list_is_rejected(self):
-        doc = make_doc(mentions=[self.ok_mention()], bridging=[BridgingLink("m1", ())])
-        with pytest.raises(ValidationError, match="empty antecedent list"):
-            validate_document(doc)
-
-    def three_mentions(self):
-        return [
-            self.ok_mention(id="m1", spans=((1, 1),), head_index=1),
-            self.ok_mention(id="m2", spans=((3, 3),), head_index=3),
-            self.ok_mention(id="m3", spans=((5, 5),), head_index=5),
-        ]
-
-    def test_repeated_antecedent_is_rejected(self):
-        doc = make_doc(mentions=self.three_mentions(), bridging=[BridgingLink("m2", ("m1", "m1"))])
-        with pytest.raises(ValidationError, match=r"bridging\[0\]\.antecedent_ids: repeated antecedent"):
-            validate_document(doc)
-
-    @pytest.mark.parametrize("second", [("m1",), ("m1", "m2")])
-    def test_duplicate_link_is_rejected(self, second):
-        first = BridgingLink("m3", second[::-1], subtype="part")
-        doc = make_doc(mentions=self.three_mentions(), bridging=[first, BridgingLink("m3", second)])
-        with pytest.raises(ValidationError, match=r"bridging\[1\]: duplicate link for anaphor 'm3'"):
-            validate_document(doc)
+    @pytest.mark.parametrize(("build", "message"), INVALID_DOCUMENTS)
+    def test_each_breach_raises_its_exact_message(self, build, message):
+        with pytest.raises(ValidationError) as info:
+            validate_document(build())
+        assert str(info.value) == message
 
     def test_split_and_single_links_sharing_a_pair_are_valid(self):
         doc = make_doc(
-            mentions=self.three_mentions(),
+            mentions=three_mentions(),
             bridging=[BridgingLink("m3", ("m1", "m2")), BridgingLink("m3", ("m1",))],
         )
         validate_document(doc)

@@ -118,7 +118,7 @@ class TestPlantedRuleCorpus:
         found_def = False
         for doc in docs:
             for m in doc.mentions:
-                lemma = doc.token_by_index[m.spans[0][0]].lemma
+                lemma = doc.tokens[m.spans[0][0] - 1].lemma
                 if m.definiteness == "def":
                     assert lemma == "the"
                     found_def = True
