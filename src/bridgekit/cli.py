@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -74,9 +75,21 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
 
-def _write(path: Path, data: str | bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+@contextmanager
+def _output(path: str | Path):
+    """Create `path`'s parent directory; an OSError is a ConfigError naming `path`."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write(path: str | Path, payload) -> None:
+    if not isinstance(payload, (str, bytes)):
+        payload = _dump_json(payload)
+    with _output(path):
+        Path(path).write_bytes(payload.encode("utf-8") if isinstance(payload, str) else payload)
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +292,42 @@ def _read_pairs(path) -> PairDataset:
     return _load("pair dataset", path, lambda p: dataset_from_jsonl(Path(p).read_bytes()))
 
 
-def _cv_records(results) -> list[dict]:
-    return [
-        {"params": asdict(r.params), "mean_f1": r.mean_f1, "fold_f1": list(r.fold_f1)}
-        for r in results
-    ]
+def _harmonize_options(exclusions_path) -> HarmonizeOptions:
+    if not exclusions_path:
+        return HarmonizeOptions()
+    return HarmonizeOptions(
+        exclusions=_load("exclusion list", exclusions_path, read_exclusion_list)
+    )
 
 
-def _fit(dataset: PairDataset, best: HyperParams, seed: int, lemma_top_k: int):
+def _pair_dataset(docs, seed, corpus, partition, pronoun_tags, out, csv) -> PairDataset:
+    dataset = build_balanced_dataset(
+        docs,
+        seed=seed,
+        corpus=corpus,
+        partition=partition,
+        pronoun_tags=frozenset(pronoun_tags),
+    )
+    _write(out, dataset_to_jsonl(dataset))
+    if csv:
+        _write(csv, dataset_to_csv(dataset))
+    return dataset
+
+
+def _fit(dataset: PairDataset, best: HyperParams, cv_results, seed: int, lemma_top_k: int, out):
+    """The final model on all of `dataset`, saved to `out`, and its summary."""
     X, y, schema = encode(dataset, lemma_top_k=lemma_top_k)
-    return train(X, y, best, seed=seed, schema=schema)
+    model = train(X, y, best, seed=seed, schema=schema)
+    with _output(out):
+        save_model(model, out)
+    return model, {
+        "params": asdict(best),
+        "final_training_loss": model.training_loss[-1],
+        "cv": [
+            {"params": asdict(r.params), "mean_f1": r.mean_f1, "fold_f1": list(r.fold_f1)}
+            for r in cv_results
+        ],
+    }
 
 
 def _importance(model, dataset: PairDataset, repeats: int, seed: int) -> dict:
@@ -308,24 +347,17 @@ def _records(rows, keys: tuple[str, ...]) -> list[dict]:
 
 def cmd_convert(args) -> int:
     docs = _read_many([args.input], args.dialect)
-    Path(args.out).write_bytes(emit_canonical(docs))
+    _write(args.out, emit_canonical(docs))
     print(f"wrote {len(docs)} documents to {args.out}")
     return EXIT_OK
 
 
 def cmd_harmonize(args) -> int:
     docs = _read_many([args.input], args.dialect)
-    options = HarmonizeOptions(
-        exclusions=(
-            _load("exclusion list", args.exclusions, read_exclusion_list)
-            if args.exclusions
-            else frozenset()
-        )
-    )
-    harmonized, report = harmonize_corpus(docs, options)
-    Path(args.out).write_bytes(emit_canonical(harmonized))
+    harmonized, report = harmonize_corpus(docs, _harmonize_options(args.exclusions))
+    _write(args.out, emit_canonical(harmonized))
     if args.report:
-        _write(Path(args.report), _dump_json(report.to_dict()))
+        _write(args.report, report.to_dict())
     print(format_report(report))
     if report.unresolved_entity_types:
         print(
@@ -340,16 +372,8 @@ def cmd_pairs(args) -> int:
     docs = _read_many(args.input, args.dialect)
     if args.harmonize:
         docs, _ = harmonize_corpus(docs)
-    dataset = build_balanced_dataset(
-        docs,
-        seed=args.seed,
-        corpus=args.corpus,
-        partition=args.partition,
-        pronoun_tags=frozenset(args.pronoun_tags),
-    )
-    Path(args.out).write_bytes(dataset_to_jsonl(dataset))
-    if args.csv:
-        _write(Path(args.csv), dataset_to_csv(dataset))
+    dataset = _pair_dataset(docs, args.seed, args.corpus, args.partition, args.pronoun_tags,
+                            args.out, args.csv)
     counts = dataset.label_counts()
     print(
         f"{len(dataset.examples)} examples "
@@ -371,13 +395,7 @@ def cmd_train(args) -> int:
         best, cv_results = cross_validate(
             dataset, grid, k=args.folds, seed=args.seed, lemma_top_k=args.lemma_top_k
         )
-    model = _fit(dataset, best, args.seed, args.lemma_top_k)
-    save_model(model, args.out)
-    summary = {
-        "params": asdict(best),
-        "final_training_loss": model.training_loss[-1],
-        "cv": _cv_records(cv_results),
-    }
+    _, summary = _fit(dataset, best, cv_results, args.seed, args.lemma_top_k, args.out)
     print(_dump_json(summary), end="")
     return EXIT_OK
 
@@ -390,7 +408,7 @@ def cmd_eval(args) -> int:
                                seed=args.seed)
     payload = {"model": asdict(metrics), "random_baseline": asdict(baseline)}
     if args.out:
-        _write(Path(args.out), _dump_json(payload))
+        _write(args.out, payload)
     print(_dump_json(payload), end="")
     return EXIT_OK
 
@@ -400,7 +418,7 @@ def cmd_importance(args) -> int:
     dataset = _read_pairs(args.pairs)
     payload = _importance(model, dataset, args.repeats, args.seed)
     if args.out:
-        _write(Path(args.out), _dump_json(payload))
+        _write(args.out, payload)
     print(_dump_json(payload), end="")
     return EXIT_OK
 
@@ -435,12 +453,122 @@ def cmd_analyze(args) -> int:
         print(f"\n{len(errors)} gold bridging pairs under probability {args.tau}")
 
     if args.out:
-        _write(Path(args.out), _dump_json(payload))
+        _write(args.out, payload)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # end-to-end run
+
+
+def _pipeline(config: PipelineConfig, base: Path, run_dir: Path, report: dict):
+    """The run's work: yields each stage's name just before that stage's
+    work, and fills `report`, which the last stage writes."""
+    yield "load"
+    options = _harmonize_options(base / config.exclusion_list if config.exclusion_list else None)
+
+    splits: dict[str, dict[str, list[Document]]] = {}
+    for corpus in config.corpora:
+        name = corpus.name
+        yield f"load:{name}"
+        raw_train = _read_many([base / rel for rel in corpus.train_files], corpus.dialect)
+        raw_eval = _read_many([base / rel for rel in corpus.eval_files], corpus.dialect)
+
+        yield f"harmonize:{name}"
+        train_docs, harmonize_report = harmonize_corpus(raw_train, options)
+        eval_docs, eval_report = harmonize_corpus(raw_eval, options)
+        harmonize_report.merge(eval_report)
+        splits[name] = {"train": train_docs, "eval": eval_docs}
+        for role, docs in splits[name].items():
+            _write(run_dir / f"harmonized/{name}_{role}.jsonl", emit_canonical(docs))
+        harmonize_summary = harmonize_report.to_dict()
+        _write(run_dir / f"harmonize_report_{name}.json", harmonize_summary)
+        report["corpora"][name] = {
+            "harmonize": harmonize_summary,
+            "bridging_rate_per_1k": bridging_rate_per_1k(train_docs + eval_docs),
+        }
+        report["warnings"].extend(
+            f"{name}: unresolved entity type {label!r}"
+            for label in harmonize_report.unresolved_entity_types
+        )
+
+    datasets: dict[str, dict[str, PairDataset]] = {}
+    for name in splits:
+        yield f"datasets:{name}"
+        datasets[name] = {}
+        for role in ("train", "eval"):
+            dataset = datasets[name][role] = _pair_dataset(
+                splits[name][role], config.seed, name, role, config.pronoun_tags,
+                run_dir / f"datasets/{name}_{role}.jsonl", run_dir / f"datasets/{name}_{role}.csv",
+            )
+            report["warnings"].extend(f"{name}/{role}: {w}" for w in dataset.warnings)
+        report["corpora"][name]["dataset_counts"] = {
+            role: ds.label_counts() for role, ds in datasets[name].items()
+        }
+        report["corpora"][name]["max_distance"] = {
+            role: ds.provenance.max_distance for role, ds in datasets[name].items()
+        }
+
+    models = {}
+    for name in splits:
+        yield f"cv:{name}"
+        best, cv_results = cross_validate(
+            datasets[name]["train"], list(config.grid), k=config.cv_folds,
+            seed=config.seed, lemma_top_k=config.lemma_top_k,
+        )
+        yield f"train:{name}"
+        models[name], summary = _fit(
+            datasets[name]["train"], best, cv_results, config.seed, config.lemma_top_k,
+            run_dir / "models" / f"{name}.json",
+        )
+        _write(run_dir / f"cv/{name}.json", summary["cv"])
+        report["corpora"][name]["best_params"] = summary["params"]
+        report["corpora"][name]["final_training_loss"] = summary["final_training_loss"]
+
+    yield "evaluate"
+    for model_name, model in models.items():
+        report["metrics"][model_name] = {
+            name: asdict(evaluate(model, datasets[name]["eval"])) for name in splits
+        }
+    for name in splits:
+        report["baselines"][name] = asdict(random_baseline(
+            datasets[name]["eval"], p=config.baseline_p, runs=config.baseline_runs, seed=config.seed
+        ))
+    _write(run_dir / "eval/metrics.json",
+           {"models": report["metrics"], "baselines": report["baselines"]})
+
+    for name in splits:
+        yield f"importance:{name}"
+        report["importance"][name] = _importance(
+            models[name], datasets[name]["eval"], config.baseline_runs, config.seed
+        )
+        _write(run_dir / f"importance/{name}.json", report["importance"][name])
+
+    yield "analysis"
+    for name in splits:
+        eval_docs = splits[name]["eval"]
+        if config.residual_source == "dataset":
+            table = definiteness_contingency(datasets[name]["eval"])
+        else:
+            table = definiteness_contingency_corpus(eval_docs)
+        report["residuals"][name] = chi_square_residuals(table).to_dict()
+        pair_types = entity_pair_distribution(
+            splits[name]["train"] + eval_docs, threshold=config.distribution_threshold
+        )
+        report["distributions"][name] = {
+            "pair_types": _records(pair_types.rows(), PAIR_TYPE_KEYS),
+            "anaphor_entity": _records(anaphor_entity_distribution(eval_docs).rows(), LABEL_KEYS),
+            "subtypes": _records(subtype_distribution(eval_docs).rows(), LABEL_KEYS),
+        }
+        _write(run_dir / f"analysis/{name}_pair_types.csv", pair_types.to_csv())
+
+    for model_name, model in models.items():
+        for name in splits:
+            errors = confident_errors(model, datasets[name]["eval"], tau=config.tau)
+            report["confident_errors"][f"{model_name}_on_{name}"] = [asdict(e) for e in errors]
+
+    yield "report"
+    _write(run_dir / "report.json", report)
 
 
 def cmd_run(args) -> int:
@@ -450,18 +578,11 @@ def cmd_run(args) -> int:
         if value is not None
     }
     config = load_config(args.config, overrides)
-    base = Path(args.config).parent
     run_id = config.run_id()
     run_dir = Path(config.output_dir) / run_id
-
-    def write(rel: str, payload) -> None:
-        _write(run_dir / rel, payload if isinstance(payload, (str, bytes)) else _dump_json(payload))
-
-    resolved = asdict(config)
-    write("resolved_config.json", resolved)
     report: dict = {
         "run_id": run_id,
-        "config": resolved,
+        "config": asdict(config),
         "corpora": {},
         "metrics": {},
         "baselines": {},
@@ -471,136 +592,14 @@ def cmd_run(args) -> int:
         "confident_errors": {},
         "warnings": [],
     }
-    stage = "load"
+    _write(run_dir / "resolved_config.json", report["config"])
     try:
-        exclusions = (
-            _load("exclusion list", base / config.exclusion_list, read_exclusion_list)
-            if config.exclusion_list
-            else frozenset()
-        )
-        options = HarmonizeOptions(exclusions=exclusions)
-
-        splits: dict[str, dict[str, list[Document]]] = {}
-        for corpus in config.corpora:
-            name = corpus.name
-            stage = f"load:{name}"
-            raw_train = _read_many([base / rel for rel in corpus.train_files], corpus.dialect)
-            raw_eval = _read_many([base / rel for rel in corpus.eval_files], corpus.dialect)
-
-            stage = f"harmonize:{name}"
-            train_docs, harmonize_report = harmonize_corpus(raw_train, options)
-            eval_docs, eval_report = harmonize_corpus(raw_eval, options)
-            harmonize_report.merge(eval_report)
-            splits[name] = {"train": train_docs, "eval": eval_docs}
-            for role, docs in splits[name].items():
-                write(f"harmonized/{name}_{role}.jsonl", emit_canonical(docs))
-            write(f"harmonize_report_{name}.json", harmonize_report.to_dict())
-            report["corpora"][name] = {
-                "harmonize": harmonize_report.to_dict(),
-                "bridging_rate_per_1k": bridging_rate_per_1k(train_docs + eval_docs),
-            }
-            report["warnings"].extend(
-                f"{name}: unresolved entity type {label!r}"
-                for label in harmonize_report.unresolved_entity_types
-            )
-
-        datasets: dict[str, dict[str, PairDataset]] = {}
-        for corpus in config.corpora:
-            name = corpus.name
-            stage = f"datasets:{name}"
-            datasets[name] = {}
-            for role in ("train", "eval"):
-                dataset = build_balanced_dataset(
-                    splits[name][role],
-                    seed=config.seed,
-                    corpus=name,
-                    partition=role,
-                    pronoun_tags=frozenset(config.pronoun_tags),
-                )
-                datasets[name][role] = dataset
-                write(f"datasets/{name}_{role}.jsonl", dataset_to_jsonl(dataset))
-                write(f"datasets/{name}_{role}.csv", dataset_to_csv(dataset))
-                report["warnings"].extend(f"{name}/{role}: {w}" for w in dataset.warnings)
-            report["corpora"][name]["dataset_counts"] = {
-                role: ds.label_counts() for role, ds in datasets[name].items()
-            }
-            report["corpora"][name]["max_distance"] = {
-                role: ds.provenance.max_distance for role, ds in datasets[name].items()
-            }
-
-        models = {}
-        for corpus in config.corpora:
-            name = corpus.name
-            stage = f"cv:{name}"
-            best, cv_results = cross_validate(
-                datasets[name]["train"], list(config.grid), k=config.cv_folds,
-                seed=config.seed, lemma_top_k=config.lemma_top_k,
-            )
-            write(f"cv/{name}.json", _cv_records(cv_results))
-            stage = f"train:{name}"
-            model = models[name] = _fit(
-                datasets[name]["train"], best, config.seed, config.lemma_top_k
-            )
-            (run_dir / "models").mkdir(exist_ok=True)
-            save_model(model, run_dir / "models" / f"{name}.json")
-            report["corpora"][name]["best_params"] = asdict(best)
-            report["corpora"][name]["final_training_loss"] = model.training_loss[-1]
-
-        stage = "evaluate"
-        for model_name, model in models.items():
-            report["metrics"][model_name] = {
-                corpus.name: asdict(evaluate(model, datasets[corpus.name]["eval"]))
-                for corpus in config.corpora
-            }
-        for corpus in config.corpora:
-            report["baselines"][corpus.name] = asdict(random_baseline(
-                datasets[corpus.name]["eval"], p=config.baseline_p,
-                runs=config.baseline_runs, seed=config.seed,
-            ))
-        write("eval/metrics.json", {"models": report["metrics"], "baselines": report["baselines"]})
-
-        for corpus in config.corpora:
-            name = corpus.name
-            stage = f"importance:{name}"
-            report["importance"][name] = _importance(
-                models[name], datasets[name]["eval"], config.baseline_runs, config.seed
-            )
-            write(f"importance/{name}.json", report["importance"][name])
-
-        stage = "analysis"
-        for corpus in config.corpora:
-            name = corpus.name
-            eval_docs = splits[name]["eval"]
-            if config.residual_source == "dataset":
-                table = definiteness_contingency(datasets[name]["eval"])
-            else:
-                table = definiteness_contingency_corpus(eval_docs)
-            report["residuals"][name] = chi_square_residuals(table).to_dict()
-            pair_types = entity_pair_distribution(
-                splits[name]["train"] + eval_docs, threshold=config.distribution_threshold
-            )
-            report["distributions"][name] = {
-                "pair_types": _records(pair_types.rows(), PAIR_TYPE_KEYS),
-                "anaphor_entity": _records(
-                    anaphor_entity_distribution(eval_docs).rows(), LABEL_KEYS
-                ),
-                "subtypes": _records(subtype_distribution(eval_docs).rows(), LABEL_KEYS),
-            }
-            write(f"analysis/{name}_pair_types.csv", pair_types.to_csv())
-
-        for model_name, model in models.items():
-            for corpus in config.corpora:
-                errors = confident_errors(model, datasets[corpus.name]["eval"], tau=config.tau)
-                report["confident_errors"][f"{model_name}_on_{corpus.name}"] = [
-                    asdict(e) for e in errors
-                ]
-
-        stage = "report"
-        write("report.json", report)
+        for stage in _pipeline(config, Path(args.config).parent, run_dir, report):
+            pass
     except Exception as exc:
         report["failed_stage"] = stage
         report["error"] = str(exc)
-        write("report.partial.json", report)
+        _write(run_dir / "report.partial.json", report)
         if not isinstance(exc, BridgekitError):
             raise
         print(f"error: stage {stage}: {exc}", file=sys.stderr)

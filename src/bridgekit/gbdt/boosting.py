@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from ..errors import ConfigError, DegenerateTrainingError, SchemaMismatchError
+from ..errors import ConfigError, DegenerateTrainingError, SchemaMismatchError, ValidationError
 from .encoding import EncoderSchema
 
 FORMAT_VERSION = 1
@@ -295,12 +295,15 @@ _NODE_FIELDS = {
 }
 
 
-def _node_from_dict(obj: dict) -> Node:
+def _node_from_dict(obj: dict, n_features: int) -> Node:
     cls = Leaf if "weight" in obj else Split
-    return cls(**{
-        name: convert(obj[name]) if convert else _node_from_dict(obj[name])
+    node = cls(**{
+        name: convert(obj[name]) if convert else _node_from_dict(obj[name], n_features)
         for name, convert in _NODE_FIELDS[cls]
     })
+    if cls is Split and not 0 <= node.column < n_features:
+        raise ValidationError(f"split column {node.column} outside 0..{n_features - 1}")
+    return node
 
 
 def model_to_dict(model: GbdtModel) -> dict:
@@ -313,12 +316,13 @@ def model_from_dict(obj: dict) -> GbdtModel:
             f"unsupported model format version {obj.get('format_version')!r}"
         )
     schema = obj.get("schema")
+    n_features = int(obj["n_features"])
     return GbdtModel(
         base_score=float(obj["base_score"]),
-        trees=tuple(_node_from_dict(t) for t in obj["trees"]),
+        trees=tuple(_node_from_dict(t, n_features) for t in obj["trees"]),
         params=HyperParams(**obj["params"]),
         seed=int(obj["seed"]),
-        n_features=int(obj["n_features"]),
+        n_features=n_features,
         schema=EncoderSchema.from_dict(schema) if schema is not None else None,
         training_loss=tuple(float(x) for x in obj["training_loss"]),
     )

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTableError, EmptyDatasetError
+from .errors import ConfigError, DegenerateTableError, EmptyDatasetError
 from .gbdt import GbdtModel, encode, predict_proba
 from .model import Document, UNRESOLVED
 from .pairgen import PairDataset, derive_definiteness
@@ -177,23 +177,12 @@ class LabelDistribution:
     counts: dict[str, int]
     total: int
 
-    def proportion(self, label: str) -> float:
-        return self.counts.get(label, 0) / self.total if self.total else 0.0
-
     def rows(self) -> list[tuple[str, int, float]]:
         """Sorted by count descending, then label."""
         return [
             (label, count, count / self.total)
             for label, count in sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
         ]
-
-    def to_csv(self, value_name: str = "label") -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([value_name, "count", "proportion"])
-        for label, count, proportion in self.rows():
-            writer.writerow([label, count, f"{proportion:.6f}"])
-        return buf.getvalue()
 
     def to_text(self) -> str:
         if not self.counts:
@@ -245,6 +234,8 @@ def confident_errors(
 ) -> list[ConfidentError]:
     """Gold bridging pairs the model scores below tau, most confident
     (lowest probability) first."""
+    if model.schema is None:
+        raise ConfigError("model carries no encoder schema")
     gold = [ex for ex in dataset.examples if ex.label == "bridging"]
     if not gold:
         return []

@@ -86,10 +86,14 @@ def run_files(run_dir: Path) -> dict[str, bytes]:
 # is hashed with the temporary directory replaced by "TMP".
 GOLDEN_RUN_ID = "run-c52f9fd6fbd1"
 GOLDEN_SHA256 = {
+    "analysis/corpusA_pair_types.csv": "51abe0acf754efbb83fe44281ffdf68efae876c6d8ca03e5940c8742f61d316a",
+    "analysis/corpusB_pair_types.csv": "3007a67349c04539fd59b04d18320ac263c28802068d501075bac5464700582c",
     "datasets/corpusA_eval.jsonl": "139e31f3d28c785fb81a207d2f088e9998850dbc1601111ca5ba71132c90d887",
     "datasets/corpusA_train.jsonl": "273cdd19d2cd59eb76336f0f6065e67d52b1d79c6afe281dfb6e45200aaa9976",
     "datasets/corpusB_eval.jsonl": "d536a7360069e0824b50bc6266e0005b5e3375e45c975c6437eacc310a1073af",
     "datasets/corpusB_train.jsonl": "0be7724d7826ac6f22891776286757be07e1a1ab0acbc7a98e64878c2bc88bf7",
+    "harmonize_report_corpusA.json": "5043f19435176f9e21659d757a284c9b5e77354171847fe448b8589dc42a5d7e",
+    "harmonize_report_corpusB.json": "5043f19435176f9e21659d757a284c9b5e77354171847fe448b8589dc42a5d7e",
     "harmonized/corpusA_eval.jsonl": "518f3bb1c56cea616ffd412c4587cec7f276f341915aedaecc68bc6c9e1e3f88",
     "harmonized/corpusA_train.jsonl": "46c0563d7c475f4cf08509a1ede91cbf220095337d522773086e708e47f183c4",
     "harmonized/corpusB_eval.jsonl": "effbb876f82379ddc8a8d2b3757d99a9b64cb655dc68acc3fa1f4cce36f4eff8",
@@ -367,6 +371,88 @@ class TestPairsTrainEvalChain:
         bad.write_text("not a model\n")
         assert main(["eval", "--model", str(bad), "--pairs", str(chain["pairs"])]) == EXIT_PARSE
         assert "model.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", [999, -1])
+    def test_model_splitting_on_a_missing_column_exits_2(self, chain, tmp_path, capsys, column):
+        obj = json.loads(chain["model"].read_text())
+        tree = next(t for t in obj["trees"] if "column" in t)
+        tree["column"] = column
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["eval", "--model", str(bad), "--pairs", str(chain["pairs"])]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: malformed model {bad}: ValidationError: "
+            f"split column {column} outside 0..{obj['n_features'] - 1}\n"
+        )
+
+    def test_analyze_refuses_a_model_without_an_encoder_schema(self, chain, tmp_path, capsys):
+        obj = json.loads(chain["model"].read_text())
+        obj["schema"] = None
+        schemaless = tmp_path / "model.json"
+        schemaless.write_text(json.dumps(obj))
+        code = main(["analyze", "--pairs", str(chain["pairs"]), "--model", str(schemaless)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: model carries no encoder schema\n"
+
+
+class TestUnwritableOutputs:
+    @pytest.mark.parametrize(
+        "command",
+        ["convert", "harmonize", "harmonize --report", "pairs", "pairs --csv", "train", "eval",
+         "importance", "analyze"],
+    )
+    def test_an_output_that_is_a_directory_exits_1_naming_it(
+        self, chain, tmp_path, capsys, command
+    ):
+        out = tmp_path / "taken"
+        out.mkdir()
+        corpus, pairs, model = chain["tmp"] / "corpus.brk", chain["pairs"], chain["model"]
+        argv = {
+            "convert": ["convert", "--in", corpus, "--out", out],
+            "harmonize": ["harmonize", "--in", corpus, "--out", out],
+            "harmonize --report": ["harmonize", "--in", corpus, "--out", tmp_path / "h.jsonl",
+                                   "--report", out],
+            "pairs": ["pairs", "--in", corpus, "--seed", "5", "--out", out],
+            "pairs --csv": ["pairs", "--in", corpus, "--seed", "5", "--out", tmp_path / "p.jsonl",
+                            "--csv", out],
+            "train": ["train", "--pairs", pairs, "--seed", "5", "--out", out, "--n-rounds", "2"],
+            "eval": ["eval", "--model", model, "--pairs", pairs, "--out", out],
+            "importance": ["importance", "--model", model, "--pairs", pairs, "--repeats", "1",
+                           "--out", out],
+            "analyze": ["analyze", "--pairs", pairs, "--out", out],
+        }[command]
+        assert main([str(arg) for arg in argv]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
+
+    def test_an_output_under_a_regular_file_exits_1_naming_it(self, chain, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x.jsonl"
+        code = main(["convert", "--in", str(chain["tmp"] / "corpus.brk"), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: File exists\n"
+        assert captured.out == ""
+
+    def test_missing_parent_directories_are_created(self, chain, tmp_path):
+        out = tmp_path / "new" / "dir" / "x.jsonl"
+        code = main(["convert", "--in", str(chain["tmp"] / "corpus.brk"), "--out", str(out)])
+        assert code == EXIT_OK
+        assert read_documents(out)
+
+    def test_run_whose_report_path_is_a_directory_fails_at_the_report_stage(
+        self, tmp_path, capsys
+    ):
+        config = base_config(tmp_path)
+        config["grid"] = [{"n_rounds": 2, "max_depth": 2}]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        run_dir = tmp_path / "runs" / load_config(path).run_id()
+        (run_dir / "report.json").mkdir(parents=True)
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        message = f"cannot write {run_dir / 'report.json'}: Is a directory"
+        assert capsys.readouterr().err == f"error: stage report: {message}\n"
+        partial = json.loads((run_dir / "report.partial.json").read_text())
+        assert (partial["failed_stage"], partial["error"]) == ("report", message)
 
 
 class TestConfig:
@@ -731,6 +817,68 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        ("binding", "stage", "code", "message"),
+        [
+            ("read_documents", "load:corpusA", EXIT_PARSE,
+             "malformed corpus file {tmp}/a_train.brk: EmptyDatasetError: boom"),
+            ("harmonize_corpus", "harmonize:corpusA", EXIT_PIPELINE, "boom"),
+            ("build_balanced_dataset", "datasets:corpusA", EXIT_PIPELINE, "boom"),
+            ("cross_validate", "cv:corpusA", EXIT_PIPELINE, "boom"),
+            ("train", "train:corpusA", EXIT_PIPELINE, "boom"),
+            ("evaluate", "evaluate", EXIT_PIPELINE, "boom"),
+            ("gain_importance", "importance:corpusA", EXIT_PIPELINE, "boom"),
+            ("chi_square_residuals", "analysis", EXIT_PIPELINE, "boom"),
+            ("confident_errors", "analysis", EXIT_PIPELINE, "boom"),
+            (None, "load", EXIT_PARSE,
+             "line 1: expected 'doc_id<TAB>anaphor_id', got 'no-tab'"),
+        ],
+    )
+    def test_each_stage_reports_its_own_failure(
+        self, tmp_path, capsys, monkeypatch, binding, stage, code, message
+    ):
+        from bridgekit.errors import EmptyDatasetError
+
+        def boom(*args, **kwargs):
+            raise EmptyDatasetError("boom")
+
+        config = base_config(tmp_path)
+        config["grid"] = [{"n_rounds": 2, "max_depth": 2}]
+        if binding is None:
+            (tmp_path / "exclusions.tsv").write_text("no-tab\n")
+            config["exclusion_list"] = "exclusions.tsv"
+        else:
+            monkeypatch.setattr(bridgekit.cli, binding, boom)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path)]) == code
+        message = message.format(tmp=tmp_path)
+        assert capsys.readouterr().err == f"error: stage {stage}: {message}\n"
+        run_dir = next((tmp_path / "runs").iterdir())
+        partial = json.loads((run_dir / "report.partial.json").read_text())
+        assert (partial["failed_stage"], partial["error"]) == (stage, message)
+        assert not (run_dir / "report.json").exists()
+
+    def test_corpus_residual_source_tabulates_the_harmonized_eval_documents(self, tmp_path):
+        from bridgekit.stats import chi_square_residuals, definiteness_contingency_corpus
+
+        config = base_config(tmp_path)
+        config.update({"grid": [{"n_rounds": 2, "max_depth": 2}], "residual_source": "corpus"})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        run_dir = next((tmp_path / "runs").iterdir())
+        report = json.loads((run_dir / "report.json").read_text())
+        for name in ("corpusA", "corpusB"):
+            eval_docs = read_documents(run_dir / "harmonized" / f"{name}_eval.jsonl")
+            table = definiteness_contingency_corpus(eval_docs)
+            expected = json.loads(json.dumps(chi_square_residuals(table).to_dict()))
+            assert report["residuals"][name] == expected
+            # every mention counts once, not every pair
+            assert sum(map(sum, expected["observed"])) == sum(
+                len(doc.mentions) for doc in eval_docs
+            )
 
     def test_pipeline_failure_exits_3_with_the_failed_stage(self, tmp_path):
         config = base_config(tmp_path)

@@ -14,6 +14,7 @@ from bridgekit.errors import (
     DegenerateTrainingError,
     EmptyDatasetError,
     SchemaMismatchError,
+    ValidationError,
 )
 from bridgekit.gbdt import (
     CvResult,
@@ -534,6 +535,19 @@ class TestModelSerialization:
         obj = model_to_dict(planted_model)
         obj["format_version"] = 99
         with pytest.raises(SchemaMismatchError, match="format version"):
+            model_from_dict(obj)
+
+    @pytest.mark.parametrize("column", [999, -1])
+    def test_split_column_outside_the_feature_range_is_rejected(self, planted_model, column):
+        obj = model_to_dict(planted_model)
+        tree = next(t for t in obj["trees"] if "column" in t)
+        # below the root, so the check must reach nested splits
+        tree["left"] = {"column": column, "threshold": 0.5, "gain": 1.0,
+                        "left": tree["left"], "right": {"weight": 0.0}}
+        with pytest.raises(
+            ValidationError,
+            match=rf"split column {column} outside 0\.\.{planted_model.n_features - 1}$",
+        ):
             model_from_dict(obj)
 
     def test_schemaless_models_round_trip_too(self):

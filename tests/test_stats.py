@@ -1,15 +1,13 @@
 """Contingency residuals, distribution tables, and confident-error mining."""
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bridgekit.errors import DegenerateTableError, EmptyDatasetError
+from bridgekit.errors import ConfigError, DegenerateTableError, EmptyDatasetError
 from bridgekit.model import BridgingLink, Document, Mention, Token, validate_document
 from bridgekit.pairgen import FeatureVector, PairDataset, PairExample, Provenance
 from bridgekit.stats import (
@@ -246,15 +244,12 @@ class TestDistributions:
         assert dist.counts == {"poss": 2, "unmarked": 1}
         assert dist.rows() == [("poss", 2, pytest.approx(2 / 3)), ("unmarked", 1, pytest.approx(1 / 3))]
 
-    def test_label_distribution_renders_csv_and_text(self):
+    def test_label_distribution_renders_text(self):
         doc = doc_with_links(
             [("m2", ("m1",), "poss"), ("m3", ("m1",), None)],
             {"m1": "person", "m2": "place", "m3": "event"},
         )
         dist = subtype_distribution([doc])
-        rows = list(csv.reader(io.StringIO(dist.to_csv("subtype"))))
-        assert rows[0] == ["subtype", "count", "proportion"]
-        assert rows[1] == ["poss", "1", "0.500000"]
         assert "50.0%" in dist.to_text()
 
 
@@ -276,6 +271,11 @@ class TestConfidentErrors:
         everything = confident_errors(planted_model, planted_eval_dataset, tau=1.0 + 1e-9)
         n_gold = planted_eval_dataset.label_counts()["bridging"]
         assert len(everything) == n_gold
+
+    def test_a_model_without_an_encoder_schema_is_refused(self, planted_model, planted_eval_dataset):
+        schemaless = dataclasses.replace(planted_model, schema=None)
+        with pytest.raises(ConfigError, match="^model carries no encoder schema$"):
+            confident_errors(schemaless, planted_eval_dataset)
 
     def test_dataset_without_gold_positives_yields_nothing(self, planted_model):
         ds = dataset([pair(0, "none"), pair(1, "coref")])
