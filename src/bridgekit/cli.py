@@ -92,6 +92,20 @@ def _write(path: str | Path, payload) -> None:
         Path(path).write_bytes(payload.encode("utf-8") if isinstance(payload, str) else payload)
 
 
+def _write_all(outputs: list[tuple[str | Path, object]]) -> None:
+    """`_write` each `(path, payload)` in turn. When one fails, the files
+    already written are removed, so a failed command leaves none behind."""
+    written: list[Path] = []
+    try:
+        for path, payload in outputs:
+            _write(path, payload)
+            written.append(Path(path))
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -308,9 +322,10 @@ def _pair_dataset(docs, seed, corpus, partition, pronoun_tags, out, csv) -> Pair
         partition=partition,
         pronoun_tags=frozenset(pronoun_tags),
     )
-    _write(out, dataset_to_jsonl(dataset))
+    outputs = [(out, dataset_to_jsonl(dataset))]
     if csv:
-        _write(csv, dataset_to_csv(dataset))
+        outputs.append((csv, dataset_to_csv(dataset)))
+    _write_all(outputs)
     return dataset
 
 
@@ -355,9 +370,11 @@ def cmd_convert(args) -> int:
 def cmd_harmonize(args) -> int:
     docs = _read_many([args.input], args.dialect)
     harmonized, report = harmonize_corpus(docs, _harmonize_options(args.exclusions))
-    _write(args.out, emit_canonical(harmonized))
-    if args.report:
-        _write(args.report, report.to_dict())
+    # The report goes to text first, so that its dict, large when many
+    # mentions were flattened, is freed before the documents are serialized.
+    outputs = [(args.report, _dump_json(report.to_dict()))] if args.report else []
+    outputs.append((args.out, emit_canonical(harmonized)))
+    _write_all(outputs)
     print(format_report(report))
     if report.unresolved_entity_types:
         print(

@@ -316,14 +316,20 @@ def model_from_dict(obj: dict) -> GbdtModel:
             f"unsupported model format version {obj.get('format_version')!r}"
         )
     schema = obj.get("schema")
+    if schema is not None:
+        schema = EncoderSchema.from_dict(schema)
     n_features = int(obj["n_features"])
+    if schema is not None and n_features != schema.n_columns:
+        raise ValidationError(
+            f"n_features {n_features} differs from the encoder schema's {schema.n_columns} columns"
+        )
     return GbdtModel(
         base_score=float(obj["base_score"]),
         trees=tuple(_node_from_dict(t, n_features) for t in obj["trees"]),
         params=HyperParams(**obj["params"]),
         seed=int(obj["seed"]),
         n_features=n_features,
-        schema=EncoderSchema.from_dict(schema) if schema is not None else None,
+        schema=schema,
         training_loss=tuple(float(x) for x in obj["training_loss"]),
     )
 

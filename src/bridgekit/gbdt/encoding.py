@@ -118,24 +118,6 @@ def fit_schema(
     return EncoderSchema(blocks=tuple(blocks), lemma_top_k=lemma_top_k)
 
 
-def encode_features(schema: EncoderSchema, features) -> np.ndarray:
-    row = np.zeros(schema.n_columns, dtype=np.float64)
-    start = 0
-    for block in schema.blocks:
-        value = getattr(features, block.feature)
-        if block.kind == "numeric":
-            row[start] = float(value)
-        else:
-            try:
-                row[start + block.categories.index(value)] = 1.0
-            except ValueError:
-                if block.kind == "vocab":
-                    row[start + len(block.categories)] = 1.0
-                # plain categorical: unseen value stays all-zero
-        start += block.width
-    return row
-
-
 def encode(
     dataset: PairDataset | list[PairExample],
     schema: EncoderSchema | None = None,
@@ -143,14 +125,30 @@ def encode(
 ) -> tuple[np.ndarray, np.ndarray, EncoderSchema]:
     """Encode a dataset, fitting a schema when none is supplied.
 
-    Returns (X, y, schema) with y the binary target, 1 for bridging.
+    Returns (X, y, schema) with y the binary target, 1 for bridging. X is
+    filled one block at a time: a numeric block is one column, a one-hot
+    block one write of 1.0 per row whose value has a column.
     """
     examples = _examples(dataset)
     if schema is None:
         schema = fit_schema(examples, lemma_top_k=lemma_top_k)
-    X = np.empty((len(examples), schema.n_columns), dtype=np.float64)
-    for i, ex in enumerate(examples):
-        X[i] = encode_features(schema, ex.features)
+    rows = np.arange(len(examples))
+    X = np.zeros((len(examples), schema.n_columns), dtype=np.float64)
+    start = 0
+    for block in schema.blocks:
+        values = [getattr(ex.features, block.feature) for ex in examples]
+        if block.kind == "numeric":
+            X[:, start] = values
+        else:
+            position = {category: i for i, category in enumerate(block.categories)}
+            # an unseen value goes to the OOV column of a vocab block; a
+            # plain categorical block has none, so its row stays all-zero
+            missing = len(block.categories) if block.kind == "vocab" else -1
+            columns = np.fromiter((position.get(v, missing) for v in values), dtype=np.int64,
+                                  count=len(values))
+            hit = columns >= 0
+            X[rows[hit], start + columns[hit]] = 1.0
+        start += block.width
     y = np.fromiter((1 if ex.label == "bridging" else 0 for ex in examples), dtype=np.int64,
                     count=len(examples))
     return X, y, schema

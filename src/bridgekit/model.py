@@ -95,6 +95,23 @@ class Document:
     def mention_position(self) -> dict[str, int]:
         return {m.id: i for i, m in enumerate(self.mentions)}
 
+    @cached_property
+    def given_mention_ids(self) -> frozenset[str]:
+        """Ids of the mentions that `is_given` holds for: every chain member
+        but the chain's first in document order."""
+        first: dict[str, Mention] = {}
+        for m in self.mentions:
+            # visited in list order, so a later mention comes first in
+            # document order (`mention_order_key`) only on a smaller span
+            if m.chain_id is not None and (
+                m.chain_id not in first or m.spans[0] < first[m.chain_id].spans[0]
+            ):
+                first[m.chain_id] = m
+        return frozenset(
+            m.id for m in self.mentions
+            if m.chain_id is not None and first[m.chain_id] is not m
+        )
+
     def chain_members(self, chain_id: str) -> list[Mention]:
         return [m for m in self.mentions if m.chain_id == chain_id]
 
@@ -120,14 +137,7 @@ def is_given(doc: Document, mention: Mention) -> bool:
     A mention without a chain is discourse-new by definition. Exactly one
     member of every chain (the earliest in document order) is not given.
     """
-    if mention.chain_id is None:
-        return False
-    key = mention_order_key(doc, mention)
-    return any(
-        m.id != mention.id and mention_order_key(doc, m) < key
-        for m in doc.mentions
-        if m.chain_id == mention.chain_id
-    )
+    return mention.id in doc.given_mention_ids
 
 
 def validate_document(doc: Document) -> None:

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import random
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
 
 from .errors import EmptyDatasetError, UndefinedDistanceError, ValidationError
@@ -149,12 +150,16 @@ def max_bridging_distance(docs: list[Document]) -> int:
     return max(distances)
 
 
-def enumerate_labeled_pairs(doc: Document) -> list[tuple[Mention, Mention, str]]:
+def enumerate_labeled_pairs(
+    doc: Document, max_distance: int | None = None
+) -> list[tuple[Mention, Mention, str]]:
     """All ordered mention pairs with the antecedent strictly earlier, as
     ``(antecedent, anaphor, label)`` triples in document order.
 
     A pair matching a bridging link is labeled bridging; otherwise shared
-    chain membership yields coref; everything else is none.
+    chain membership yields coref; everything else is none. With
+    `max_distance`, only pairs whose anaphor starts at most that many tokens
+    after the antecedent are enumerated.
     """
     bridged = {
         (ante_id, link.anaphor_id)
@@ -162,11 +167,16 @@ def enumerate_labeled_pairs(doc: Document) -> list[tuple[Mention, Mention, str]]
         for ante_id in link.antecedent_ids
     }
     ordered = sorted(doc.mentions, key=lambda m: mention_order_key(doc, m))
+    starts = [mention_start(m) for m in ordered]
     pairs = []
     for i, ante in enumerate(ordered):
-        for ana in ordered[i + 1:]:
-            if mention_start(ana) <= mention_start(ante):
-                continue
+        # starts are non-decreasing: skip the anaphors that share the
+        # antecedent's start and stop at the first one beyond the distance
+        first = bisect_right(starts, starts[i], lo=i)
+        stop = len(ordered) if max_distance is None else bisect_right(
+            starts, starts[i] + max_distance, lo=first
+        )
+        for ana in ordered[first:stop]:
             if (ante.id, ana.id) in bridged:
                 label = "bridging"
             elif ante.chain_id is not None and ante.chain_id == ana.chain_id:
@@ -194,19 +204,18 @@ def build_balanced_dataset(
     Every bridging pair is kept. Negatives are sampled uniformly without
     replacement, one draw per class, from candidates whose anaphor is not a
     pronoun and whose distance does not exceed the longest attested
-    bridging distance. Classes short of candidates are taken whole with a
-    recorded warning. Features are extracted for the kept pairs only. The
-    result is a deterministic function of (docs, seed).
+    bridging distance, the cap at which enumeration stops. Classes short of
+    candidates are taken whole with a recorded warning. Features are
+    extracted for the kept pairs only. The result is a deterministic
+    function of (docs, seed).
     """
     cap = max_bridging_distance(docs)
 
     pools: dict[str, list[tuple[Document, Mention, Mention]]] = {label: [] for label in LABELS}
     for doc in docs:
         pronouns = {m.id for m in doc.mentions if is_pronoun(doc, m, pronoun_tags)}
-        for ante, ana, label in enumerate_labeled_pairs(doc):
-            if label != "bridging" and (
-                ana.id in pronouns or mention_start(ana) - mention_start(ante) > cap
-            ):
+        for ante, ana, label in enumerate_labeled_pairs(doc, cap):
+            if label != "bridging" and ana.id in pronouns:
                 continue
             pools[label].append((doc, ante, ana))
 
@@ -258,13 +267,15 @@ def dataset_to_jsonl(dataset: PairDataset) -> bytes:
     }
     lines = [json.dumps(header, sort_keys=True, ensure_ascii=False, separators=(",", ":"))]
     for ex in dataset.examples:
+        # FeatureVector holds flat str/int fields and no cached property, so
+        # its instance dict is its field dict, without asdict's deep copy
         lines.append(
             json.dumps(
                 {
                     "doc_id": ex.doc_id,
                     "antecedent_id": ex.antecedent_id,
                     "anaphor_id": ex.anaphor_id,
-                    "features": asdict(ex.features),
+                    "features": vars(ex.features),
                     "label": ex.label,
                 },
                 sort_keys=True,
@@ -322,7 +333,7 @@ def dataset_to_csv(dataset: PairDataset) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["doc_id", "antecedent_id", "anaphor_id", *FEATURE_NAMES, "label"])
     for ex in dataset.examples:
-        feats = asdict(ex.features)
+        feats = vars(ex.features)
         writer.writerow(
             [ex.doc_id, ex.antecedent_id, ex.anaphor_id]
             + [feats[name] for name in FEATURE_NAMES]

@@ -385,6 +385,18 @@ class TestPairsTrainEvalChain:
             f"split column {column} outside 0..{obj['n_features'] - 1}\n"
         )
 
+    def test_model_whose_width_differs_from_its_schema_exits_2(self, chain, tmp_path, capsys):
+        obj = json.loads(chain["model"].read_text())
+        width = obj["n_features"]
+        obj["n_features"] = 1000
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["eval", "--model", str(bad), "--pairs", str(chain["pairs"])]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: malformed model {bad}: ValidationError: "
+            f"n_features 1000 differs from the encoder schema's {width} columns\n"
+        )
+
     def test_analyze_refuses_a_model_without_an_encoder_schema(self, chain, tmp_path, capsys):
         obj = json.loads(chain["model"].read_text())
         obj["schema"] = None
@@ -423,6 +435,9 @@ class TestUnwritableOutputs:
         }[command]
         assert main([str(arg) for arg in argv]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
+        # an earlier output of the same command (h.jsonl, p.jsonl) is removed
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert not any(out.iterdir())
 
     def test_an_output_under_a_regular_file_exits_1_naming_it(self, chain, tmp_path, capsys):
         (tmp_path / "file").write_text("")

@@ -51,7 +51,7 @@ from bridgekit.gbdt import (
 from bridgekit.gbdt import boosting, evaluation
 from bridgekit.gbdt.boosting import _find_best_split
 from bridgekit.gbdt.evaluation import _beats
-from bridgekit.pairgen import FEATURE_NAMES, FeatureVector, PairExample
+from bridgekit.pairgen import FEATURE_NAMES, LABELS, NUMERIC_FEATURES, FeatureVector, PairExample
 
 
 def make_example(i: int, label: str, **over) -> PairExample:
@@ -65,7 +65,63 @@ def make_example(i: int, label: str, **over) -> PairExample:
     return PairExample("d", f"a{i}", f"n{i}", FeatureVector(**base), label)
 
 
+def reference_encode(schema: EncoderSchema, examples) -> np.ndarray:
+    """The row-at-a-time loop that `encode` replaced."""
+    X = np.empty((len(examples), schema.n_columns), dtype=np.float64)
+    for i, ex in enumerate(examples):
+        row = np.zeros(schema.n_columns, dtype=np.float64)
+        start = 0
+        for block in schema.blocks:
+            value = getattr(ex.features, block.feature)
+            if block.kind == "numeric":
+                row[start] = float(value)
+            else:
+                try:
+                    row[start + block.categories.index(value)] = 1.0
+                except ValueError:
+                    if block.kind == "vocab":
+                        row[start + len(block.categories)] = 1.0
+            start += block.width
+        X[i] = row
+    return X
+
+
+# Few values per feature, so that values repeat within a list and a schema
+# fitted on one list meets unseen categories and OOV lemmas in another.
+_example_lists = st.lists(
+    st.builds(
+        PairExample,
+        doc_id=st.just("d"),
+        antecedent_id=st.just("a"),
+        anaphor_id=st.just("n"),
+        features=st.builds(FeatureVector, **{
+            name: st.integers(min_value=0, max_value=60) if name in NUMERIC_FEATURES
+            else st.sampled_from(["p", "q", "r", "s", "t"])
+            for name in FEATURE_NAMES
+        }),
+        label=st.sampled_from(LABELS),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
 class TestEncoding:
+    @settings(max_examples=80, deadline=None)
+    @given(_example_lists, _example_lists, st.sampled_from([0, 1, 3, 200]), st.booleans())
+    def test_column_encoder_matches_the_row_loop_to_the_bit(
+        self, fit_on, rows, lemma_top_k, foreign_schema
+    ):
+        schema = fit_schema(fit_on if foreign_schema else rows, lemma_top_k=lemma_top_k)
+        for subset in (rows, rows[:1]):
+            X, y, used = encode(subset, schema=schema)
+            expected = reference_encode(schema, subset)
+            assert used is schema
+            assert X.shape == expected.shape and X.dtype == expected.dtype
+            assert X.tobytes() == expected.tobytes()
+            assert y.tolist() == [int(ex.label == "bridging") for ex in subset]
+
+
     def test_blocks_cover_every_feature_in_sorted_order(self):
         schema = fit_schema([make_example(0, "bridging")])
         assert tuple(b.feature for b in schema.blocks) == tuple(sorted(FEATURE_NAMES))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bridgekit.errors import ValidationError
 from bridgekit.model import (
@@ -16,6 +17,7 @@ from bridgekit.model import (
     mention_start,
     validate_document,
 )
+from bridgekit.synth import planted_rule_corpus, random_corpus
 
 
 def tok(i: int, head: int = 0, **kw) -> Token:
@@ -98,6 +100,42 @@ class TestIsGiven:
         target = Mention(id="m2", spans=((4, 4),), head_index=4, entity_type_original="x", chain_id="c2")
         doc = make_doc(mentions=[other, target])
         assert not is_given(doc, target)
+
+
+def reference_is_given(doc: Document, mention: Mention) -> bool:
+    """The per-call chain scan that the cached given set replaced."""
+    if mention.chain_id is None:
+        return False
+    key = mention_order_key(doc, mention)
+    return any(
+        m.id != mention.id and mention_order_key(doc, m) < key
+        for m in doc.mentions
+        if m.chain_id == mention.chain_id
+    )
+
+
+class TestGivenMentionIds:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from(["canonical", "gum_like", "arrau_like", "planted"]),
+    )
+    def test_cached_given_set_matches_the_chain_scan(self, seed, kind):
+        if kind == "planted":
+            docs = planted_rule_corpus(seed, n_docs=2)
+        else:
+            docs = random_corpus(seed, 4, flavor=kind)
+        for doc in docs:
+            for m in doc.mentions:
+                assert is_given(doc, m) == reference_is_given(doc, m)
+
+    def test_a_later_listed_mention_with_a_shorter_span_comes_first(self):
+        a = Mention(id="a", spans=((2, 5),), head_index=2, entity_type_original="x", chain_id="c")
+        b = Mention(id="b", spans=((2, 3),), head_index=2, entity_type_original="x", chain_id="c")
+        c = Mention(id="c", spans=((2, 3),), head_index=3, entity_type_original="x", chain_id="c")
+        doc = make_doc(mentions=[a, b, c])
+        # b precedes a on the shorter span and c on its list position
+        assert doc.given_mention_ids == frozenset({"a", "c"})
 
 
 class TestDocumentLookups:

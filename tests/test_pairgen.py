@@ -12,7 +12,14 @@ from hypothesis import given, settings, strategies as st
 from bridgekit import pairgen
 from bridgekit.errors import EmptyDatasetError, UndefinedDistanceError, ValidationError
 from bridgekit.harmonize import harmonize_corpus
-from bridgekit.model import BridgingLink, Document, Mention, Token, validate_document
+from bridgekit.model import (
+    BridgingLink,
+    Document,
+    Mention,
+    Token,
+    mention_start,
+    validate_document,
+)
 from bridgekit.pairgen import (
     DEFAULT_PRONOUN_TAGS,
     FEATURE_NAMES,
@@ -220,6 +227,25 @@ class TestEnumerateLabeledPairs:
         pairs = enumerate_labeled_pairs(doc)
         assert not any({ante.id, ana.id} == {"m1", "m9"} for ante, ana, _ in pairs)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.booleans(),
+        st.integers(min_value=-20, max_value=-1),
+        st.integers(min_value=1, max_value=12),
+    )
+    def test_a_distance_bound_filters_the_unbounded_list_in_order(
+        self, seed, planted, negative, small
+    ):
+        docs = planted_rule_corpus(seed, n_docs=2) if planted else random_corpus(seed, 4)
+        for doc in docs:
+            unbounded = enumerate_labeled_pairs(doc)
+            for bound in (negative, 0, small, len(doc.tokens)):
+                assert enumerate_labeled_pairs(doc, bound) == [
+                    (ante, ana, label) for ante, ana, label in unbounded
+                    if mention_start(ana) - mention_start(ante) <= bound
+                ]
+
 
 class TestMaxBridgingDistance:
     def test_cap_is_the_longest_attested_link(self, sampling_docs):
@@ -305,13 +331,17 @@ class TestBalancedDataset:
              "a3d69c8c4707dcac6c92360cbfdc8c53e6ecf20cb5683fc68e2eec9d40a5ee82"),
             (lambda: random_corpus(6, 60, flavor="arrau_like"), 7,
              "994e1f7cc3f28761c285f533f7b51fda765d68cbe65e7dd25464c3da4da58bf2"),
+            # the long-docs benchmark shape: 1,277 tokens a document, cap 35
+            (lambda: planted_rule_corpus(11, n_docs=3, n_chains=32, n_free=128), 0,
+             "392eaf2f218c417e23fef9b2c386049a983f3d1cb2ea88345898a0fa8b7a328e"),
         ],
-        ids=["balanced-0", "balanced-7", "random-0", "random-7", "arrau-0", "arrau-7"],
+        ids=["balanced-0", "balanced-7", "random-0", "random-7", "arrau-0", "arrau-7",
+             "long-0"],
     )
     def test_dataset_bytes_match_golden_hashes(self, make_corpus, seed, digest):
-        # Together the cases cover the pronoun filter, the distance cap,
-        # short-pool warnings, split-antecedent links dropped by harmonize and
-        # chain-derived infstat.
+        # Together the cases cover the pronoun filter, the distance cap (far
+        # below the document length in long-0), short-pool warnings,
+        # split-antecedent links dropped by harmonize and chain-derived infstat.
         docs, _ = harmonize_corpus(make_corpus())
         data = dataset_to_jsonl(build_balanced_dataset(docs, seed))
         assert hashlib.sha256(data).hexdigest() == digest
