@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -124,59 +124,122 @@ def log_loss(y: np.ndarray, p: np.ndarray) -> float:
 # blocks of this many cells keep them small while still spreading the cost
 # of each numpy call over many columns.
 _SPLIT_BLOCK_CELLS = 4096
+# The same bound for the masked sums over 0/1 columns, which hold two
+# arrays of a block's size rather than several.
+_BINARY_BLOCK_CELLS = 8192
+
+
+class _Columns(NamedTuple):
+    """A training matrix split once into its 0/1 columns and the others.
+
+    A column whose values are all 0 or 1 has one candidate split, at 0.5,
+    so it needs no sort: its mask of zeros is all the search reads.
+    """
+
+    binary: np.ndarray  # positions of the 0/1 columns, ascending
+    zero: np.ndarray  # X == 0 on those columns
+    numeric: np.ndarray  # positions of the other columns, ascending
+    X_numeric: np.ndarray  # X on those columns, contiguous
+
+    @classmethod
+    def of(cls, X: np.ndarray) -> "_Columns":
+        is_binary = np.all((X == 0) | (X == 1), axis=0)
+        binary, numeric = np.flatnonzero(is_binary), np.flatnonzero(~is_binary)
+        return cls(binary, X[:, binary] == 0, numeric, np.ascontiguousarray(X[:, numeric]))
+
+    def take(self, rows: np.ndarray) -> "_Columns":
+        return self._replace(zero=self.zero[rows], X_numeric=self.X_numeric[rows])
 
 
 def _find_best_split(
-    X: np.ndarray, g: np.ndarray, h: np.ndarray, hp: HyperParams
+    cols: _Columns, g: np.ndarray, h: np.ndarray, hp: HyperParams
 ) -> tuple[int, float, float] | None:
-    """Exact greedy search; returns (column, threshold, gain) or None.
+    """Exact greedy search over a node's rows; returns (column, threshold,
+    gain) or None.
 
-    Each block of columns is sorted once and scanned with column-wise
-    cumulative sums, which add in the same order as a sort and scan of one
-    column at a time, so every gain is exact to the bit. Gains are computed
-    at the valid split positions only, taken column by column, so the first
-    maximum is at the lowest column, then the lowest threshold: ties resolve
-    that way, which keeps training deterministic regardless of data order.
+    Every gain is exact to the bit, equal to that of a stable sort and scan
+    of one column at a time. A 0/1 column's one cut adds the rows with
+    x = 0 in row order, which is what a masked cumulative sum adds too
+    (adding 0.0 changes no partial sum). Each block of other columns is
+    sorted once and scanned with column-wise cumulative sums, which add in
+    the same order as a sort and scan per column. Reductions such as
+    `np.add.reduce` would sum pairwise for some shapes, and the trees would
+    then differ. Ties resolve to the lowest column, then the lowest
+    threshold, which keeps training deterministic regardless of data order.
     No gain is NaN, because `HyperParams` rules out a zero `l2_leaf_penalty`
     together with a zero `min_child_hessian`, and `_build_tree` a node with
     `H + lambda == 0`.
     """
-    n_rows, n_cols = X.shape
-    lam = hp.l2_leaf_penalty
+    n_rows = g.shape[0]
+    lam, min_h = hp.l2_leaf_penalty, hp.min_child_hessian
     G, H = g.sum(), h.sum()
     parent = G * G / (H + lam)
-    width = max(1, _SPLIT_BLOCK_CELLS // n_rows)
-    best: tuple[int, float, float] | None = None
-    for start in range(0, n_cols, width):
-        block = X[:, start:start + width]
-        order = np.argsort(block, axis=0, kind="stable")
-        xs = np.take_along_axis(block, order, axis=0)
-        # a split lies between two distinct sorted values
-        cols, rows = np.nonzero((xs[1:] > xs[:-1]).T)
-        H_L = np.cumsum(h[order], axis=0)[rows, cols]
-        H_R = H - H_L
-        valid = (H_L >= hp.min_child_hessian) & (H_R >= hp.min_child_hessian)
-        if not valid.any():
-            continue
-        cols, rows, H_L, H_R = cols[valid], rows[valid], H_L[valid], H_R[valid]
-        G_L = np.cumsum(g[order], axis=0)[rows, cols]
+
+    def gains(G_L: np.ndarray, H_L: np.ndarray, H_R: np.ndarray) -> np.ndarray:
         G_R = G - G_L
-        gains = (
+        return (
             0.5 * (G_L**2 / (H_L + lam) + G_R**2 / (H_R + lam) - parent)
             - hp.split_gain_threshold
         )
-        j = int(np.argmax(gains))
-        gain = float(gains[j])
-        if gain > 0.0 and (best is None or gain > best[2]):
-            c, i = int(cols[j]), int(rows[j])
-            best = (start + c, float((xs[i, c] + xs[i + 1, c]) / 2.0), gain)
-    return best
+
+    # (gain, column, threshold): the best of each block whose gain is positive
+    found: list[tuple[float, int, float]] = []
+
+    # A cut needs both values on the node's rows. Over all of them, G_L
+    # (a sequential sum) and G (a pairwise one) could differ in their last
+    # bits and pass for a positive gain.
+    n_zero = np.count_nonzero(cols.zero, axis=0)
+    cuts = np.flatnonzero((n_zero > 0) & (n_zero < n_rows))
+    width = max(1, _BINARY_BLOCK_CELLS // n_rows)
+    for start in range(0, len(cuts), width):
+        block = cuts[start:start + width]
+        zero = cols.zero[:, block]
+        H_L = np.cumsum(np.where(zero, h[:, None], 0.0), axis=0)[-1]
+        H_R = H - H_L
+        valid = (H_L >= min_h) & (H_R >= min_h)
+        if not valid.any():
+            continue
+        block, H_L, H_R = block[valid], H_L[valid], H_R[valid]
+        G_L = np.cumsum(np.where(zero[:, valid], g[:, None], 0.0), axis=0)[-1]
+        block_gains = gains(G_L, H_L, H_R)
+        j = int(np.argmax(block_gains))
+        if block_gains[j] > 0.0:
+            found.append((float(block_gains[j]), int(cols.binary[block[j]]), 0.5))
+
+    width = max(1, _SPLIT_BLOCK_CELLS // n_rows)
+    for start in range(0, len(cols.numeric), width):
+        block = cols.X_numeric[:, start:start + width]
+        order = np.argsort(block, axis=0, kind="stable")
+        xs = np.take_along_axis(block, order, axis=0)
+        # a split lies between two distinct sorted values
+        cs, rows = np.nonzero((xs[1:] > xs[:-1]).T)
+        H_L = np.cumsum(h[order], axis=0)[rows, cs]
+        H_R = H - H_L
+        valid = (H_L >= min_h) & (H_R >= min_h)
+        if not valid.any():
+            continue
+        cs, rows, H_L, H_R = cs[valid], rows[valid], H_L[valid], H_R[valid]
+        G_L = np.cumsum(g[order], axis=0)[rows, cs]
+        block_gains = gains(G_L, H_L, H_R)
+        j = int(np.argmax(block_gains))
+        if block_gains[j] > 0.0:
+            c, i = int(cs[j]), int(rows[j])
+            threshold = float((xs[i, c] + xs[i + 1, c]) / 2.0)
+            found.append((float(block_gains[j]), int(cols.numeric[start + c]), threshold))
+
+    if not found:
+        return None
+    # each block's best is its lowest column and threshold of its top gain
+    gain, col, threshold = max(found, key=lambda f: (f[0], -f[1]))
+    return col, threshold, gain
 
 
 def _build_tree(
-    X: np.ndarray, g: np.ndarray, h: np.ndarray, indices: np.ndarray, depth: int,
-    hp: HyperParams,
+    X: np.ndarray, cols: _Columns, g: np.ndarray, h: np.ndarray, indices: np.ndarray,
+    depth: int, hp: HyperParams, values: np.ndarray,
 ) -> Node:
+    """Grow a tree over the rows `indices`, and write each leaf's weight to
+    `values` at the leaf's rows."""
     lam = hp.l2_leaf_penalty
     G = float(g[indices].sum())
     H = float(h[indices].sum())
@@ -185,19 +248,21 @@ def _build_tree(
         raise DegenerateTrainingError(
             "node hessian sum is 0 with l2_leaf_penalty 0; the model has saturated"
         )
-    if depth >= hp.max_depth or len(indices) < 2:
-        return Leaf(-G / (H + lam))
-    found = _find_best_split(X[indices], g[indices], h[indices], hp)
+    found = None
+    if depth < hp.max_depth and len(indices) >= 2:
+        found = _find_best_split(cols.take(indices), g[indices], h[indices], hp)
     if found is None:
-        return Leaf(-G / (H + lam))
+        leaf = Leaf(-G / (H + lam))
+        values[indices] = leaf.weight
+        return leaf
     col, threshold, gain = found
     mask = X[indices, col] < threshold
     return Split(
         column=col,
         threshold=threshold,
         gain=gain,
-        left=_build_tree(X, g, h, indices[mask], depth + 1, hp),
-        right=_build_tree(X, g, h, indices[~mask], depth + 1, hp),
+        left=_build_tree(X, cols, g, h, indices[mask], depth + 1, hp, values),
+        right=_build_tree(X, cols, g, h, indices[~mask], depth + 1, hp, values),
     )
 
 
@@ -241,14 +306,16 @@ def train(
     margins = np.full(X.shape[0], base_score, dtype=np.float64)
     losses = [log_loss(y, sigmoid(margins))]
     trees: list[Node] = []
+    cols = _Columns.of(X)
     all_rows = np.arange(X.shape[0])
+    values = np.empty(X.shape[0], dtype=np.float64)
     for _ in range(hp.n_rounds):
         p = sigmoid(margins)
         g = p - y
         h = p * (1.0 - p)
-        tree = _build_tree(X, g, h, all_rows, 0, hp)
-        trees.append(tree)
-        margins += hp.learning_rate * tree_values(tree, X)
+        # the leaves partition the rows, so this fills every entry of values
+        trees.append(_build_tree(X, cols, g, h, all_rows, 0, hp, values))
+        margins += hp.learning_rate * values
         losses.append(log_loss(y, sigmoid(margins)))
     return GbdtModel(
         base_score=base_score,

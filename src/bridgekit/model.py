@@ -112,9 +112,6 @@ class Document:
             if m.chain_id is not None and first[m.chain_id] is not m
         )
 
-    def chain_members(self, chain_id: str) -> list[Mention]:
-        return [m for m in self.mentions if m.chain_id == chain_id]
-
 
 def mention_start(mention: Mention) -> int:
     """Start token of the first span; the document-order anchor of a mention."""

@@ -7,7 +7,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from bridgekit.errors import (
     ConfigError,
@@ -47,9 +47,9 @@ from bridgekit.gbdt import (
     sigmoid,
     stratified_folds,
     train,
+    tree_values,
 )
 from bridgekit.gbdt import boosting, evaluation
-from bridgekit.gbdt.boosting import _find_best_split
 from bridgekit.gbdt.evaluation import _beats
 from bridgekit.pairgen import FEATURE_NAMES, LABELS, NUMERIC_FEATURES, FeatureVector, PairExample
 
@@ -381,11 +381,31 @@ class TestPrediction:
         with pytest.raises(SchemaMismatchError, match="expects 1"):
             predict_margin(model, np.zeros((2, 3)))
 
+    def test_training_losses_are_those_of_the_predicted_margins(self, planted_train_dataset):
+        # train adds each tree's leaf weights to the margins from the rows
+        # its leaves hold; predicting every prefix of the model must give
+        # the same margins, so the same losses, to the bit
+        X, y, schema = encode(planted_train_dataset)
+        y = y.astype(np.float64)
+        model = train(X, y, HyperParams(n_rounds=30, max_depth=6), schema=schema)
+        assert any(isinstance(t, Split) and isinstance(t.left, Split) for t in model.trees)
+        losses = [
+            log_loss(y, sigmoid(predict_margin(replace(model, trees=model.trees[:k]), X))).hex()
+            for k in range(len(model.trees) + 1)
+        ]
+        assert losses == [x.hex() for x in model.training_loss]
+        assert losses[-1] == log_loss(y, predict_proba(model, X)).hex()
+
     def test_margins_accumulate_across_trees(self, planted_train_dataset):
         X, y, schema = encode(planted_train_dataset)
         short = train(X, y, HyperParams(n_rounds=2, max_depth=3), schema=schema)
         long = train(X, y, HyperParams(n_rounds=4, max_depth=3), schema=schema)
         assert short.trees == long.trees[:2]
+
+
+def find_best_split(X, g, h, hp):
+    """The trainer's split search on a node whose rows are all of X."""
+    return boosting._find_best_split(boosting._Columns.of(X), g, h, hp)
 
 
 def reference_best_split(X, g, h, hp):
@@ -435,29 +455,17 @@ def split_bits(found):
     return col, threshold.hex(), gain.hex()
 
 
-@st.composite
-def split_problems(draw):
-    """A node's rows, gradients and hyperparameters. Columns are binary,
-    complements or duplicates of an earlier column, constant, small
-    integers or continuous; gradients come from probabilities drawn from a
-    few values, so exactly tied gains are common. Large shapes span two or
-    three blocks of the search."""
-    if draw(st.booleans()):
-        n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 8))
-    else:
-        n_rows = draw(st.integers(300, 600))
-        width = boosting._SPLIT_BLOCK_CELLS // n_rows
-        n_cols = draw(st.integers(width + 1, 3 * width))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = draw(st.lists(
-        st.sampled_from(["binary", "complement", "duplicate", "constant", "integer", "real"]),
-        min_size=n_cols, max_size=n_cols,
-    ))
-    X = np.empty((n_rows, n_cols))
+def random_matrix(rng, kinds, n_rows):
+    """One column per kind: 0/1 (with 0.0 or -0.0 for the zeros), a
+    complement or duplicate of an earlier column, constant, small integers
+    or continuous."""
+    X = np.empty((n_rows, len(kinds)))
     for j, kind in enumerate(kinds):
         if kind in ("complement", "duplicate") and j > 0:
             other = X[:, rng.integers(j)]
             X[:, j] = 1.0 - other if kind == "complement" else other
+        elif kind == "signed zero":
+            X[:, j] = rng.choice([-0.0, 0.0, 1.0], n_rows)
         elif kind == "constant":
             X[:, j] = rng.integers(3)
         elif kind == "integer":
@@ -466,6 +474,48 @@ def split_problems(draw):
             X[:, j] = rng.normal(size=n_rows)
         else:
             X[:, j] = rng.integers(0, 2, n_rows)
+    return X
+
+
+_column_kinds = st.sampled_from(
+    ["binary", "signed zero", "complement", "duplicate", "constant", "integer", "real"]
+)
+
+
+def draw_matrix(draw, n_rows, n_cols):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(_column_kinds, min_size=n_cols, max_size=n_cols))
+    return rng, random_matrix(rng, kinds, n_rows)
+
+
+def large_shape(draw):
+    """Rows and columns of a matrix whose 0/1 columns, when about half of
+    them are, span several blocks of the 0/1 scan, and whose other columns
+    span several blocks of the sort and scan."""
+    n_rows = draw(st.integers(300, 600))
+    width = boosting._BINARY_BLOCK_CELLS // n_rows
+    return n_rows, draw(st.integers(2 * width + 1, 5 * width))
+
+
+def note_binary_blocks(X):
+    """Record, as a hypothesis event, whether the 0/1 columns of X span more
+    than one block of the 0/1 scan at the root."""
+    width = boosting._BINARY_BLOCK_CELLS // X.shape[0]
+    n_blocks = -(-len(boosting._Columns.of(X).binary) // width)
+    event("0/1 columns span more than one block" if n_blocks > 1
+          else "0/1 columns fit one block")
+
+
+@st.composite
+def split_problems(draw):
+    """A node's rows, gradients and hyperparameters, over a `random_matrix`;
+    gradients come from probabilities drawn from a few values, so exactly
+    tied gains are common."""
+    if draw(st.booleans()):
+        n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    else:
+        n_rows, n_cols = large_shape(draw)
+    rng, X = draw_matrix(draw, n_rows, n_cols)
     if draw(st.booleans()):
         p = rng.choice([0.0, 0.2, 0.5, 0.8, 1.0], n_rows)
     else:
@@ -482,6 +532,71 @@ def split_problems(draw):
     return X, g, h, hp
 
 
+def reference_train(X, y, hp):
+    """The trainer that `train` must match tree for tree: a recursive
+    builder over `reference_best_split`, whose margins add `tree_values`."""
+    lam = hp.l2_leaf_penalty
+    rate = float(y.mean())
+    margins = np.full(len(y), float(np.log(rate / (1.0 - rate))))
+    losses = [log_loss(y, sigmoid(margins))]
+    trees = []
+    for _ in range(hp.n_rounds):
+        p = sigmoid(margins)
+        g, h = p - y, p * (1.0 - p)
+
+        def build(rows, depth):
+            G, H = float(g[rows].sum()), float(h[rows].sum())
+            if H + lam == 0.0:
+                raise DegenerateTrainingError("saturated")
+            found = None
+            if depth < hp.max_depth and len(rows) >= 2:
+                found = reference_best_split(X[rows], g[rows], h[rows], hp)
+            if found is None:
+                return Leaf(-G / (H + lam))
+            col, threshold, gain = found
+            left = X[rows, col] < threshold
+            return Split(col, threshold, gain,
+                         build(rows[left], depth + 1), build(rows[~left], depth + 1))
+
+        trees.append(build(np.arange(len(y)), 0))
+        margins += hp.learning_rate * tree_values(trees[-1], X)
+        losses.append(log_loss(y, sigmoid(margins)))
+    return trees, losses
+
+
+def tree_bits(node):
+    if isinstance(node, Leaf):
+        return node.weight.hex()
+    return (node.column, node.threshold.hex(), node.gain.hex(),
+            tree_bits(node.left), tree_bits(node.right))
+
+
+@st.composite
+def train_problems(draw):
+    """A `random_matrix` with labels of both classes and hyperparameters;
+    large shapes train few shallow trees, so the reference stays quick."""
+    if draw(st.booleans()):
+        n_rows, n_cols = draw(st.integers(2, 16)), draw(st.integers(1, 8))
+        n_rounds, max_depth = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    else:
+        n_rows, n_cols = large_shape(draw)
+        n_rounds, max_depth = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    rng, X = draw_matrix(draw, n_rows, n_cols)
+    y = rng.integers(0, 2, n_rows).astype(np.float64)
+    y[:2] = 0.0, 1.0
+    lam = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    hp = HyperParams(
+        n_rounds=n_rounds,
+        max_depth=max_depth,
+        learning_rate=draw(st.sampled_from([0.1, 0.3])),
+        l2_leaf_penalty=lam,
+        min_child_hessian=draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0]).filter(
+            lambda mch: lam > 0 or mch > 0)),
+        split_gain_threshold=draw(st.sampled_from([0.0, 0.05])),
+    )
+    return X, y, hp
+
+
 class TestSplitSearch:
     @settings(max_examples=300, deadline=None)
     @given(split_problems())
@@ -489,9 +604,25 @@ class TestSplitSearch:
         X, g, h, hp = problem
         # a node with H + lambda == 0 is rejected before its split search
         assume(h.sum() + hp.l2_leaf_penalty > 0)
-        assert split_bits(_find_best_split(X, g, h, hp)) == split_bits(
+        note_binary_blocks(X)
+        assert split_bits(find_best_split(X, g, h, hp)) == split_bits(
             reference_best_split(X, g, h, hp)
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(train_problems())
+    def test_train_matches_the_reference_trainer_tree_for_tree(self, problem):
+        X, y, hp = problem
+        note_binary_blocks(X)
+        try:
+            model = train(X, y, hp)
+        except DegenerateTrainingError:
+            with pytest.raises(DegenerateTrainingError):
+                reference_train(X, y, hp)
+            return
+        trees, losses = reference_train(X, y, hp)
+        assert [tree_bits(t) for t in model.trees] == [tree_bits(t) for t in trees]
+        assert [x.hex() for x in model.training_loss] == [x.hex() for x in losses]
 
     def grad(self, y):
         p = np.full(len(y), 0.5)
@@ -502,20 +633,71 @@ class TestSplitSearch:
                       [1.0, 7.0, 1.0, 1.0], [1.0, 7.0, 1.0, 1.0]])
         g, h = self.grad([0, 0, 1, 1])
         hp = HyperParams(min_child_hessian=0.1)
-        col, threshold, _ = _find_best_split(X, g, h, hp)
+        col, threshold, _ = find_best_split(X, g, h, hp)
         assert (col, threshold) == (0, 0.5)
-        assert _find_best_split(X[:, 1:], g, h, hp)[:2] == (1, 0.5)
+        assert find_best_split(X[:, 1:], g, h, hp)[:2] == (1, 0.5)
 
-    def test_identical_columns_in_different_blocks_resolve_to_the_lowest(self):
+    @pytest.mark.parametrize("high, block_cells", [
+        (1.0, boosting._BINARY_BLOCK_CELLS), (2.0, boosting._SPLIT_BLOCK_CELLS),
+    ])
+    def test_identical_columns_in_different_blocks_resolve_to_the_lowest(
+        self, high, block_cells
+    ):
+        # 0/1 columns (high 1) and the others (high 2) are scanned in
+        # blocks of their own widths; every column holds both values, so
+        # each block is a run of adjacent columns
         n_rows = 400
-        width = boosting._SPLIT_BLOCK_CELLS // n_rows
+        width = block_cells // n_rows
         y = np.arange(n_rows) % 2
-        X = np.zeros((n_rows, 2 * width + 3))
-        X[:, width - 1] = X[:, 2 * width + 1] = y
+        rng = np.random.default_rng(0)
+        X = high * rng.integers(0, 2, (n_rows, 2 * width + 3)).astype(np.float64)
+        X[:, width - 1] = X[:, 2 * width + 1] = high * y
         g, h = self.grad(y)
-        col, threshold, gain = _find_best_split(X, g, h, HyperParams())
-        assert (col, threshold) == (width - 1, 0.5)
-        assert _find_best_split(X[:, width:], g, h, HyperParams())[0] == width + 1
+        col, threshold, gain = find_best_split(X, g, h, HyperParams())
+        assert (col, threshold) == (width - 1, high / 2)
+        assert find_best_split(X[:, width:], g, h, HyperParams())[0] == width + 1
+
+    @pytest.mark.parametrize("binary_first", [True, False])
+    def test_a_0_1_column_ties_a_numeric_column_to_the_lower(self, binary_first):
+        binary = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+        # the same partition, so the same sums in the same order
+        columns = [binary, 3.0 * binary]
+        X = np.column_stack(columns if binary_first else columns[::-1])
+        assert boosting._Columns.of(X).binary.tolist() == [0 if binary_first else 1]
+        g, h = self.grad([0, 0, 1, 1, 1, 0])
+        hp = HyperParams(min_child_hessian=0.1)
+        found = find_best_split(X, g, h, hp)
+        assert found[:2] == (0, 0.5 if binary_first else 1.5)
+        assert split_bits(found) == split_bits(reference_best_split(X, g, h, hp))
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_a_0_1_column_constant_within_the_node_has_no_cut(self, value):
+        # 0/1 over the matrix, constant on the node's rows. Over all of
+        # them, a cut would take G_L as a sequential sum and G as a
+        # pairwise one, whose last bits differ and can make a gain positive
+        n_rows = 500
+        X = np.r_[np.zeros(n_rows), np.ones(n_rows)][:, None]
+        cols = boosting._Columns.of(X)
+        assert cols.binary.tolist() == [0]
+        node = cols.take(np.flatnonzero(X[:, 0] == value))
+        hp = HyperParams(min_child_hessian=0.0)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            p = rng.uniform(size=n_rows)
+            g, h = p - rng.integers(0, 2, n_rows), p * (1.0 - p)
+            assert boosting._find_best_split(node, g, h, hp) is None
+
+    def test_a_column_of_negative_zeros_and_ones_splits_at_one_half(self):
+        X = np.array([[-0.0], [1.0], [-0.0], [1.0]])
+        assert boosting._Columns.of(X).binary.tolist() == [0]
+        y = [0, 1, 0, 1]
+        g, h = self.grad(y)
+        hp = HyperParams(min_child_hessian=0.1)
+        found = find_best_split(X, g, h, hp)
+        assert found[:2] == (0, 0.5)
+        assert split_bits(found) == split_bits(reference_best_split(X, g, h, hp))
+        (tree,) = train(X, y, replace(hp, n_rounds=1, max_depth=1)).trees
+        assert tree.threshold.hex() == (0.5).hex()
 
     def test_tied_thresholds_resolve_to_the_lowest(self):
         # splits at 0.5 and 1.5 mirror each other: the same two terms in
@@ -524,16 +706,16 @@ class TestSplitSearch:
         g = np.array([1.0, 0.0, -1.0])
         h = np.ones(3)
         hp = HyperParams(l2_leaf_penalty=1.0, min_child_hessian=0.0)
-        assert _find_best_split(X, g, h, hp) == (0, 0.5, 0.5 * (1 / 2 + 1 / 3))
+        assert find_best_split(X, g, h, hp) == (0, 0.5, 0.5 * (1 / 2 + 1 / 3))
         (tree,) = train(X, [1, 0, 0], replace(hp, n_rounds=1, max_depth=1)).trees
         assert tree.threshold == 0.5
         # the same tie across two columns goes to the lower column, even
         # though the other column's split has the lower position
         X2 = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        assert _find_best_split(X2, g, h, hp) == (0, 0.5, 0.5 * (1 / 3 + 1 / 2))
+        assert find_best_split(X2, g, h, hp) == (0, 0.5, 0.5 * (1 / 3 + 1 / 2))
 
     def test_a_single_row_has_no_split(self):
-        assert _find_best_split(np.array([[1.0, 2.0]]), np.array([0.5]), np.array([0.25]),
+        assert find_best_split(np.array([[1.0, 2.0]]), np.array([0.5]), np.array([0.25]),
                                 HyperParams(min_child_hessian=0.0)) is None
 
 

@@ -145,8 +145,6 @@ class TestDocumentLookups:
         doc = make_doc(mentions=[m1, m2])
         assert doc.mention_by_id["m2"] is m2
         assert doc.mention_position == {"m1": 0, "m2": 1}
-        assert [m.id for m in doc.chain_members("c")] == ["m1", "m2"]
-        assert doc.chain_members("missing") == []
 
 
 def men(id="m1", spans=((2, 3),), head_index=2, **kw) -> Mention:
