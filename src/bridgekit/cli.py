@@ -10,6 +10,7 @@ reports; nothing in the outputs depends on the clock.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -721,13 +722,27 @@ def _exit_code(exc: BridgekitError) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    The cyclic garbage collector is paused for the command. Documents,
+    records and trees hold no reference cycles, so reference counting frees
+    them, and the full collections that allocating them would trigger walk
+    every live object and free nothing. One collection at the end sweeps the
+    little cyclic garbage left (argparse and the JSON encoder make some).
+    A caller that had disabled the collector finds it still disabled.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BridgekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
+    finally:
+        if was_enabled:
+            gc.enable()
+            gc.collect()
 
 
 if __name__ == "__main__":

@@ -60,6 +60,8 @@ _EMPTY_FIELD = "_"
 _SUFFIX_KEYS = ("Bridge", "Chain", "Subtype")
 # Characters with structural meaning somewhere in the bracket dialect.
 _BRACKET_RESERVED = set("();,<=\t\n ")
+# A standoff span; `[0-9]`, as `\d` also matches non-ASCII digits.
+_SPAN = re.compile(r"([0-9]+)-([0-9]+)")
 
 
 def _decode(data: bytes | str) -> str:
@@ -174,10 +176,11 @@ class _BracketDocBuilder:
         if len(fields) != 8:
             raise ParseError(f"expected 8 tab-separated fields, got {len(fields)}", line)
         idx_s, form, lemma, xpos, number, deprel, head_s, annotation = fields
-        try:
-            idx, head = int(idx_s), int(head_s)
-        except ValueError:
+        # plain ASCII decimals only: `int` also takes signs, underscores,
+        # surrounding whitespace and non-ASCII digits
+        if not (idx_s.isascii() and idx_s.isdigit() and head_s.isascii() and head_s.isdigit()):
             raise ParseError(f"non-integer token index or head: {idx_s!r}/{head_s!r}", line)
+        idx, head = int(idx_s), int(head_s)
         if idx != len(self.tokens) + 1:
             raise ParseError(f"token index {idx} breaks 1..N ordering", line)
         self.tokens.append(Token(idx, form, lemma, xpos, number, deprel, head))
@@ -450,10 +453,13 @@ def _split_payload(payload: str, arity: int, line: int) -> list[str]:
 def _parse_spans(text: str, line: int) -> tuple[tuple[int, int], ...]:
     spans = []
     for chunk in text.split(","):
-        m = re.fullmatch(r"(\d+)-(\d+)", chunk)
+        m = _SPAN.fullmatch(chunk)
         if m is None:
             raise ParseError(f"malformed span {chunk!r}", line)
-        spans.append((int(m.group(1)), int(m.group(2))))
+        start, end = int(m.group(1)), int(m.group(2))
+        if start > end:
+            raise ParseError(f"span {chunk} ends before it starts", line)
+        spans.append((start, end))
     return tuple(spans)
 
 
@@ -472,8 +478,10 @@ def parse_standoff(data: bytes | str) -> list[Document]:
             if builder is not None:
                 docs.append(builder.finish())
             fields = payload.split(" ")
-            if not fields or not fields[0]:
+            if not fields[0]:
                 raise ParseError("DOC record without a document id", line_no)
+            if len(fields) > 2:
+                raise ParseError(f"expected at most 2 space-separated fields, got {payload!r}", line_no)
             genre = fields[1] if len(fields) > 1 and fields[1] != _EMPTY_FIELD else ""
             builder = _StandoffDocBuilder(fields[0], genre, line_no)
             continue
@@ -481,10 +489,10 @@ def parse_standoff(data: bytes | str) -> list[Document]:
             raise ParseError(f"{tag} record before any DOC record", line_no)
         if tag == "TOK":
             f = _split_payload(payload, 7, line_no)
-            try:
-                idx, head = int(f[0]), int(f[6])
-            except ValueError:
+            idx_s, head_s = f[0], f[6]
+            if not (idx_s.isascii() and idx_s.isdigit() and head_s.isascii() and head_s.isdigit()):
                 raise ParseError(f"non-integer token index or head in {payload!r}", line_no)
+            idx, head = int(idx_s), int(head_s)
             if idx != len(builder.tokens) + 1:
                 raise ParseError(f"token index {idx} breaks 1..N ordering", line_no)
             builder.tokens.append(Token(idx, f[1], f[2], f[3], f[4], f[5], head))

@@ -1,13 +1,17 @@
 """Command-line interface: subcommands, exit codes, and the full run."""
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import subprocess
 import sys
+import types
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bridgekit.cli
@@ -23,7 +27,7 @@ from bridgekit.cli import (
     main,
 )
 from bridgekit.errors import ConfigError
-from bridgekit.ingest import emit_bracket, parse_canonical, read_documents
+from bridgekit.ingest import emit_bracket, emit_canonical, parse_canonical, read_documents
 from bridgekit.synth import planted_rule_corpus, standoff_text
 
 ARRAU_POOL = ("person", "concrete", "space", "abstract", "plan")
@@ -923,3 +927,113 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert "wrote 1 documents" in proc.stdout
         assert read_documents(tmp_path / "out.jsonl")
+
+
+@pytest.fixture
+def collector_state():
+    """Restore the cyclic collector's state and debug flags after the test."""
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    yield
+    gc.set_debug(flags)
+    gc.garbage.clear()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class _Cycle:
+    """An object in a reference cycle: only a cyclic collection frees it."""
+
+    def __init__(self) -> None:
+        self.me = self
+
+
+class TestCollectorPause:
+    """`main` runs each command with the cyclic collector paused, then
+    collects once; documents, datasets and models hold no cycles."""
+
+    def test_commands_leave_no_cycles_of_their_own_objects(self, tmp_path, collector_state):
+        gum = planted_rule_corpus(3, n_docs=6, single_link_per_anaphor=True)
+        arrau = planted_rule_corpus(
+            4, n_docs=6, label_pool=ARRAU_POOL, schema="arrau_like", surface_definiteness=True
+        )
+        write_bracket(tmp_path / "c.brk", gum)
+        (tmp_path / "c.sff").write_text(standoff_text(arrau))
+        (tmp_path / "c.jsonl").write_bytes(emit_canonical(gum))
+        gc.collect()
+        # nothing is collected until the end, and what that collection finds
+        # unreachable, hence part of a cycle, is kept in gc.garbage
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        for name in ("c.brk", "c.sff", "c.jsonl"):
+            out = str(tmp_path / f"{name}.h.jsonl")
+            assert main(["harmonize", "--in", str(tmp_path / name), "--out", out,
+                         "--report", out + ".report.json"]) == EXIT_OK
+        pairs = str(tmp_path / "pairs.jsonl")
+        assert main(["pairs", "--in", str(tmp_path / "c.brk"), str(tmp_path / "c.sff"),
+                     "--seed", "1", "--harmonize", "--out", pairs]) == EXIT_OK
+        model = str(tmp_path / "model.json")
+        assert main(["train", "--pairs", pairs, "--seed", "1", "--grid", "small",
+                     "--folds", "2", "--out", model]) == EXIT_OK
+        for command in (["eval"], ["importance", "--repeats", "1"],
+                        ["analyze", "--docs", str(tmp_path / "c.brk")]):
+            assert main([*command, "--pairs", pairs, "--model", model]) == EXIT_OK
+        gc.collect()
+        found = {
+            type(obj).__module__ + "." + type(obj).__qualname__
+            for garbage in gc.garbage
+            for obj in (garbage, *gc.get_referents(garbage))
+            if type(obj).__module__.startswith("bridgekit")
+            or isinstance(obj, (np.ndarray, types.FrameType))
+        }
+        assert not found
+
+    @pytest.mark.parametrize("caller_enabled", [True, False])
+    @pytest.mark.parametrize(
+        "case", ["ok", "config", "parse", "pipeline", "usage", "unexpected"]
+    )
+    def test_main_restores_the_collector_and_collects_once(
+        self, tmp_path, monkeypatch, collector_state, case, caller_enabled
+    ):
+        good = tmp_path / "good.brk"
+        write_bracket(good, planted_rule_corpus(1, n_docs=1, single_link_per_anaphor=True))
+        (tmp_path / "bad.brk").write_text("1\tonly\tfour\tfields\n")
+        write_bracket(tmp_path / "linkless.brk",
+                      planted_rule_corpus(300, n_docs=1, definite_prob=0.0))
+        out = str(tmp_path / "out.jsonl")
+        argv, expected = {
+            "ok": (["convert", "--in", str(good), "--out", out], EXIT_OK),
+            "config": (["convert", "--in", str(tmp_path / "missing.brk"), "--out", out],
+                       EXIT_CONFIG),
+            "parse": (["convert", "--in", str(tmp_path / "bad.brk"), "--out", out], EXIT_PARSE),
+            "pipeline": (["pairs", "--in", str(tmp_path / "linkless.brk"), "--seed", "1",
+                          "--out", out], EXIT_PIPELINE),
+            "usage": (["convert", "--no-such-option"], SystemExit),
+            "unexpected": (["convert", "--in", str(good), "--out", out], RuntimeError),
+        }[case]
+        seen = []
+        convert = bridgekit.cli.cmd_convert
+
+        def command(args):
+            seen.append(gc.isenabled())
+            cycle = _Cycle()
+            seen.append(weakref.ref(cycle))
+            del cycle
+            if case == "unexpected":
+                raise RuntimeError("boom")
+            return convert(args)
+
+        monkeypatch.setattr(bridgekit.cli, "cmd_convert", command)
+        (gc.enable if caller_enabled else gc.disable)()
+        if isinstance(expected, int):
+            assert main(argv) == expected
+        else:
+            with pytest.raises(expected):
+                main(argv)
+        assert gc.isenabled() == caller_enabled
+        if seen:
+            paused, cycle = seen
+            assert not paused
+            # with the collector back on, main collected once on the way out
+            assert (cycle() is None) == caller_enabled

@@ -101,6 +101,19 @@ class TestBracketParsing:
             ("1\ta\ta\tNN\tsing\tdep\t0\n", "expected 8 tab-separated fields"),
             ("2\ta\ta\tNN\tsing\tdep\t0\t_\n", "breaks 1..N ordering"),
             ("1\ta\ta\tNN\tsing\tdep\tx\t_\n", "non-integer token"),
+            # token index and head are plain ASCII decimals, which `int` alone
+            # would not enforce
+            ("+1\ta\ta\tNN\tsing\tdep\t0\t_\n", "line 1: non-integer token"),
+            (
+                "1\ta\ta\tNN\tsing\tdep\t0\t_\n2\tb\tb\tNN\tsing\tdep\t0_1\t_\n",
+                "line 2: non-integer token",
+            ),
+            (
+                "1\ta\ta\tNN\tsing\tdep\t0\t_\n\uff12\tb\tb\tNN\tsing\tdep\t1\t_\n",
+                "line 2: non-integer token",
+            ),
+            ("1\ta\ta\tNN\tsing\tdep\t-0\t_\n", "line 1: non-integer token"),
+            ("1\ta\ta\tNN\tsing\tdep\t0 \t_\n", "line 1: non-integer token"),
             ("# owner = me\n1\ta\ta\tNN\tsing\tdep\t0\t_\n", "unknown header"),
             ("1\ta\ta\tNN\tsing\tdep\t0\t_\n# genre = x\n", "header after token lines"),
             ("# doc_id demo\n", "malformed header"),
@@ -308,6 +321,13 @@ class TestStandoffParsing:
             ("DOC\td1 x\njust words\n", "missing record tag separator"),
             ("DOC\td1 x\nTOK\t1 a a NN sing dep\n", "expected 7 space-separated fields"),
             ("DOC\td1 x\nTOK\tone a a NN sing dep 0\n", "non-integer token"),
+            ("DOC\td1 x\nTOK\t+1 a a NN sing dep 0\n", "line 2: non-integer token"),
+            (
+                "DOC\td1 x\nTOK\t1 a a NN sing dep 0\nTOK\t2 b b NN sing dep 0_1\n",
+                "line 3: non-integer token",
+            ),
+            ("DOC\td1 x\nTOK\t\u0661 a a NN sing dep 0\n", "line 2: non-integer token"),
+            ("DOC\td1 news extra\nTOK\t1 a a NN sing dep 0\n", "line 1: expected at most 2"),
             ("DOC\td1 x\nTOK\t5 a a NN sing dep 0\n", "breaks 1..N ordering"),
             ("DOC\t\n", "without a document id"),
             (
@@ -317,6 +337,15 @@ class TestStandoffParsing:
             (
                 "DOC\td1 x\nTOK\t1 a a NN sing dep 0\nMEN\tm1 1;3 person _\n",
                 "malformed span",
+            ),
+            (
+                "DOC\td1 x\nTOK\t1 a a NN sing dep 0\nMEN\tm1 \u0661-\u0661 person _\n",
+                "line 3: malformed span",
+            ),
+            (
+                "DOC\td1 x\nTOK\t1 a a NN sing dep 0\nTOK\t2 b b NN sing dep 1\n"
+                "TOK\t3 c c NN sing dep 1\nMEN\tm1 1-1,3-2 person _\n",
+                "line 5: span 3-2 ends before it starts",
             ),
             (
                 "DOC\td1 x\nTOK\t1 a a NN sing dep 0\n"
