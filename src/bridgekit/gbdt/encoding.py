@@ -19,7 +19,6 @@ from ..pairgen import FEATURE_NAMES, NUMERIC_FEATURES, PairDataset, PairExample
 
 LEMMA_FEATURES = ("t_head_lemma", "n_head_lemma")
 DEFAULT_LEMMA_TOP_K = 200
-OOV = "<OOV>"
 
 _KINDS = ("numeric", "categorical", "vocab")
 
@@ -57,17 +56,6 @@ class EncoderSchema:
             out[block.feature] = slice(start, start + block.width)
             start += block.width
         return out
-
-    def column_names(self) -> list[str]:
-        names = []
-        for block in self.blocks:
-            if block.kind == "numeric":
-                names.append(block.feature)
-            else:
-                names.extend(f"{block.feature}={cat}" for cat in block.categories)
-                if block.kind == "vocab":
-                    names.append(f"{block.feature}={OOV}")
-        return names
 
     def column_features(self) -> list[str]:
         """Source feature name for each matrix column."""

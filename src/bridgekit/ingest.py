@@ -4,13 +4,15 @@ Bracket dialect (``.brk``)
     One token per line, tab-separated:
     ``index form lemma xpos number deprel head annotation``. A blank line
     ends a document. Two optional comment headers, ``# doc_id = X`` and
-    ``# genre = Y``, precede the token lines. The annotation field is ``_``
-    when empty, otherwise comma-separated items: ``(ID-TYPE-INFSTAT-DEF``
-    opens a mention, ``ID)`` closes it, ``(ID-TYPE-INFSTAT-DEF)`` is a
-    single-token mention. Closing items (including the single-token form)
-    may carry ``;Bridge=ANTEID<ID``, ``;Chain=CHAINID`` and
-    ``;Subtype=LABEL`` suffixes. Spans are continuous, brackets must nest,
-    and a bridge names exactly one antecedent.
+    ``# genre = Y``, precede the token lines; each appears at most once,
+    and its value is read stripped of surrounding whitespace. The
+    annotation field is ``_`` when empty, otherwise comma-separated items:
+    ``(ID-TYPE-INFSTAT-DEF`` opens a mention, ``ID)`` closes it,
+    ``(ID-TYPE-INFSTAT-DEF)`` is a single-token mention. Closing items
+    (including the single-token form) may carry ``;Bridge=ANTEID<ID``,
+    ``;Chain=CHAINID`` and ``;Subtype=LABEL`` suffixes. Spans are
+    continuous, brackets must nest, and a bridge names exactly one
+    antecedent.
 
 Standoff dialect (``.sff``)
     Tagged records, one per line. ``DOC <tab> doc_id genre`` starts a
@@ -25,6 +27,9 @@ Canonical file (``.jsonl``)
     One JSON document per line mirroring the in-memory model field for
     field, with sorted keys and compact separators so emission is
     deterministic. ``chain_id`` and ``subtype`` are omitted when absent.
+    The writer is generated from the dataclass fields and writes the bytes
+    ``json.dumps(sort_keys=True, ensure_ascii=False, separators=(",", ":"))``
+    gives for each record's field dict.
 
 All parsers are pure functions over the input bytes and never silently drop
 annotations: every annotation item either lands in the output document or
@@ -42,6 +47,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import fields
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .errors import DialectViolationError, ParseError, ValidationError
@@ -151,8 +157,7 @@ def _parse_open_core(core: str, line: int) -> tuple[str, str, str, str]:
 
 class _BracketDocBuilder:
     def __init__(self) -> None:
-        self.doc_id: str | None = None
-        self.genre: str = ""
+        self.headers: dict[str, str] = {}
         self.tokens: list[Token] = []
         self.stack: list[dict] = []
         self.records: dict[str, dict] = {}  # mention id -> record, in opening order
@@ -160,17 +165,16 @@ class _BracketDocBuilder:
 
     @property
     def started(self) -> bool:
-        return self.doc_id is not None or bool(self.tokens)
+        return "doc_id" in self.headers or bool(self.tokens)
 
     def header(self, key: str, value: str, line: int) -> None:
         if self.tokens:
             raise ParseError("header after token lines", line)
-        if key == "doc_id":
-            self.doc_id = value
-        elif key == "genre":
-            self.genre = value
-        else:
+        if key not in ("doc_id", "genre"):
             raise ParseError(f"unknown header {key!r}", line)
+        if key in self.headers:
+            raise ParseError(f"repeated header {key!r}", line)
+        self.headers[key] = value
 
     def token_line(self, fields: list[str], line: int) -> None:
         if len(fields) != 8:
@@ -264,8 +268,8 @@ class _BracketDocBuilder:
                     link["line"],
                 )
         return _assemble(
-            self.doc_id if self.doc_id is not None else f"doc_{seq}",
-            self.genre,
+            self.headers.get("doc_id", f"doc_{seq}"),
+            self.headers.get("genre", ""),
             "gum_like",
             tuple(self.tokens),
             list(self.records.values()),
@@ -314,6 +318,10 @@ def _effective_type(mention: Mention) -> str:
 
 
 def _check_bracket_representable(doc: Document) -> dict[str, BridgingLink]:
+    # the header reader strips its values and a newline ends the header line
+    for field, value in (("doc_id", doc.doc_id), ("genre", doc.genre)):
+        if "\n" in value or value != value.strip():
+            raise DialectViolationError(f"doc {doc.doc_id!r}: {field} {value!r} not representable")
     for m in doc.mentions:
         if m.discontinuous:
             raise DialectViolationError(
@@ -572,23 +580,6 @@ def _scalar_fields(obj, cls: type, path: str) -> dict:
     return values
 
 
-def _record_dict(record) -> dict:
-    """Field dict of a mention or link, without the optional fields left None."""
-    return {key: value for key, value in vars(record).items() if value is not None}
-
-
-def document_to_dict(doc: Document) -> dict:
-    # Listed by hand: a Document's __dict__ also holds its cached properties.
-    return {
-        "doc_id": doc.doc_id,
-        "genre": doc.genre,
-        "schema": doc.schema,
-        "tokens": [dict(vars(t)) for t in doc.tokens],
-        "mentions": [_record_dict(m) for m in doc.mentions],
-        "bridging": [_record_dict(link) for link in doc.bridging],
-    }
-
-
 def document_from_dict(obj: dict, path: str = "doc") -> Document:
     values = _scalar_fields(obj, Document, path)
     for key in ("tokens", "mentions", "bridging"):
@@ -632,15 +623,64 @@ def document_from_dict(obj: dict, path: str = "doc") -> Document:
     return doc
 
 
+# The canonical writer is generated from the same dataclass fields, so each
+# layout is still declared once. Each class gets one f-string function that
+# writes its fields in sorted key order: the bytes `json.dumps(sort_keys=True,
+# ensure_ascii=False, separators=(",", ":"))` gives for the dict of the
+# fields, without building that dict. Each entry renders a value `%s` of one
+# annotation; strings go through `encode_basestring`, the escaper `json.dumps`
+# itself uses without `ensure_ascii`. A `str | None` field is left out when it
+# is None. An annotation missing here raises at import, so a new field cannot
+# be dropped or mis-written unnoticed.
+_JSON_VALUES = {
+    "int": "{%s}",
+    "str": "{_s(%s)}",
+    "tuple[str, ...]": '[{",".join(map(_s, %s))}]',
+    "tuple[tuple[int, int], ...]": '[{",".join([f"[{a},{b}]" for a, b in %s])}]',
+}
+_OPTIONAL = "str | None"
+
+
+def _writer_source(cls: type, values: dict[str, str]) -> str:
+    """Source of `_write_<cls>`, which writes one `cls` as a JSON object."""
+    layout = sorted(fields(cls), key=lambda f: f.name)
+    unknown = [f"{f.name}: {f.type}" for f in layout
+               if f.type not in values and f.type != _OPTIONAL]
+    required = [i for i, f in enumerate(layout) if f.type != _OPTIONAL]
+    if unknown or not required:
+        raise TypeError(f"no canonical layout for {cls.__name__}: {unknown or 'no required field'}")
+    # commas go between present fields: an optional field before the first
+    # required one carries a trailing comma, every later field a leading one
+    first = required[0]
+    pieces = []
+    for i, f in enumerate(layout):
+        value = f"r.{f.name}"
+        if f.type == _OPTIONAL:
+            key = repr(f'"{f.name}":' if i < first else f',"{f.name}":')
+            tail = " + ','" if i < first else ""
+            pieces.append(f'{{"" if {value} is None else {key} + _s({value}){tail}}}')
+        else:
+            pieces.append(("," if i > first else "") + f'"{f.name}":' + values[f.type] % value)
+    return f"def _write_{cls.__name__}(r):\n    return f'''{{{{{''.join(pieces)}}}}}'''\n"
+
+
+def _document_writer():
+    """The writer of a Document, which calls those of its records."""
+    namespace = {"_s": encode_basestring}
+    values = dict(_JSON_VALUES)
+    for cls in (Token, Mention, BridgingLink, Document):
+        exec(_writer_source(cls, values), namespace)
+        values[f"tuple[{cls.__name__}, ...]"] = '[{",".join(map(_write_%s, %%s))}]' % cls.__name__
+    return namespace["_write_Document"]
+
+
+_write_document = _document_writer()
+
+
 def emit_canonical(docs: list[Document]) -> bytes:
     """Serialize documents to canonical JSONL, one per line, sorted keys.
     Each document was checked when it was built and is not checked again."""
-    lines = [
-        json.dumps(document_to_dict(doc), sort_keys=True, ensure_ascii=False,
-                   separators=(",", ":"))
-        for doc in docs
-    ]
-    return ("".join(line + "\n" for line in lines)).encode("utf-8")
+    return "".join([f"{_write_document(doc)}\n" for doc in docs]).encode("utf-8")
 
 
 def parse_canonical(data: bytes | str) -> list[Document]:
@@ -690,7 +730,3 @@ def read_documents(path: str | Path, dialect: str | None = None) -> list[Documen
         return DIALECT_PARSERS[dialect](data)
     except (ValidationError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-
-
-def write_canonical(path: str | Path, docs: list[Document]) -> None:
-    Path(path).write_bytes(emit_canonical(docs))

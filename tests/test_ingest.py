@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -19,7 +20,6 @@ from bridgekit.ingest import (
     parse_canonical,
     parse_standoff,
     read_documents,
-    write_canonical,
 )
 from bridgekit.model import BridgingLink, Document, Mention, Token
 from bridgekit.synth import random_corpus, standoff_text
@@ -117,6 +117,15 @@ class TestBracketParsing:
             ("# owner = me\n1\ta\ta\tNN\tsing\tdep\t0\t_\n", "unknown header"),
             ("1\ta\ta\tNN\tsing\tdep\t0\t_\n# genre = x\n", "header after token lines"),
             ("# doc_id demo\n", "malformed header"),
+            # a second header would silently replace the first
+            (
+                "# doc_id = a\n# doc_id = b\n1\ta\ta\tNN\tsing\tdep\t0\t_\n",
+                "line 2: repeated header 'doc_id'",
+            ),
+            (
+                "# genre = a\n# doc_id = d\n# genre = b\n1\ta\ta\tNN\tsing\tdep\t0\t_\n",
+                "line 3: repeated header 'genre'",
+            ),
             ("1\ta\ta\tNN\tsing\tdep\t0\tm1-person\n", "malformed annotation item"),
             ("1\ta\ta\tNN\tsing\tdep\t0\t(m1-person-def)\n", "malformed mention item"),
             ("1\ta\ta\tNN\tsing\tdep\t0\t(m1-person-old-def)\n", "unknown information status"),
@@ -244,6 +253,18 @@ class TestBracketEmission:
         base = parse_one(BRACKET_DOC)
         bad = dataclasses.replace(base, bridging=(BridgingLink("ghost", ("m1",)),))
         with pytest.raises(ValidationError, match=r"anaphor_id: unknown mention 'ghost'"):
+            emit_bracket(bad)
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("doc_id", " pad "), ("doc_id", "a\nb"), ("doc_id", "d\r"), ("genre", "news "),
+         ("genre", "a\nb")],
+    )
+    def test_header_values_that_do_not_read_back_are_not_representable(self, field, value):
+        # the header reader strips values, and a newline would end the header
+        bad = dataclasses.replace(parse_one(BRACKET_DOC), **{field: value})
+        message = re.escape(f"{field} {value!r} not representable")
+        with pytest.raises(DialectViolationError, match=message):
             emit_bracket(bad)
 
     def test_reserved_characters_in_ids_are_not_representable(self):
@@ -384,7 +405,99 @@ CANONICAL_SHA256 = {
 }
 
 
+def reference_emit_canonical(docs: list[Document]) -> bytes:
+    """The canonical writer as a dict per record dumped by `json.dumps`: the
+    reference the generated writer must match byte for byte."""
+    def record(obj) -> dict:
+        return {key: value for key, value in vars(obj).items() if value is not None}
+
+    lines = [
+        json.dumps(
+            {
+                "doc_id": doc.doc_id,
+                "genre": doc.genre,
+                "schema": doc.schema,
+                "tokens": [record(t) for t in doc.tokens],
+                "mentions": [record(m) for m in doc.mentions],
+                "bridging": [record(link) for link in doc.bridging],
+            },
+            sort_keys=True, ensure_ascii=False, separators=(",", ":"),
+        )
+        for doc in docs
+    ]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+# Strings JSON must escape or that are easy to mis-encode: quotes,
+# backslashes, C0 controls and DEL, the JavaScript line separators, and
+# characters outside the Basic Multilingual Plane.
+_TEXT = st.text(
+    st.sampled_from(['"', "\\", "/", "a", "Z", "\u00e9", "\u2028", "\u2029", "\x7f",
+                     "\U0001f600", "\U00010000"])
+    | st.characters(max_codepoint=0x1F),
+    max_size=6,
+)
+_INTS = st.integers(min_value=0, max_value=10**12)
+_TOKENS = st.builds(Token, _INTS, _TEXT, _TEXT, _TEXT, _TEXT, _TEXT, _INTS)
+_MENTIONS = st.builds(
+    Mention,
+    id=_TEXT,
+    spans=st.lists(st.tuples(_INTS, _INTS), min_size=1, max_size=3).map(tuple),
+    head_index=_INTS,
+    entity_type_original=_TEXT,
+    entity_type_unified=_TEXT,
+    infstat=_TEXT,
+    definiteness=_TEXT,
+    chain_id=st.none() | _TEXT,
+)
+_LINKS = st.builds(
+    BridgingLink,
+    anaphor_id=_TEXT,
+    antecedent_ids=st.lists(_TEXT, min_size=1, max_size=3).map(tuple),
+    subtype=st.none() | _TEXT,
+)
+_DOCUMENTS = st.builds(
+    Document,
+    doc_id=_TEXT,
+    genre=_TEXT,
+    schema=_TEXT,
+    tokens=st.lists(_TOKENS, max_size=3).map(tuple),
+    mentions=st.lists(_MENTIONS, max_size=3).map(tuple),
+    bridging=st.lists(_LINKS, max_size=3).map(tuple),
+)
+
+
 class TestCanonical:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_DOCUMENTS, max_size=2))
+    def test_writer_matches_json_dumps_of_the_field_dicts(self, docs):
+        assert emit_canonical(docs) == reference_emit_canonical(docs)
+
+    def test_lone_surrogate_fails_in_both_writers(self):
+        doc = dataclasses.replace(
+            parse_one(BRACKET_DOC), tokens=(Token(1, "\ud800", "a", "NN", "sing", "root", 0),)
+        )
+        for emit in (emit_canonical, reference_emit_canonical):
+            with pytest.raises(UnicodeEncodeError):
+                emit([doc])
+
+    def test_each_record_writes_exactly_its_fields_but_absent_optionals(self):
+        docs = parse_standoff(STANDOFF_DOC) + random_corpus(3, 10, flavor="canonical")
+        lines = emit_canonical(docs).decode().splitlines()
+
+        def expected(obj) -> set[str]:
+            return {f.name for f in dataclasses.fields(obj) if getattr(obj, f.name) is not None}
+
+        for doc, line in zip(docs, lines, strict=True):
+            out = json.loads(line)
+            assert set(out) == expected(doc)
+            for key in ("tokens", "mentions", "bridging"):
+                records = getattr(doc, key)
+                assert [set(obj) for obj in out[key]] == [expected(r) for r in records]
+        # both optionals occur present and absent
+        assert {m.chain_id is None for d in docs for m in d.mentions} == {True, False}
+        assert {link.subtype is None for d in docs for link in d.bridging} == {True, False}
+
     @pytest.mark.parametrize("flavor", sorted(CANONICAL_SHA256))
     def test_emitted_bytes_match_golden_hashes(self, flavor):
         data = emit_canonical(random_corpus(3, 40, flavor=flavor))
@@ -471,7 +584,7 @@ class TestFileHelpers:
     def test_read_and_write_round_trip(self, tmp_path):
         docs = random_corpus(11, n_docs=2)
         path = tmp_path / "c.jsonl"
-        write_canonical(path, docs)
+        path.write_bytes(emit_canonical(docs))
         assert read_documents(path) == docs
         assert read_documents(path, dialect="canonical") == docs
         with pytest.raises(ValidationError, match="unknown dialect"):
