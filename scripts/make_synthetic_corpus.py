@@ -24,23 +24,18 @@ from bridgekit.synth import (
     standoff_text,
 )
 
-ARRAU_POOL = ("person", "concrete", "space", "abstract", "plan")
-
 
 def build(args) -> list:
     if args.kind == "random":
         return random_corpus(args.seed, args.n_docs, flavor=args.flavor)
     if args.kind == "sampling":
         return balanced_sampling_corpus(args.seed, n_docs=args.n_docs)
-    label_pool = ARRAU_POOL if args.schema == "arrau_like" else None
-    kwargs = {"label_pool": label_pool} if label_pool else {}
     return planted_rule_corpus(
         args.seed,
         n_docs=args.n_docs,
         schema=args.schema,
         surface_definiteness=args.surface_definiteness,
         single_link_per_anaphor=args.single_link,
-        **kwargs,
     )
 
 

@@ -20,8 +20,6 @@ from bridgekit.cli import main as cli_main
 from bridgekit.ingest import emit_bracket
 from bridgekit.synth import planted_rule_corpus, standoff_text
 
-ARRAU_POOL = ("person", "concrete", "space", "abstract", "plan")
-
 
 def write_corpora(workspace: Path, seed: int) -> None:
     bracket = planted_rule_corpus(seed, n_docs=12, single_link_per_anaphor=True)
@@ -32,8 +30,7 @@ def write_corpora(workspace: Path, seed: int) -> None:
         b"".join(emit_bracket(doc) for doc in bracket[9:])
     )
     standoff = planted_rule_corpus(
-        seed + 1, n_docs=12, label_pool=ARRAU_POOL,
-        schema="arrau_like", surface_definiteness=True,
+        seed + 1, n_docs=12, schema="arrau_like", surface_definiteness=True,
     )
     (workspace / "standofflandia_train.sff").write_text(standoff_text(standoff[:9]))
     (workspace / "standofflandia_test.sff").write_text(standoff_text(standoff[9:]))

@@ -34,7 +34,6 @@ from .gbdt import (
     train,
 )
 from .harmonize import (
-    HarmonizeOptions,
     format_report,
     harmonize_corpus,
     read_exclusion_list,
@@ -307,12 +306,8 @@ def _read_pairs(path) -> PairDataset:
     return _load("pair dataset", path, lambda p: dataset_from_jsonl(Path(p).read_bytes()))
 
 
-def _harmonize_options(exclusions_path) -> HarmonizeOptions:
-    if not exclusions_path:
-        return HarmonizeOptions()
-    return HarmonizeOptions(
-        exclusions=_load("exclusion list", exclusions_path, read_exclusion_list)
-    )
+def _exclusions(path) -> frozenset[tuple[str, str]]:
+    return _load("exclusion list", path, read_exclusion_list) if path else frozenset()
 
 
 def _pair_dataset(docs, seed, corpus, partition, pronoun_tags, out, csv) -> PairDataset:
@@ -370,7 +365,7 @@ def cmd_convert(args) -> int:
 
 def cmd_harmonize(args) -> int:
     docs = _read_many([args.input], args.dialect)
-    harmonized, report = harmonize_corpus(docs, _harmonize_options(args.exclusions))
+    harmonized, report = harmonize_corpus(docs, _exclusions(args.exclusions))
     # The report goes to text first, so that its dict, large when many
     # mentions were flattened, is freed before the documents are serialized.
     outputs = [(args.report, _dump_json(report.to_dict()))] if args.report else []
@@ -483,7 +478,7 @@ def _pipeline(config: PipelineConfig, base: Path, run_dir: Path, report: dict):
     """The run's work: yields each stage's name just before that stage's
     work, and fills `report`, which the last stage writes."""
     yield "load"
-    options = _harmonize_options(base / config.exclusion_list if config.exclusion_list else None)
+    exclusions = _exclusions(base / config.exclusion_list if config.exclusion_list else None)
 
     splits: dict[str, dict[str, list[Document]]] = {}
     for corpus in config.corpora:
@@ -493,8 +488,8 @@ def _pipeline(config: PipelineConfig, base: Path, run_dir: Path, report: dict):
         raw_eval = _read_many([base / rel for rel in corpus.eval_files], corpus.dialect)
 
         yield f"harmonize:{name}"
-        train_docs, harmonize_report = harmonize_corpus(raw_train, options)
-        eval_docs, eval_report = harmonize_corpus(raw_eval, options)
+        train_docs, harmonize_report = harmonize_corpus(raw_train, exclusions)
+        eval_docs, eval_report = harmonize_corpus(raw_eval, exclusions)
         harmonize_report.merge(eval_report)
         splits[name] = {"train": train_docs, "eval": eval_docs}
         for role, docs in splits[name].items():

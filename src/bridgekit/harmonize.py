@@ -65,14 +65,6 @@ VALID_SUBTYPES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class HarmonizeOptions:
-    # (doc_id, anaphor_mention_id) pairs whose bridging links are dropped
-    # before any rule runs; covers manual error-spotting decisions that are
-    # not expressible as a rule.
-    exclusions: frozenset[tuple[str, str]] = frozenset()
-
-
 @dataclass
 class HarmonizeReport:
     removed_split_antecedent: int = 0
@@ -283,15 +275,17 @@ def _chain_type_conflicts(doc: Document) -> list[tuple[str, str]]:
 
 
 def harmonize_document(
-    doc: Document, options: HarmonizeOptions | None = None
+    doc: Document, exclusions: frozenset[tuple[str, str]] = frozenset()
 ) -> tuple[Document, HarmonizeReport]:
-    options = options or HarmonizeOptions()
+    """`exclusions` holds (doc_id, anaphor mention id) pairs whose bridging
+    links are dropped before any rule runs; it covers manual error-spotting
+    decisions that are not expressible as a rule."""
     report = HarmonizeReport()
 
-    if options.exclusions:
+    if exclusions:
         kept = tuple(
             link for link in doc.bridging
-            if (doc.doc_id, link.anaphor_id) not in options.exclusions
+            if (doc.doc_id, link.anaphor_id) not in exclusions
         )
         report.excluded_links = len(doc.bridging) - len(kept)
         if report.excluded_links:
@@ -311,14 +305,14 @@ def harmonize_document(
 
 
 def harmonize_corpus(
-    docs: list[Document], options: HarmonizeOptions | None = None
+    docs: list[Document], exclusions: frozenset[tuple[str, str]] = frozenset()
 ) -> tuple[list[Document], HarmonizeReport]:
     """Harmonize each document independently and sum the per-document
     reports in document order."""
     out = []
     total = HarmonizeReport()
     for doc in docs:
-        harmonized, report = harmonize_document(doc, options)
+        harmonized, report = harmonize_document(doc, exclusions)
         out.append(harmonized)
         total.merge(report)
     return out, total

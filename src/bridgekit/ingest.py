@@ -5,10 +5,12 @@ Bracket dialect (``.brk``)
     ``index form lemma xpos number deprel head annotation``. A blank line
     ends a document. Two optional comment headers, ``# doc_id = X`` and
     ``# genre = Y``, precede the token lines; each appears at most once,
-    and its value is read stripped of surrounding whitespace. The
-    annotation field is ``_`` when empty, otherwise comma-separated items:
-    ``(ID-TYPE-INFSTAT-DEF`` opens a mention, ``ID)`` closes it,
-    ``(ID-TYPE-INFSTAT-DEF)`` is a single-token mention. Closing items
+    and its value is read stripped of surrounding whitespace. A header or
+    a token line starts a document, so a block of headers alone is an
+    empty document. The annotation field is ``_`` when empty, otherwise
+    comma-separated items: ``(ID-TYPE-INFSTAT-DEF`` opens a mention,
+    ``ID)`` closes it, ``(ID-TYPE-INFSTAT-DEF)`` is a single-token
+    mention. Closing items
     (including the single-token form) may carry ``;Bridge=ANTEID<ID``,
     ``;Chain=CHAINID`` and ``;Subtype=LABEL`` suffixes. Spans are
     continuous, brackets must nest, and a bridge names exactly one
@@ -21,7 +23,8 @@ Standoff dialect (``.sff``)
     spans is ``s1-e1,s2-e2,...`` and chain_id may be ``_``;
     ``BRG <tab> anaphor_id ante1+ante2+... subtype`` adds a bridging link
     where subtype may be ``_``. Discontinuous spans and split antecedents
-    are permitted.
+    are permitted. A link naming no mention of its document is a parse
+    error on its ``BRG`` line.
 
 Canonical file (``.jsonl``)
     One JSON document per line mirroring the in-memory model field for
@@ -29,18 +32,23 @@ Canonical file (``.jsonl``)
     deterministic. ``chain_id`` and ``subtype`` are omitted when absent.
     The writer is generated from the dataclass fields and writes the bytes
     ``json.dumps(sort_keys=True, ensure_ascii=False, separators=(",", ":"))``
-    gives for each record's field dict.
+    gives for each record's field dict. The reader is generated from the
+    same fields: it checks every record's keys and value types, naming the
+    field path of the first fault.
 
 All parsers are pure functions over the input bytes and never silently drop
 annotations: every annotation item either lands in the output document or
 raises.
 
-A document is checked against the model invariants (`validate_document`)
-once, where it is built: by a reader here or by `synth`. `emit_canonical`
-does not check again; its output is a lossless dump that the canonical
-reader checks on the way back in. `emit_bracket` does, because its dialect
-is lossy: it writes a link on its anaphor's closing bracket, so a link whose
-anaphor is no mention would vanish silently.
+The bracket and standoff readers collect a document's records in one
+shared builder, which names the input line of a duplicate mention id, a
+span out of range or a link to no mention. A document is checked against
+the model invariants (`validate_document`) once, where it is built: by a
+reader here or by `synth`. `emit_canonical` does not check again; its
+output is a lossless dump that the canonical reader checks on the way back
+in. `emit_bracket` does, because its dialect is lossy: it writes a link on
+its anaphor's closing bracket, so a link whose anaphor is no mention would
+vanish silently.
 """
 from __future__ import annotations
 
@@ -49,6 +57,7 @@ import re
 from dataclasses import fields
 from json.encoder import encode_basestring
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import DialectViolationError, ParseError, ValidationError
 from .model import (
@@ -89,34 +98,60 @@ def find_head(tokens: tuple[Token, ...], spans: tuple[tuple[int, int], ...]) -> 
     return spans[-1][1]
 
 
-def _assemble(doc_id: str, genre: str, schema: str, tokens: tuple[Token, ...],
-              mentions: list[dict], links: list[dict]) -> Document:
-    """The document a builder's records describe, checked once. The builder's
-    line-numbered checks ran first, so every span lies within ``tokens``."""
-    doc = Document(
-        doc_id=doc_id,
-        genre=genre,
-        schema=schema,
-        tokens=tokens,
-        mentions=tuple(
-            Mention(
-                id=rec["id"],
-                spans=rec["spans"],
-                head_index=find_head(tokens, rec["spans"]),
-                entity_type_original=rec["etype"],
-                entity_type_unified=UNRESOLVED,
-                infstat=rec["infstat"],
-                definiteness=rec["definite"],
-                chain_id=rec["chain"],
-            )
-            for rec in mentions
-        ),
-        bridging=tuple(
-            BridgingLink(link["anaphor"], link["antes"], link["subtype"]) for link in links
-        ),
-    )
-    validate_document(doc)
-    return doc
+class _DocBuilder:
+    """One document as a reader meets it: its tokens, mention records and
+    link records. Each record keeps the line it came from, and every check
+    here names that line. `finish` assembles the `Document` and checks it
+    once against the model invariants."""
+
+    def __init__(self, schema: str, doc_id: str = "", genre: str = "") -> None:
+        self.schema = schema
+        self.doc_id = doc_id
+        self.genre = genre
+        self.tokens: list[Token] = []
+        self.mentions: dict[str, dict] = {}  # mention id -> record, in order of appearance
+        self.links: list[tuple[str, tuple[str, ...], str | None, int]] = []
+
+    def mention(self, mention_id: str, spans: tuple[tuple[int, int], ...] | None, etype: str,
+                infstat: str, definite: str, chain: str | None, line: int) -> dict:
+        """Add a mention record and return it. A bracket mention is recorded
+        when it opens, so its record gets its spans and chain when it closes."""
+        if mention_id in self.mentions:
+            raise ParseError(f"duplicate mention id {mention_id!r}", line)
+        rec = self.mentions[mention_id] = {
+            "spans": spans, "etype": etype, "infstat": infstat, "definite": definite,
+            "chain": chain, "line": line,
+        }
+        return rec
+
+    def finish(self) -> Document:
+        n = len(self.tokens)
+        for rec in self.mentions.values():
+            for start, end in rec["spans"]:
+                if not 1 <= start <= end <= n:
+                    raise ParseError(f"span {start}-{end} out of token range 1..{n}", rec["line"])
+        for anaphor, antes, _, line in self.links:
+            for role, ids in (("anaphor", (anaphor,)), ("antecedent", antes)):
+                for mention_id in ids:
+                    if mention_id not in self.mentions:
+                        raise ParseError(
+                            f"bridge {role} {mention_id!r} does not resolve to a mention", line
+                        )
+        tokens = tuple(self.tokens)
+        doc = Document(
+            self.doc_id,
+            self.genre,
+            self.schema,
+            tokens,
+            tuple(
+                Mention(mention_id, rec["spans"], find_head(tokens, rec["spans"]), rec["etype"],
+                        UNRESOLVED, rec["infstat"], rec["definite"], rec["chain"])
+                for mention_id, rec in self.mentions.items()
+            ),
+            tuple(BridgingLink(anaphor, antes, subtype) for anaphor, antes, subtype, _ in self.links),
+        )
+        validate_document(doc)
+        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +190,18 @@ def _parse_open_core(core: str, line: int) -> tuple[str, str, str, str]:
     return mention_id, entity_type, infstat, definiteness
 
 
-class _BracketDocBuilder:
+class _BracketDocBuilder(_DocBuilder):
+    """The shared records plus what only the bracket dialect has: the header
+    values and the mentions still open."""
+
     def __init__(self) -> None:
+        super().__init__("gum_like")
         self.headers: dict[str, str] = {}
-        self.tokens: list[Token] = []
-        self.stack: list[dict] = []
-        self.records: dict[str, dict] = {}  # mention id -> record, in opening order
-        self.links: list[dict] = []
+        self.stack: list[tuple[str, int, dict]] = []  # (id, start, record), innermost last
 
     @property
     def started(self) -> bool:
-        return "doc_id" in self.headers or bool(self.tokens)
+        return bool(self.headers or self.tokens)
 
     def header(self, key: str, value: str, line: int) -> None:
         if self.tokens:
@@ -176,63 +212,38 @@ class _BracketDocBuilder:
             raise ParseError(f"repeated header {key!r}", line)
         self.headers[key] = value
 
-    def token_line(self, fields: list[str], line: int) -> None:
-        if len(fields) != 8:
-            raise ParseError(f"expected 8 tab-separated fields, got {len(fields)}", line)
-        idx_s, form, lemma, xpos, number, deprel, head_s, annotation = fields
-        # plain ASCII decimals only: `int` also takes signs, underscores,
-        # surrounding whitespace and non-ASCII digits
-        if not (idx_s.isascii() and idx_s.isdigit() and head_s.isascii() and head_s.isdigit()):
-            raise ParseError(f"non-integer token index or head: {idx_s!r}/{head_s!r}", line)
-        idx, head = int(idx_s), int(head_s)
-        if idx != len(self.tokens) + 1:
-            raise ParseError(f"token index {idx} breaks 1..N ordering", line)
-        self.tokens.append(Token(idx, form, lemma, xpos, number, deprel, head))
-        if annotation not in ("", _EMPTY_FIELD):
-            for item in annotation.split(","):
-                self._item(item, idx, line)
-
-    def _item(self, item: str, tok_index: int, line: int) -> None:
+    def item(self, item: str, tok_index: int, line: int) -> None:
         parts = item.split(";")
         core, suffix_parts = parts[0], parts[1:]
         if core.startswith("(") and core.endswith(")") and len(core) > 2:
             mention_id, etype, infstat, definite = _parse_open_core(core[1:-1], line)
-            self._add_record(mention_id, etype, infstat, definite, ((tok_index, tok_index),), line)
-            self._suffixes(mention_id, suffix_parts, line)
+            rec = self.mention(mention_id, ((tok_index, tok_index),), etype, infstat, definite,
+                               None, line)
+            self._suffixes(mention_id, rec, suffix_parts, line)
         elif core.startswith("("):
             if suffix_parts:
                 raise ParseError("suffixes are only allowed on closing items", line)
             mention_id, etype, infstat, definite = _parse_open_core(core[1:], line)
             # record in opening order with the span still unknown, so mention
             # order is the order brackets open in the text
-            rec = self._add_record(mention_id, etype, infstat, definite, None, line)
-            rec["start"] = tok_index
-            self.stack.append(rec)
+            rec = self.mention(mention_id, None, etype, infstat, definite, None, line)
+            self.stack.append((mention_id, tok_index, rec))
         elif core.endswith(")") and len(core) > 1:
             mention_id = core[:-1]
-            if not self.stack or self.stack[-1]["id"] != mention_id:
-                opened = self.stack[-1]["id"] if self.stack else None
+            if not self.stack or self.stack[-1][0] != mention_id:
+                opened = self.stack[-1][0] if self.stack else None
                 raise ParseError(
                     f"closing {mention_id!r} does not match innermost open mention {opened!r}",
                     line,
                 )
-            rec = self.stack.pop()
-            rec["spans"] = ((rec["start"], tok_index),)
-            self._suffixes(mention_id, suffix_parts, line)
+            _, start, rec = self.stack.pop()
+            rec["spans"] = ((start, tok_index),)
+            self._suffixes(mention_id, rec, suffix_parts, line)
         else:
             raise ParseError(f"malformed annotation item {item!r}", line)
 
-    def _add_record(self, mention_id, etype, infstat, definite, spans, line) -> dict:
-        if mention_id in self.records:
-            raise ParseError(f"duplicate mention id {mention_id!r}", line)
-        rec = {"id": mention_id, "etype": etype, "infstat": infstat,
-               "definite": definite, "spans": spans, "chain": None, "line": line}
-        self.records[mention_id] = rec
-        return rec
-
-    def _suffixes(self, mention_id: str, suffix_parts: list[str], line: int) -> None:
+    def _suffixes(self, mention_id: str, rec: dict, suffix_parts: list[str], line: int) -> None:
         suffixes = _parse_suffixes(suffix_parts, line)
-        rec = self.records[mention_id]
         if "Chain" in suffixes:
             rec["chain"] = suffixes["Chain"]
         if "Subtype" in suffixes and "Bridge" not in suffixes:
@@ -253,35 +264,23 @@ class _BracketDocBuilder:
                 )
             if not ante:
                 raise ParseError("empty bridge antecedent", line)
-            self.links.append(
-                {"anaphor": ana, "antes": (ante,), "subtype": suffixes.get("Subtype"), "line": line}
-            )
+            self.links.append((ana, (ante,), suffixes.get("Subtype"), line))
 
-    def finish(self, seq: int, line: int) -> Document:
+    def close(self, seq: int, line: int) -> Document:
         if self.stack:
-            rec = self.stack[-1]
-            raise ParseError(f"mention {rec['id']!r} opened on line {rec['line']} never closes", line)
-        for link in self.links:
-            if link["antes"][0] not in self.records:
-                raise ParseError(
-                    f"bridge antecedent {link['antes'][0]!r} does not resolve to a mention",
-                    link["line"],
-                )
-        return _assemble(
-            self.headers.get("doc_id", f"doc_{seq}"),
-            self.headers.get("genre", ""),
-            "gum_like",
-            tuple(self.tokens),
-            list(self.records.values()),
-            self.links,
-        )
+            mention_id, _, rec = self.stack[-1]
+            raise ParseError(f"mention {mention_id!r} opened on line {rec['line']} never closes", line)
+        self.doc_id = self.headers.get("doc_id", f"doc_{seq}")
+        self.genre = self.headers.get("genre", "")
+        return self.finish()
 
 
 _HEADER_RE = re.compile(r"^#\s*(\w+)\s*=\s*(.*)$")
 
 
 def parse_bracket(data: bytes | str) -> list[Document]:
-    """Parse bracket-dialect text into documents (schema ``gum_like``)."""
+    """Parse bracket-dialect text into documents (schema ``gum_like``).
+    A header or a token line starts a document and a blank line ends it."""
     docs: list[Document] = []
     builder = _BracketDocBuilder()
     line_no = 0
@@ -289,7 +288,7 @@ def parse_bracket(data: bytes | str) -> list[Document]:
         line = raw.rstrip("\r")
         if not line.strip():
             if builder.started:
-                docs.append(builder.finish(len(docs) + 1, line_no))
+                docs.append(builder.close(len(docs) + 1, line_no))
                 builder = _BracketDocBuilder()
             continue
         if line.startswith("#"):
@@ -298,9 +297,23 @@ def parse_bracket(data: bytes | str) -> list[Document]:
                 raise ParseError(f"malformed header {line!r}", line_no)
             builder.header(match.group(1), match.group(2).strip(), line_no)
             continue
-        builder.token_line(line.split("\t"), line_no)
+        fields = line.split("\t")
+        if len(fields) != 8:
+            raise ParseError(f"expected 8 tab-separated fields, got {len(fields)}", line_no)
+        idx_s, form, lemma, xpos, number, deprel, head_s, annotation = fields
+        # plain ASCII decimals only: `int` also takes signs, underscores,
+        # surrounding whitespace and non-ASCII digits
+        if not (idx_s.isascii() and idx_s.isdigit() and head_s.isascii() and head_s.isdigit()):
+            raise ParseError(f"non-integer token index or head: {idx_s!r}/{head_s!r}", line_no)
+        idx, head = int(idx_s), int(head_s)
+        if idx != len(builder.tokens) + 1:
+            raise ParseError(f"token index {idx} breaks 1..N ordering", line_no)
+        builder.tokens.append(Token(idx, form, lemma, xpos, number, deprel, head))
+        if annotation not in ("", _EMPTY_FIELD):
+            for item in annotation.split(","):
+                builder.item(item, idx, line_no)
     if builder.started:
-        docs.append(builder.finish(len(docs) + 1, line_no))
+        docs.append(builder.close(len(docs) + 1, line_no))
     return docs
 
 
@@ -425,32 +438,6 @@ def emit_bracket(doc: Document) -> bytes:
 # standoff dialect
 
 
-class _StandoffDocBuilder:
-    def __init__(self, doc_id: str, genre: str, line: int) -> None:
-        self.doc_id = doc_id
-        self.genre = genre
-        self.line = line
-        self.tokens: list[Token] = []
-        self.mentions: list[dict] = []
-        self.links: list[dict] = []
-
-    def finish(self) -> Document:
-        n = len(self.tokens)
-        seen: set[str] = set()
-        for rec in self.mentions:
-            if rec["id"] in seen:
-                raise ParseError(f"duplicate mention id {rec['id']!r}", rec["line"])
-            seen.add(rec["id"])
-            for start, end in rec["spans"]:
-                if not (1 <= start <= end <= n):
-                    raise ParseError(
-                        f"span {start}-{end} out of token range 1..{n}", rec["line"]
-                    )
-        return _assemble(
-            self.doc_id, self.genre, "arrau_like", tuple(self.tokens), self.mentions, self.links
-        )
-
-
 def _split_payload(payload: str, arity: int, line: int) -> list[str]:
     fields = payload.split(" ")
     if len(fields) != arity or not all(fields):
@@ -474,7 +461,7 @@ def _parse_spans(text: str, line: int) -> tuple[tuple[int, int], ...]:
 def parse_standoff(data: bytes | str) -> list[Document]:
     """Parse standoff-dialect text into documents (schema ``arrau_like``)."""
     docs: list[Document] = []
-    builder: _StandoffDocBuilder | None = None
+    builder: _DocBuilder | None = None
     for line_no, raw in enumerate(_decode(data).split("\n"), start=1):
         line = raw.rstrip("\r")
         if not line.strip():
@@ -491,7 +478,7 @@ def parse_standoff(data: bytes | str) -> list[Document]:
             if len(fields) > 2:
                 raise ParseError(f"expected at most 2 space-separated fields, got {payload!r}", line_no)
             genre = fields[1] if len(fields) > 1 and fields[1] != _EMPTY_FIELD else ""
-            builder = _StandoffDocBuilder(fields[0], genre, line_no)
+            builder = _DocBuilder("arrau_like", fields[0], genre)
             continue
         if builder is None:
             raise ParseError(f"{tag} record before any DOC record", line_no)
@@ -506,30 +493,14 @@ def parse_standoff(data: bytes | str) -> list[Document]:
             builder.tokens.append(Token(idx, f[1], f[2], f[3], f[4], f[5], head))
         elif tag == "MEN":
             f = _split_payload(payload, 4, line_no)
-            builder.mentions.append(
-                {
-                    "id": f[0],
-                    "spans": _parse_spans(f[1], line_no),
-                    "etype": f[2],
-                    "infstat": "none",
-                    "definite": "none",
-                    "chain": None if f[3] == _EMPTY_FIELD else f[3],
-                    "line": line_no,
-                }
-            )
+            builder.mention(f[0], _parse_spans(f[1], line_no), f[2], "none", "none",
+                            None if f[3] == _EMPTY_FIELD else f[3], line_no)
         elif tag == "BRG":
             f = _split_payload(payload, 3, line_no)
             antes = tuple(a for a in f[1].split("+") if a)
             if not antes:
                 raise ParseError(f"empty antecedent list in {payload!r}", line_no)
-            builder.links.append(
-                {
-                    "anaphor": f[0],
-                    "antes": antes,
-                    "subtype": None if f[2] == _EMPTY_FIELD else f[2],
-                    "line": line_no,
-                }
-            )
+            builder.links.append((f[0], antes, None if f[2] == _EMPTY_FIELD else f[2], line_no))
         else:
             raise ParseError(f"unknown record tag {tag!r}", line_no)
     if builder is not None:
@@ -541,104 +512,62 @@ def parse_standoff(data: bytes | str) -> list[Document]:
 # canonical JSONL
 
 
-def _expect(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        raise ValidationError(f"{path}: {message}")
-
-
-# Layout of each record class, read from its dataclass fields: all keys, the
-# required keys (every field but those defaulting to None), and each scalar
-# field with the check its annotation implies (annotations are strings, as
-# they are postponed). Container fields are checked by the caller.
-_SCALAR_CHECKS = {
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "expected an integer"),
-    "str": (lambda v: isinstance(v, str), "expected a string"),
-    "str | None": (lambda v: v is None or isinstance(v, str), "expected a string"),
-}
-_LAYOUTS = {
-    cls: (
-        frozenset(f.name for f in fields(cls)),
-        frozenset(f.name for f in fields(cls) if f.default is not None),
-        tuple((f.name, *_SCALAR_CHECKS[f.type]) for f in fields(cls) if f.type in _SCALAR_CHECKS),
-    )
-    for cls in (Document, Token, Mention, BridgingLink)
-}
-
-
-def _scalar_fields(obj, cls: type, path: str) -> dict:
-    """Check `obj` against the layout of `cls`; return its scalar fields."""
-    _expect(isinstance(obj, dict), path, "expected an object")
-    known, required, scalars = _LAYOUTS[cls]
-    keys = obj.keys()
-    _expect(required <= keys, path, f"missing keys {sorted(required - keys)}")
-    extra = keys - known
-    _expect(not extra, path, f"unexpected keys {sorted(extra)}")
-    values = {}
-    for name, check, message in scalars:
-        value = values[name] = obj.get(name)
-        _expect(check(value), f"{path}.{name}", message)
-    return values
-
-
-def document_from_dict(obj: dict, path: str = "doc") -> Document:
-    values = _scalar_fields(obj, Document, path)
-    for key in ("tokens", "mentions", "bridging"):
-        _expect(isinstance(obj[key], list), f"{path}.{key}", "expected a list")
-
-    tokens = tuple(
-        Token(**_scalar_fields(tok, Token, f"{path}.tokens[{i}]"))
-        for i, tok in enumerate(obj["tokens"])
-    )
-
-    mentions = []
-    for i, men in enumerate(obj["mentions"]):
-        mpath = f"{path}.mentions[{i}]"
-        scalars = _scalar_fields(men, Mention, mpath)
-        _expect(isinstance(men["spans"], list) and men["spans"], f"{mpath}.spans", "expected a non-empty list")
-        spans = []
-        for j, span in enumerate(men["spans"]):
-            _expect(
-                isinstance(span, list) and len(span) == 2
-                and all(isinstance(x, int) and not isinstance(x, bool) for x in span),
-                f"{mpath}.spans[{j}]",
-                "expected a [start, end] integer pair",
-            )
-            spans.append((span[0], span[1]))
-        mentions.append(Mention(spans=tuple(spans), **scalars))
-
-    bridging = []
-    for i, link in enumerate(obj["bridging"]):
-        lpath = f"{path}.bridging[{i}]"
-        scalars = _scalar_fields(link, BridgingLink, lpath)
-        antes = link["antecedent_ids"]
-        _expect(
-            isinstance(antes, list) and antes and all(isinstance(a, str) for a in antes),
-            f"{lpath}.antecedent_ids",
-            "expected a non-empty list of strings",
-        )
-        bridging.append(BridgingLink(antecedent_ids=tuple(antes), **scalars))
-
-    doc = Document(tokens=tokens, mentions=tuple(mentions), bridging=tuple(bridging), **values)
-    validate_document(doc)
-    return doc
-
-
-# The canonical writer is generated from the same dataclass fields, so each
-# layout is still declared once. Each class gets one f-string function that
-# writes its fields in sorted key order: the bytes `json.dumps(sort_keys=True,
-# ensure_ascii=False, separators=(",", ":"))` gives for the dict of the
-# fields, without building that dict. Each entry renders a value `%s` of one
-# annotation; strings go through `encode_basestring`, the escaper `json.dumps`
-# itself uses without `ensure_ascii`. A `str | None` field is left out when it
-# is None. An annotation missing here raises at import, so a new field cannot
-# be dropped or mis-written unnoticed.
+# Both directions are generated from the record layouts, the dataclass
+# fields, so each layout is declared once. Per annotation, `_JSON_VALUES`
+# says how to write a value and `_JSON_READS` how to read one back; each
+# class adds a record-tuple entry to both as it is generated. An annotation
+# missing from either table raises at import, so a new field cannot be
+# dropped, mis-written or read unchecked unnoticed.
+#
+# The writer gives each class one f-string function that writes its fields in
+# sorted key order: the bytes `json.dumps(sort_keys=True, ensure_ascii=False,
+# separators=(",", ":"))` gives for the dict of the fields, without building
+# that dict. Each entry renders a value `%s`; strings go through
+# `encode_basestring`, the escaper `json.dumps` itself uses without
+# `ensure_ascii`. A `str | None` field is left out when it is None.
+#
+# The reader gives each class one function that checks an object's key set
+# and reads its fields in layout order; a `str | None` key may be absent.
+# Each entry takes a JSON value, the record's path and the field name, and
+# returns the field value or raises naming `path.name`.
+_OPTIONAL = "str | None"
 _JSON_VALUES = {
     "int": "{%s}",
     "str": "{_s(%s)}",
     "tuple[str, ...]": '[{",".join(map(_s, %s))}]',
     "tuple[tuple[int, int], ...]": '[{",".join([f"[{a},{b}]" for a, b in %s])}]',
 }
-_OPTIONAL = "str | None"
+
+
+def _fail(path: str, name: str, message: str) -> NoReturn:
+    raise ValidationError(f"{path}.{name}: {message}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _read_spans(value, path: str, name: str) -> tuple[tuple[int, int], ...]:
+    if not (isinstance(value, list) and value):
+        _fail(path, name, "expected a non-empty list")
+    for j, span in enumerate(value):
+        if not (isinstance(span, list) and len(span) == 2 and _is_int(span[0]) and _is_int(span[1])):
+            _fail(path, f"{name}[{j}]", "expected a [start, end] integer pair")
+    return tuple([(start, end) for start, end in value])
+
+
+_JSON_READS = {
+    "int": lambda v, path, name: v if _is_int(v) else _fail(path, name, "expected an integer"),
+    "str": lambda v, path, name: v if isinstance(v, str) else _fail(path, name, "expected a string"),
+    _OPTIONAL: lambda v, path, name: (
+        v if v is None or isinstance(v, str) else _fail(path, name, "expected a string")
+    ),
+    "tuple[str, ...]": lambda v, path, name: (
+        tuple(v) if isinstance(v, list) and v and all(isinstance(a, str) for a in v)
+        else _fail(path, name, "expected a non-empty list of strings")
+    ),
+    "tuple[tuple[int, int], ...]": _read_spans,
+}
 
 
 def _writer_source(cls: type, values: dict[str, str]) -> str:
@@ -674,13 +603,63 @@ def _document_writer():
     return namespace["_write_Document"]
 
 
+def _record_reader(cls: type, reads: dict):
+    """`read(obj, path)`, which reads one `cls` from a JSON object."""
+    layout = fields(cls)
+    unknown = [f"{f.name}: {f.type}" for f in layout if f.type not in reads]
+    if unknown:
+        raise TypeError(f"no canonical layout for {cls.__name__}: {unknown}")
+    known = frozenset(f.name for f in layout)
+    required = frozenset(f.name for f in layout if f.type != _OPTIONAL)
+    steps = [(f.name, reads[f.type]) for f in layout]
+
+    def read(obj, path: str):
+        if not isinstance(obj, dict):
+            raise ValidationError(f"{path}: expected an object")
+        keys = obj.keys()
+        if not required <= keys:
+            raise ValidationError(f"{path}: missing keys {sorted(required - keys)}")
+        if not keys <= known:
+            raise ValidationError(f"{path}: unexpected keys {sorted(keys - known)}")
+        return cls(*[read_value(obj.get(name), path, name) for name, read_value in steps])
+
+    return read
+
+
+def _list_reader(read_record):
+    """Reads a JSON list of records with `read_record` into a tuple."""
+    def read(value, path: str, name: str) -> tuple:
+        if not isinstance(value, list):
+            _fail(path, name, "expected a list")
+        return tuple([read_record(obj, f"{path}.{name}[{i}]") for i, obj in enumerate(value)])
+
+    return read
+
+
+def _document_reader():
+    """The reader of a Document, which calls those of its records."""
+    reads = dict(_JSON_READS)
+    for cls in (Token, Mention, BridgingLink, Document):
+        read = _record_reader(cls, reads)
+        reads[f"tuple[{cls.__name__}, ...]"] = _list_reader(read)
+    return read
+
+
 _write_document = _document_writer()
+_read_document = _document_reader()
 
 
 def emit_canonical(docs: list[Document]) -> bytes:
     """Serialize documents to canonical JSONL, one per line, sorted keys.
     Each document was checked when it was built and is not checked again."""
     return "".join([f"{_write_document(doc)}\n" for doc in docs]).encode("utf-8")
+
+
+def document_from_dict(obj: dict, path: str = "doc") -> Document:
+    """The document one canonical line holds, checked once."""
+    doc = _read_document(obj, path)
+    validate_document(doc)
+    return doc
 
 
 def parse_canonical(data: bytes | str) -> list[Document]:

@@ -37,6 +37,9 @@ _SUBTYPE_CYCLE = ("element", "poss", "subset", None, "other-inv", None)
 # Original labels whose unified images collide (object and plant both map to
 # concrete), so type-equality rules exercise the mapping.
 _PLANT_LABELS = ("person", "object", "plant", "place", "abstract")
+# Original labels of the arrau-like entity map: the default planted pool for
+# that schema.
+ARRAU_POOL = ("person", "concrete", "space", "abstract", "plan")
 
 
 def _token(rng: random.Random, index: int, xpos: str, head: int) -> Token:
@@ -165,7 +168,7 @@ def planted_rule_corpus(
     distance_limit: int = 40,
     definite_prob: float = 0.7,
     single_link_per_anaphor: bool = False,
-    label_pool: tuple[str, ...] = _PLANT_LABELS,
+    label_pool: tuple[str, ...] | None = None,
     schema: str = "gum_like",
     surface_definiteness: bool = False,
 ) -> list[Document]:
@@ -181,7 +184,8 @@ def planted_rule_corpus(
     nearest antecedent per anaphor (for emitters that allow one link per
     anaphor, at the cost of rule exactness).
 
-    label_pool must map under the schema's entity map; with
+    label_pool must map under the schema's entity map; by default it is
+    ARRAU_POOL for arrau_like and labels of the gum-like map otherwise. With
     surface_definiteness the definiteness annotation is also mirrored in
     the mention token's lemma ("the" for definite mentions), so dialects
     that drop the annotation still recover it heuristically.
@@ -192,6 +196,8 @@ def planted_rule_corpus(
     from .harmonize import ENTITY_MAPS
 
     entity_map = ENTITY_MAPS[schema]
+    if label_pool is None:
+        label_pool = ARRAU_POOL if schema == "arrau_like" else _PLANT_LABELS
     rng = random.Random(seed)
     docs = []
     n_mentions = n_chains * chain_size + n_free

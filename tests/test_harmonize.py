@@ -12,7 +12,6 @@ from bridgekit.harmonize import (
     ARRAU_ENTITY_MAP,
     ENTITY_MAPS,
     GUM_ENTITY_MAP,
-    HarmonizeOptions,
     HarmonizeReport,
     VALID_SUBTYPES,
     drop_given_anaphor_links,
@@ -286,8 +285,8 @@ class TestHarmonizeDocument:
         validate_document(out)
 
     def test_exclusions_run_before_everything_else(self):
-        options = HarmonizeOptions(exclusions=frozenset({("d1", "m5"), ("other_doc", "m1")}))
-        out, report = harmonize_document(self.fixture_doc(), options)
+        exclusions = frozenset({("d1", "m5"), ("other_doc", "m1")})
+        out, report = harmonize_document(self.fixture_doc(), exclusions)
         assert report.excluded_links == 1
         assert report.subtype_violations == []  # the violating link was excluded
         assert {link.anaphor_id for link in out.bridging} == {"m1"}
@@ -358,7 +357,7 @@ class TestHarmonizeDocument:
         # harmonize returns must already be valid
         docs = random_corpus(seed, n_docs=3, flavor=flavor)
         exclusions = frozenset((f"rand_{flavor}_{d}", f"m{m}") for d, m in excluded)
-        out, _ = harmonize_corpus(docs, HarmonizeOptions(exclusions=exclusions))
+        out, _ = harmonize_corpus(docs, exclusions)
         from bridgekit.model import is_given
 
         for doc in out:

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bridgekit.errors import DialectViolationError, ParseError, ValidationError
 from bridgekit.ingest import (
     DIALECT_PARSERS,
+    document_from_dict,
     emit_bracket,
     emit_canonical,
     find_head,
@@ -21,7 +22,7 @@ from bridgekit.ingest import (
     parse_standoff,
     read_documents,
 )
-from bridgekit.model import BridgingLink, Document, Mention, Token
+from bridgekit.model import BridgingLink, Document, Mention, Token, validate_document
 from bridgekit.synth import random_corpus, standoff_text
 
 BRACKET_DOC = """\
@@ -94,6 +95,34 @@ class TestBracketParsing:
     def test_document_without_header_gets_sequential_id(self):
         docs = parse_bracket("1\ta\ta\tNN\tsing\tdep\t0\t_\n\n1\tb\tb\tNN\tsing\tdep\t0\t_\n")
         assert [d.doc_id for d in docs] == ["doc_1", "doc_2"]
+
+    @pytest.mark.parametrize(
+        ("text", "shape"),
+        [
+            # a block of headers alone ends as an empty document, whichever
+            # header it holds; it is neither dropped nor carried forward
+            (
+                "1\tx\tx\tNN\tsing\tdep\t0\t_\n\n# doc_id = d\n",
+                [("doc_1", "", 1), ("d", "", 0)],
+            ),
+            (
+                "1\tx\tx\tNN\tsing\tdep\t0\t_\n\n# genre = a\n",
+                [("doc_1", "", 1), ("doc_2", "a", 0)],
+            ),
+            (
+                "# genre = a\n\n# doc_id = d\n1\tx\tx\tNN\tsing\tdep\t0\t_\n",
+                [("doc_1", "a", 0), ("d", "", 1)],
+            ),
+            (
+                "# genre = a\n\n# doc_id = d\n# genre = b\n1\tx\tx\tNN\tsing\tdep\t0\t_\n",
+                [("doc_1", "a", 0), ("d", "b", 1)],
+            ),
+        ],
+    )
+    def test_a_header_starts_a_document(self, text, shape):
+        docs = parse_bracket(text)
+        assert [(d.doc_id, d.genre, len(d.tokens)) for d in docs] == shape
+        assert [doc for d in docs for doc in parse_bracket(emit_bracket(d))] == docs
 
     @pytest.mark.parametrize(
         ("text", "message"),
@@ -383,6 +412,27 @@ class TestStandoffParsing:
         with pytest.raises(ParseError, match=message):
             parse_standoff(text)
 
+    @pytest.mark.parametrize(
+        ("brg", "message"),
+        [
+            ("BRG\tm1 ghost _", "line 4: bridge antecedent 'ghost' does not resolve to a mention"),
+            ("BRG\tm1 m2+ghost _", "line 4: bridge antecedent 'ghost' does not resolve"),
+            ("BRG\tghost m1 _", "line 4: bridge anaphor 'ghost' does not resolve to a mention"),
+        ],
+    )
+    def test_links_to_unknown_mentions_name_the_brg_line(self, brg, message):
+        text = f"DOC\td x\nTOK\t1 a a NN sing dep 0\nMEN\tm1 1-1 person _\n{brg}\nMEN\tm2 1-1 thing _\n"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_standoff(text)
+        # a mention of another document does not resolve either
+        other = "DOC\te x\nTOK\t1 a a NN sing dep 0\nMEN\tghost 1-1 person _\n"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_standoff(text + other)
+
+    def test_a_link_may_precede_the_mentions_it_names(self):
+        text = "DOC\td x\nTOK\t1 a a NN sing dep 0\nBRG\tm2 m1 _\nMEN\tm1 1-1 person _\nMEN\tm2 1-1 thing _\n"
+        assert parse_standoff(text)[0].bridging == (BridgingLink("m2", ("m1",)),)
+
     def test_span_errors_carry_the_men_record_line(self):
         text = "DOC\td1 x\nTOK\t1 a a NN sing dep 0\nMEN\tm1 2-2 person _\n"
         with pytest.raises(ParseError, match="line 3:"):
@@ -426,6 +476,110 @@ def reference_emit_canonical(docs: list[Document]) -> bytes:
         for doc in docs
     ]
     return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def reference_document_from_dict(obj: dict, path: str = "doc") -> Document:
+    """The canonical reader as hand-written checks per record: the reference
+    the reader generated from the record layouts must match, document for
+    document and message for message, on inputs with one fault."""
+    def expect(condition: bool, path: str, message: str) -> None:
+        if not condition:
+            raise ValidationError(f"{path}: {message}")
+
+    scalar_checks = {
+        "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "expected an integer"),
+        "str": (lambda v: isinstance(v, str), "expected a string"),
+        "str | None": (lambda v: v is None or isinstance(v, str), "expected a string"),
+    }
+    layouts = {
+        cls: (
+            frozenset(f.name for f in dataclasses.fields(cls)),
+            frozenset(f.name for f in dataclasses.fields(cls) if f.default is not None),
+            tuple((f.name, *scalar_checks[f.type])
+                  for f in dataclasses.fields(cls) if f.type in scalar_checks),
+        )
+        for cls in (Document, Token, Mention, BridgingLink)
+    }
+
+    def scalar_fields(obj, cls: type, path: str) -> dict:
+        expect(isinstance(obj, dict), path, "expected an object")
+        known, required, scalars = layouts[cls]
+        keys = obj.keys()
+        expect(required <= keys, path, f"missing keys {sorted(required - keys)}")
+        extra = keys - known
+        expect(not extra, path, f"unexpected keys {sorted(extra)}")
+        values = {}
+        for name, check, message in scalars:
+            value = values[name] = obj.get(name)
+            expect(check(value), f"{path}.{name}", message)
+        return values
+
+    values = scalar_fields(obj, Document, path)
+    for key in ("tokens", "mentions", "bridging"):
+        expect(isinstance(obj[key], list), f"{path}.{key}", "expected a list")
+
+    tokens = tuple(
+        Token(**scalar_fields(tok, Token, f"{path}.tokens[{i}]"))
+        for i, tok in enumerate(obj["tokens"])
+    )
+
+    mentions = []
+    for i, men in enumerate(obj["mentions"]):
+        mpath = f"{path}.mentions[{i}]"
+        scalars = scalar_fields(men, Mention, mpath)
+        expect(isinstance(men["spans"], list) and men["spans"], f"{mpath}.spans", "expected a non-empty list")
+        spans = []
+        for j, span in enumerate(men["spans"]):
+            expect(
+                isinstance(span, list) and len(span) == 2
+                and all(isinstance(x, int) and not isinstance(x, bool) for x in span),
+                f"{mpath}.spans[{j}]",
+                "expected a [start, end] integer pair",
+            )
+            spans.append((span[0], span[1]))
+        mentions.append(Mention(spans=tuple(spans), **scalars))
+
+    bridging = []
+    for i, link in enumerate(obj["bridging"]):
+        lpath = f"{path}.bridging[{i}]"
+        scalars = scalar_fields(link, BridgingLink, lpath)
+        antes = link["antecedent_ids"]
+        expect(
+            isinstance(antes, list) and antes and all(isinstance(a, str) for a in antes),
+            f"{lpath}.antecedent_ids",
+            "expected a non-empty list of strings",
+        )
+        bridging.append(BridgingLink(antecedent_ids=tuple(antes), **scalars))
+
+    doc = Document(tokens=tokens, mentions=tuple(mentions), bridging=tuple(bridging), **values)
+    validate_document(doc)
+    return doc
+
+
+# Values that put one fault into a canonical record: a wrong scalar type, an
+# empty or malformed list, a record that is no object or lacks keys.
+_FAULTY_VALUES = (None, True, 0, 7, -1, 1.5, "", "s", [], [0], [1, 2, 3], [[1, 1]], [True, 1],
+                  ["m1"], {}, {"id": "m1"})
+_ADDED_KEYS = ("extra", "form", "spans", "chain_id", "subtype")
+
+
+def _json_sites(node, out: dict, path: str = "") -> dict:
+    """Every (container, key or index) pair of a parsed JSON tree, grouped by
+    its path with list indices left out, such as `mentions.#.spans.#`."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        site = f"{path}.{key if isinstance(node, dict) else '#'}"
+        out.setdefault(site, []).append((node, key))
+        if isinstance(value, (dict, list)):
+            _json_sites(value, out, site)
+    return out
+
+
+def _read_outcome(read, obj) -> Document | str:
+    """The document `read` makes of `obj`, or the message it refuses it with."""
+    try:
+        return read(obj)
+    except ValidationError as exc:
+        return str(exc)
 
 
 # Strings JSON must escape or that are easy to mis-encode: quotes,
@@ -510,6 +664,28 @@ class TestCanonical:
         data = emit_canonical(docs)
         assert parse_canonical(data) == docs
         assert emit_canonical(parse_canonical(data)) == data
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        flavor=st.sampled_from(["gum_like", "arrau_like", "canonical"]),
+        kind=st.sampled_from(["drop", "add", "replace"]),
+        data=st.data(),
+    )
+    def test_reader_matches_the_hand_written_reader_on_one_fault(self, seed, flavor, kind, data):
+        obj = json.loads(emit_canonical(random_corpus(seed, 1, flavor)))
+        # each field of each record kind is as likely a target as any other
+        sites = _json_sites(obj, {})
+        container, key = data.draw(st.sampled_from(sites[data.draw(st.sampled_from(sorted(sites)))]))
+        if kind == "drop":
+            del container[key]
+        elif kind == "add":
+            target = container if isinstance(container, dict) else obj
+            target[data.draw(st.sampled_from(_ADDED_KEYS))] = data.draw(st.sampled_from(_FAULTY_VALUES))
+        else:
+            container[key] = data.draw(st.sampled_from(_FAULTY_VALUES))
+        expected = _read_outcome(reference_document_from_dict, obj)
+        assert _read_outcome(document_from_dict, obj) == expected
 
     def test_emission_is_compact_and_key_sorted(self):
         docs = random_corpus(5, n_docs=1)

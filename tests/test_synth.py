@@ -13,6 +13,7 @@ from bridgekit.harmonize import ENTITY_MAPS, harmonize_corpus
 from bridgekit.model import mention_start, validate_document
 from bridgekit.pairgen import derive_definiteness, is_pronoun
 from bridgekit.synth import (
+    ARRAU_POOL,
     balanced_sampling_corpus,
     planted_rule_corpus,
     random_corpus,
@@ -112,6 +113,13 @@ class TestPlantedRuleCorpus:
             for m in doc.mentions:
                 assert m.entity_type_original in labels
                 assert m.entity_type_original in arrau_map
+
+    def test_arrau_schema_defaults_to_the_arrau_pool(self):
+        # the gum-like labels do not all map under the arrau-like inventory
+        kwargs = {"n_docs": 3, "schema": "arrau_like", "surface_definiteness": True}
+        docs = planted_rule_corpus(5, **kwargs)
+        assert docs == planted_rule_corpus(5, label_pool=ARRAU_POOL, **kwargs)
+        assert {m.entity_type_original for d in docs for m in d.mentions} <= set(ARRAU_POOL)
 
     def test_surface_definiteness_marks_definite_mentions_lexically(self):
         docs = planted_rule_corpus(3, n_docs=2, surface_definiteness=True)
