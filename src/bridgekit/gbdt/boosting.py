@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -266,9 +266,11 @@ def _build_tree(
     )
 
 
-def tree_values(node: Node, X: np.ndarray) -> np.ndarray:
+def tree_values(node: Node, X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """The weight of the leaf each row of X reaches; with `rows`, the row
+    indices to route, only those rows' weights, in the order of `rows`."""
     out = np.empty(X.shape[0], dtype=np.float64)
-    stack: list[tuple[Node, np.ndarray]] = [(node, np.arange(X.shape[0]))]
+    stack: list[tuple[Node, np.ndarray]] = [(node, np.arange(X.shape[0]) if rows is None else rows)]
     while stack:
         nd, idx = stack.pop()
         if isinstance(nd, Leaf):
@@ -277,7 +279,7 @@ def tree_values(node: Node, X: np.ndarray) -> np.ndarray:
             mask = X[idx, nd.column] < nd.threshold
             stack.append((nd.left, idx[mask]))
             stack.append((nd.right, idx[~mask]))
-    return out
+    return out if rows is None else out[rows]
 
 
 def train(
@@ -328,18 +330,47 @@ def train(
     )
 
 
-def predict_margin(model: GbdtModel, X: np.ndarray) -> np.ndarray:
+def add_in_order(margins: np.ndarray, contributions: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Yield `margins`, then add each contribution to it in place, in tree
+    order, yielding it after each.
+
+    Every margin the package predicts is summed here: `predict_margin`,
+    the staged scores of `cross_validate` and the permuted scores of
+    `mda_importance`, so that they agree to the bit. The order matters:
+    `np.sum` or `np.add.reduce` down the tree axis would sum pairwise for
+    some shapes, and the last bits would differ.
+    """
+    yield margins
+    for contribution in contributions:
+        margins += contribution
+        yield margins
+
+
+def tree_contributions(model: GbdtModel, X: np.ndarray) -> Iterator[np.ndarray]:
+    """Each tree's values on the rows of X, scaled by the learning rate, in
+    tree order."""
+    rate = model.params.learning_rate
+    return (rate * tree_values(tree, X) for tree in model.trees)
+
+
+def staged_margins(model: GbdtModel, X: np.ndarray) -> Iterator[np.ndarray]:
+    """The margins of the first 0, 1, ..., len(model.trees) trees on the
+    rows of a matrix: one vector, updated in place between the yields."""
     X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X.reshape(1, -1)
     if X.shape[1] != model.n_features:
         raise SchemaMismatchError(
             f"row has {X.shape[1]} columns, model expects {model.n_features}"
         )
     margins = np.full(X.shape[0], model.base_score, dtype=np.float64)
-    for tree in model.trees:
-        margins += model.params.learning_rate * tree_values(tree, X)
+    return add_in_order(margins, tree_contributions(model, X))
+
+
+def predict_margin(model: GbdtModel, X: np.ndarray) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    single = X.ndim == 1
+    if single:
+        X = X.reshape(1, -1)
+    *_, margins = staged_margins(model, X)
     return margins[0] if single else margins
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import ConfigError, EmptyDatasetError
 from ..pairgen import PairDataset, PairExample
-from .boosting import GbdtModel, HyperParams, predict_proba, train
+from .boosting import GbdtModel, HyperParams, predict_proba, sigmoid, staged_margins, train
 from .encoding import DEFAULT_LEMMA_TOP_K, encode, fit_schema
 
 # Probabilities at or above this threshold count as a positive prediction.
@@ -159,7 +159,8 @@ def cross_validate(
 
     # Round t of a fit never depends on n_rounds, so grid points that differ
     # only in n_rounds are prefixes of one fit at the largest of them: train
-    # that once per fold and score each point on its first n_rounds trees.
+    # that once per fold and score each point on the margins of its first
+    # n_rounds trees, staged in one pass over the trees.
     paths: dict[HyperParams, list[int]] = {}
     for i, hp in enumerate(grid):
         paths.setdefault(replace(hp, n_rounds=0), []).append(i)
@@ -168,9 +169,12 @@ def cross_validate(
         longest = replace(path, n_rounds=max(grid[i].n_rounds for i in members))
         for X_tr, y_tr, X_va, y_va in split_data:
             model = train(X_tr, y_tr, longest, seed=seed)
-            for i in members:
-                prefix = replace(model, trees=model.trees[:grid[i].n_rounds], params=grid[i])
-                fold_f1[i].append(evaluate_matrix(prefix, X_va, y_va).f1)
+            for n_rounds, margins in enumerate(staged_margins(model, X_va)):
+                scored = [i for i in members if grid[i].n_rounds == n_rounds]
+                if scored:
+                    f1 = metrics_from_predictions(y_va, sigmoid(margins) >= DECISION_THRESHOLD).f1
+                    for i in scored:
+                        fold_f1[i].append(f1)
 
     results = []
     best: CvResult | None = None

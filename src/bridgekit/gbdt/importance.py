@@ -9,7 +9,10 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..pairgen import PairDataset, PairExample
-from .boosting import GbdtModel, Leaf, Node, predict_proba
+from .boosting import (
+    GbdtModel, Leaf, Node, Split, add_in_order, predict_proba, sigmoid, tree_contributions,
+    tree_values,
+)
 from .encoding import encode
 from .evaluation import DECISION_THRESHOLD
 
@@ -49,6 +52,18 @@ def gain_importance(model: GbdtModel) -> dict[str, float]:
     }
 
 
+def _split_columns(tree: Node) -> set[int]:
+    columns: set[int] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Split):
+            columns.add(node.column)
+            stack.append(node.left)
+            stack.append(node.right)
+    return columns
+
+
 def mda_importance(
     model: GbdtModel,
     dataset: PairDataset | list[PairExample],
@@ -62,6 +77,13 @@ def mda_importance(
     accuracy is averaged over the repeats. Features are processed in sorted
     name order with one RNG stream, so results are reproducible for a fixed
     (model, dataset, repeats, seed).
+
+    A permutation changes the margin only of the rows whose block values
+    it moves, and only through the trees that split on the block. Those
+    trees are evaluated again on those rows alone; every other tree's
+    contribution is taken from a cache made once, and the margins are
+    summed in tree order as in prediction, so the result is that of
+    predicting each permuted matrix in full.
     """
     if model.schema is None:
         raise ConfigError("model carries no encoder schema")
@@ -69,18 +91,38 @@ def mda_importance(
         raise ConfigError("repeats must be >= 1")
     X, y, _ = encode(dataset, schema=model.schema)
     y = y.astype(bool)
-    baseline = float(np.mean((np.atleast_1d(predict_proba(model, X)) >= DECISION_THRESHOLD) == y))
+    correct = (np.atleast_1d(predict_proba(model, X)) >= DECISION_THRESHOLD) == y
+    baseline = float(np.mean(correct))
     rng = np.random.default_rng(seed)
     slices = model.schema.block_slices()
+    # row 0 the base score, row t the learning-rate-scaled values of tree t
+    contributions = np.array([np.full(X.shape[0], model.base_score),
+                              *tree_contributions(model, X)])
+    tree_columns = [_split_columns(tree) for tree in model.trees]
+    rate = model.params.learning_rate
+    Xp = X.copy()
     out: dict[str, float] = {}
     for feature in sorted(slices):
         block = slices[feature]
+        trees = [t for t, columns in enumerate(tree_columns)
+                 if any(block.start <= c < block.stop for c in columns)]
+        values = X[:, block]
         drops = []
         for _ in range(repeats):
-            perm = rng.permutation(X.shape[0])
-            Xp = X.copy()
-            Xp[:, block] = X[perm, block]
-            acc = float(np.mean((np.atleast_1d(predict_proba(model, Xp)) >= DECISION_THRESHOLD) == y))
-            drops.append(baseline - acc)
+            # drawn for every feature, so that the stream does not depend on the trees
+            shuffled = values[rng.permutation(X.shape[0])]
+            rows = np.flatnonzero((shuffled != values).any(axis=1)) if trees else []
+            if not len(rows):
+                drops.append(0.0)
+                continue
+            Xp[:, block] = shuffled
+            part = contributions[:, rows]
+            for t in trees:
+                part[t + 1] = rate * tree_values(model.trees[t], Xp, rows)
+            *_, margins = add_in_order(part[0], part[1:])
+            permuted = correct.copy()
+            permuted[rows] = (sigmoid(margins) >= DECISION_THRESHOLD) == y[rows]
+            drops.append(baseline - float(np.mean(permuted)))
+        Xp[:, block] = values
         out[feature] = float(np.mean(drops))
     return out

@@ -515,7 +515,9 @@ def parse_standoff(data: bytes | str) -> list[Document]:
 # Both directions are generated from the record layouts, the dataclass
 # fields, so each layout is declared once. Per annotation, `_JSON_VALUES`
 # says how to write a value and `_JSON_READS` how to read one back; each
-# class adds a record-tuple entry to both as it is generated. An annotation
+# class adds a record-tuple entry to both as it is generated, and one for a
+# single nested record to the writer's (`pairgen` writes its pair examples
+# with the same generator). An annotation
 # missing from either table raises at import, so a new field cannot be
 # dropped, mis-written or read unchecked unnoticed.
 #
@@ -593,14 +595,17 @@ def _writer_source(cls: type, values: dict[str, str]) -> str:
     return f"def _write_{cls.__name__}(r):\n    return f'''{{{{{''.join(pieces)}}}}}'''\n"
 
 
-def _document_writer():
-    """The writer of a Document, which calls those of its records."""
+def _record_writer(*classes: type):
+    """The writer of the last of `classes`, which calls those of the others:
+    a field may hold one record of an earlier class, or a tuple of them."""
     namespace = {"_s": encode_basestring}
     values = dict(_JSON_VALUES)
-    for cls in (Token, Mention, BridgingLink, Document):
+    for cls in classes:
+        name = cls.__name__
         exec(_writer_source(cls, values), namespace)
-        values[f"tuple[{cls.__name__}, ...]"] = '[{",".join(map(_write_%s, %%s))}]' % cls.__name__
-    return namespace["_write_Document"]
+        values[name] = "{_write_%s(%%s)}" % name
+        values[f"tuple[{name}, ...]"] = '[{",".join(map(_write_%s, %%s))}]' % name
+    return namespace[f"_write_{classes[-1].__name__}"]
 
 
 def _record_reader(cls: type, reads: dict):
@@ -645,7 +650,7 @@ def _document_reader():
     return read
 
 
-_write_document = _document_writer()
+_write_document = _record_writer(Token, Mention, BridgingLink, Document)
 _read_document = _document_reader()
 
 
@@ -700,12 +705,15 @@ def guess_dialect(path: str | Path) -> str:
 def read_documents(path: str | Path, dialect: str | None = None) -> list[Document]:
     """Parse one corpus file. Any malformed content, including bytes that
     are not UTF-8 and documents that break a model invariant, raises
-    ParseError or DialectViolationError."""
+    ParseError or DialectViolationError. A ParseError names the file
+    first, then the line when it is known, which it keeps as `.line`."""
     dialect = dialect or guess_dialect(path)
     if dialect not in DIALECT_PARSERS:
         raise ValidationError(f"unknown dialect {dialect!r}")
     data = Path(path).read_bytes()
     try:
         return DIALECT_PARSERS[dialect](data)
-    except (ValidationError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    except (ParseError, ValidationError, UnicodeDecodeError) as exc:
+        located = ParseError(f"{path}: {exc}")
+        located.line = getattr(exc, "line", None)
+        raise located from exc

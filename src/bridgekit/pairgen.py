@@ -17,6 +17,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
 
 from .errors import EmptyDatasetError, UndefinedDistanceError, ValidationError
+from .ingest import _record_writer
 from .model import Document, Mention, is_given, mention_order_key, mention_start
 
 LABELS = ("bridging", "coref", "none")
@@ -259,31 +260,20 @@ def bridging_rate_per_1k(docs: list[Document]) -> float:
 # serialization
 
 
+_write_example = _record_writer(FeatureVector, PairExample)
+
+
 def dataset_to_jsonl(dataset: PairDataset) -> bytes:
+    """A header line, then one line per example: the bytes of sorted-key,
+    compact `json.dumps`, each example written from its record layout."""
     header = {
         "provenance": asdict(dataset.provenance),
         "warnings": list(dataset.warnings),
         "n_examples": len(dataset.examples),
     }
     lines = [json.dumps(header, sort_keys=True, ensure_ascii=False, separators=(",", ":"))]
-    for ex in dataset.examples:
-        # FeatureVector holds flat str/int fields and no cached property, so
-        # its instance dict is its field dict, without asdict's deep copy
-        lines.append(
-            json.dumps(
-                {
-                    "doc_id": ex.doc_id,
-                    "antecedent_id": ex.antecedent_id,
-                    "anaphor_id": ex.anaphor_id,
-                    "features": vars(ex.features),
-                    "label": ex.label,
-                },
-                sort_keys=True,
-                ensure_ascii=False,
-                separators=(",", ":"),
-            )
-        )
-    return ("".join(line + "\n" for line in lines)).encode("utf-8")
+    lines += map(_write_example, dataset.examples)
+    return "".join([f"{line}\n" for line in lines]).encode("utf-8")
 
 
 # Feature name -> the type its JSON value must have (annotations are strings).

@@ -762,7 +762,9 @@ class TestRun:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert main(["run", "--config", str(path)]) == EXIT_PARSE
-        assert capsys.readouterr().err.startswith("error: stage load:corpusA: line 1: ")
+        assert capsys.readouterr().err.startswith(
+            f"error: stage load:corpusA: {tmp_path / 'a_train.brk'}: line 1: "
+        )
         run_dir = next((tmp_path / "runs").iterdir())
         partial = json.loads((run_dir / "report.partial.json").read_text())
         assert partial["failed_stage"] == "load:corpusA"

@@ -17,6 +17,7 @@ from bridgekit.errors import (
     ValidationError,
 )
 from bridgekit.gbdt import (
+    DECISION_THRESHOLD,
     CvResult,
     EncoderSchema,
     FeatureBlock,
@@ -44,13 +45,22 @@ from bridgekit.gbdt import (
     random_baseline,
     save_model,
     sigmoid,
+    staged_margins,
     stratified_folds,
     train,
     tree_values,
 )
-from bridgekit.gbdt import boosting, evaluation
+from bridgekit.gbdt import boosting, evaluation, importance
 from bridgekit.gbdt.evaluation import _beats
-from bridgekit.pairgen import FEATURE_NAMES, LABELS, NUMERIC_FEATURES, FeatureVector, PairExample
+from bridgekit.pairgen import (
+    FEATURE_NAMES,
+    LABELS,
+    NUMERIC_FEATURES,
+    FeatureVector,
+    PairDataset,
+    PairExample,
+    Provenance,
+)
 
 
 def make_example(i: int, label: str, **over) -> PairExample:
@@ -880,6 +890,150 @@ class TestStratifiedFolds:
             stratified_folds(["a", "b"], k=3, seed=0)
 
 
+def reference_predict_proba(model, X):
+    """Prediction as a loop that adds each tree's values to the margins."""
+    margins = np.full(X.shape[0], model.base_score)
+    for tree in model.trees:
+        margins += model.params.learning_rate * tree_values(tree, X)
+    return sigmoid(margins)
+
+
+def reference_cross_validate(dataset, grid, k, seed):
+    """The grid search that `cross_validate` must match: one fit per path
+    and fold, each grid point scored by predicting its prefix of the trees
+    from scratch."""
+    examples = list(dataset.examples)
+    binary = ["pos" if ex.label == "bridging" else "neg" for ex in examples]
+    split_data = []
+    for fold in stratified_folds(binary, k, seed):
+        held = set(fold)
+        train_examples = [ex for i, ex in enumerate(examples) if i not in held]
+        schema = fit_schema(train_examples)
+        X_tr, y_tr, _ = encode(train_examples, schema=schema)
+        X_va, y_va, _ = encode([examples[i] for i in fold], schema=schema)
+        split_data.append((X_tr, y_tr, X_va, y_va))
+    paths: dict[HyperParams, list[int]] = {}
+    for i, hp in enumerate(grid):
+        paths.setdefault(replace(hp, n_rounds=0), []).append(i)
+    fold_f1: list[list[float]] = [[] for _ in grid]
+    for path, members in paths.items():
+        longest = replace(path, n_rounds=max(grid[i].n_rounds for i in members))
+        for X_tr, y_tr, X_va, y_va in split_data:
+            model = train(X_tr, y_tr, longest, seed=seed)
+            for i in members:
+                prefix = replace(model, trees=model.trees[:grid[i].n_rounds], params=grid[i])
+                predicted = reference_predict_proba(prefix, X_va) >= DECISION_THRESHOLD
+                fold_f1[i].append(metrics_from_predictions(y_va, predicted).f1)
+    results = [CvResult(hp, tuple(scores)) for hp, scores in zip(grid, fold_f1)]
+    best = results[0]
+    for result in results[1:]:
+        if _beats(result, best):
+            best = result
+    return best.params, results
+
+
+def reference_mda_importance(model, dataset, repeats, seed):
+    """The permutation importance that `mda_importance` must match: each
+    permuted matrix copied whole and predicted in full."""
+    X, y, _ = encode(dataset, schema=model.schema)
+    y = y.astype(bool)
+    baseline = float(np.mean((reference_predict_proba(model, X) >= DECISION_THRESHOLD) == y))
+    rng = np.random.default_rng(seed)
+    slices = model.schema.block_slices()
+    out = {}
+    for feature in sorted(slices):
+        block = slices[feature]
+        drops = []
+        for _ in range(repeats):
+            perm = rng.permutation(X.shape[0])
+            Xp = X.copy()
+            Xp[:, block] = X[perm, block]
+            acc = float(np.mean((reference_predict_proba(model, Xp) >= DECISION_THRESHOLD) == y))
+            drops.append(baseline - acc)
+        out[feature] = float(np.mean(drops))
+    return out
+
+
+_VALUES = ("p", "q", "r", "s", "t")
+
+
+def random_examples(rng, n, n_values, labels=()):
+    """`n` examples whose features take `n_values` values each, with the
+    given leading labels and random ones after them."""
+    examples = []
+    for i in range(n):
+        values = rng.integers(0, n_values, len(FEATURE_NAMES))
+        features = FeatureVector(**{
+            name: int(v) if name in NUMERIC_FEATURES else _VALUES[v]
+            for name, v in zip(FEATURE_NAMES, values)
+        })
+        label = labels[i] if i < len(labels) else LABELS[rng.integers(0, len(LABELS))]
+        examples.append(PairExample("d", f"a{i}", f"n{i}", features, label))
+    return examples
+
+
+@st.composite
+def mda_problems(draw):
+    """A model of 0, 1, 10 or 60 rounds at depth 1 to 6, and an eval set of
+    1 to 30 rows in which one categorical feature a tree splits on, if
+    there is one, holds a single value, so that its permutation moves no
+    row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_values = draw(st.integers(1, 4))
+    train_examples = random_examples(rng, draw(st.integers(2, 40)), n_values,
+                                     labels=("bridging", "none"))
+    X, y, schema = encode(train_examples)
+    hp = HyperParams(
+        n_rounds=draw(st.sampled_from([0, 1, 10, 60])),
+        max_depth=draw(st.integers(1, 6)),
+        learning_rate=draw(st.sampled_from([0.1, 0.3])),
+        min_child_hessian=draw(st.sampled_from([0.0, 0.1, 1.0])),
+    )
+    model = train(X, y, hp, schema=schema)
+    examples = random_examples(rng, draw(st.sampled_from([1, 2, 5, 30])),
+                               n_values + draw(st.integers(0, 1)))
+    by_column = schema.column_features()
+    used = sorted({by_column[c] for c in column_gain_totals(model)[0]})
+    categorical = [f for f in used if f not in NUMERIC_FEATURES]
+    held = draw(st.sampled_from(categorical or [f for f in FEATURE_NAMES if f not in NUMERIC_FEATURES]))
+    value = getattr(examples[0].features, held)
+    examples = [replace(ex, features=replace(ex.features, **{held: value})) for ex in examples]
+    event(f"{hp.n_rounds} rounds")
+    event("eval set of one row" if len(examples) == 1 else "eval set of several rows")
+    event("the held feature is used by a tree" if held in used else "the held feature is unused")
+    event("some feature is unused" if len(used) < len(FEATURE_NAMES) else "every feature is used")
+    return model, examples, held, used, draw(st.integers(1, 3)), draw(st.integers(0, 100))
+
+
+@st.composite
+def cv_problems(draw):
+    """A dataset with at least k + 1 examples of each class, and a grid
+    whose points may repeat and may have 0 rounds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(2, 3))
+    labels = ("bridging",) * (k + 1) + ("none",) * (k + 1)
+    examples = random_examples(rng, draw(st.integers(2 * k + 2, 30)), draw(st.integers(1, 4)),
+                               labels=labels)
+    order = rng.permutation(len(examples))
+    dataset = PairDataset(tuple(examples[i] for i in order), Provenance("c", "train", 0, 10))
+    point = st.builds(
+        HyperParams,
+        n_rounds=st.sampled_from([0, 1, 2, 3, 5, 8]),
+        max_depth=st.integers(1, 4),
+        learning_rate=st.sampled_from([0.1, 0.3]),
+        min_child_hessian=st.sampled_from([0.0, 1.0, 5.0]),
+    )
+    grid = draw(st.lists(point, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        grid.append(replace(grid[0], n_rounds=0))
+    if draw(st.booleans()):
+        grid.append(grid[draw(st.integers(0, len(grid) - 1))])
+    rounds = [hp.n_rounds for hp in grid]
+    event("a point of 0 rounds" if 0 in rounds else "no point of 0 rounds")
+    event("repeated n_rounds" if len(set(rounds)) < len(rounds) else "distinct n_rounds")
+    return dataset, grid, k, draw(st.integers(0, 100))
+
+
 class TestCrossValidate:
     def test_grid_search_prefers_the_stronger_configuration(self, planted_train_dataset):
         weak = HyperParams(n_rounds=1, max_depth=1, learning_rate=0.1)
@@ -949,6 +1103,23 @@ class TestCrossValidate:
         assert len({r.fold_f1 for r in results}) > 1
         assert fits == [base] * k + [grid[2]] * k + [grid[5]] * k
 
+    @settings(max_examples=60, deadline=None)
+    @given(cv_problems())
+    def test_staged_scores_match_the_per_prefix_reference(self, problem):
+        dataset, grid, k, seed = problem
+        best, results = cross_validate(dataset, grid, k=k, seed=seed)
+        expected_best, expected = reference_cross_validate(dataset, grid, k, seed)
+        assert results == expected
+        assert best == expected_best
+
+    def test_staged_margins_are_those_of_each_prefix(self, planted_model, planted_eval_dataset):
+        X, _, _ = encode(planted_eval_dataset, schema=planted_model.schema)
+        staged = [m.copy() for m in staged_margins(planted_model, X)]
+        assert len(staged) == len(planted_model.trees) + 1
+        for n, margins in enumerate(staged):
+            prefix = replace(planted_model, trees=planted_model.trees[:n])
+            assert margins.tobytes() == predict_margin(prefix, X).tobytes()
+
     def test_empty_grid_is_rejected(self, planted_train_dataset):
         with pytest.raises(ConfigError, match="grid is empty"):
             cross_validate(planted_train_dataset, [], k=4)
@@ -1011,6 +1182,35 @@ class TestImportance:
         imp = mda_importance(planted_model, planted_eval_dataset, repeats=2, seed=0)
         assert imp["n_phrase_len"] == 0.0
         assert imp["t_phrase_len"] == 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(mda_problems())
+    def test_mda_matches_the_full_prediction_reference(self, problem):
+        model, examples, held, used, repeats, seed = problem
+        got = mda_importance(model, examples, repeats=repeats, seed=seed)
+        assert got == reference_mda_importance(model, examples, repeats, seed)
+        assert got[held] == 0.0
+        assert all(got[f] == 0.0 for f in FEATURE_NAMES if f not in used)
+
+    def test_mda_on_the_planted_model_matches_the_reference(
+        self, planted_model, planted_eval_dataset
+    ):
+        got = mda_importance(planted_model, planted_eval_dataset, repeats=3, seed=4)
+        assert got == reference_mda_importance(planted_model, planted_eval_dataset, 3, 4)
+        assert any(v != 0.0 for v in got.values())
+
+    def test_mda_predicts_through_the_module_binding_once(
+        self, planted_model, planted_eval_dataset, monkeypatch
+    ):
+        calls = []
+
+        def spy(model, X):
+            calls.append(X.shape)
+            return predict_proba(model, X)
+
+        monkeypatch.setattr(importance, "predict_proba", spy)
+        mda_importance(planted_model, planted_eval_dataset, repeats=2, seed=0)
+        assert calls == [(len(planted_eval_dataset.examples), planted_model.n_features)]
 
     def test_importance_requires_a_schema(self, planted_eval_dataset):
         model = TestTraining().hand_model()

@@ -775,6 +775,23 @@ class TestFileHelpers:
         with pytest.raises(ParseError, match="head 99999"):
             read_documents(path)
 
+    @pytest.mark.parametrize(
+        ("name", "text", "line"),
+        [
+            ("bad.brk", "1\tbroken\n", 1),
+            ("bad.sff", "DOC\td x\nTOK\t1 a a NN sing dep 0\nMEN\tm1 1-1 person _\n"
+                        "BRG\tm1 ghost _\n", 4),
+            ("bad.jsonl", "\n{\n", 2),
+        ],
+    )
+    def test_a_parse_error_names_the_file_then_the_line(self, tmp_path, name, text, line):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            read_documents(path)
+        assert str(info.value).startswith(f"{path}: line {line}: ")
+        assert info.value.line == line
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(dialect=st.sampled_from(sorted(DIALECT_PARSERS)), data=st.data())

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,8 +24,12 @@ from bridgekit.model import (
 from bridgekit.pairgen import (
     DEFAULT_PRONOUN_TAGS,
     FEATURE_NAMES,
+    LABELS,
     FeatureVector,
     NUMERIC_FEATURES,
+    PairDataset,
+    PairExample,
+    Provenance,
     build_balanced_dataset,
     bridging_rate_per_1k,
     dataset_from_jsonl,
@@ -421,6 +426,55 @@ class TestRate:
             bridging_rate_per_1k([doc])
 
 
+def reference_dataset_to_jsonl(dataset: PairDataset) -> bytes:
+    """The writer that `dataset_to_jsonl` must match byte for byte: one
+    `json.dumps` of a built dict per line."""
+    header = {
+        "provenance": asdict(dataset.provenance),
+        "warnings": list(dataset.warnings),
+        "n_examples": len(dataset.examples),
+    }
+    lines = [json.dumps(header, sort_keys=True, ensure_ascii=False, separators=(",", ":"))]
+    for ex in dataset.examples:
+        lines.append(
+            json.dumps(
+                {
+                    "doc_id": ex.doc_id,
+                    "antecedent_id": ex.antecedent_id,
+                    "anaphor_id": ex.anaphor_id,
+                    "features": vars(ex.features),
+                    "label": ex.label,
+                },
+                sort_keys=True,
+                ensure_ascii=False,
+                separators=(",", ":"),
+            )
+        )
+    return ("".join(line + "\n" for line in lines)).encode("utf-8")
+
+
+# Strings JSON must escape or that are easy to mis-encode: quotes,
+# backslashes, C0 controls and DEL, the JavaScript line separators, and
+# characters outside the Basic Multilingual Plane.
+_TEXT = st.text(
+    st.sampled_from(['"', "\\", "/", "a", "Z", "\u00e9", "\u2028", "\u2029", "\x7f",
+                     "\U0001f600", "\U00010000"])
+    | st.characters(max_codepoint=0x1F),
+    max_size=6,
+)
+_EXAMPLES = st.builds(
+    PairExample,
+    doc_id=_TEXT,
+    antecedent_id=_TEXT,
+    anaphor_id=_TEXT,
+    features=st.builds(FeatureVector, **{
+        name: st.integers(min_value=0, max_value=10**12) if name in NUMERIC_FEATURES else _TEXT
+        for name in FEATURE_NAMES
+    }),
+    label=st.sampled_from(LABELS),
+)
+
+
 class TestSerialization:
     def test_jsonl_round_trip(self, sampling_docs):
         ds = build_balanced_dataset(sampling_docs, seed=7, corpus="bal", partition="all")
@@ -429,6 +483,14 @@ class TestSerialization:
         header = json.loads(data.decode().splitlines()[0])
         assert header["n_examples"] == 150
         assert header["provenance"]["max_distance"] == 10
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_EXAMPLES, max_size=3), st.lists(_TEXT, max_size=2), _TEXT)
+    def test_writer_matches_json_dumps_of_the_example_dicts(self, examples, warnings, corpus):
+        ds = PairDataset(tuple(examples), Provenance(corpus, "train", 3, 10), tuple(warnings))
+        data = dataset_to_jsonl(ds)
+        assert data == reference_dataset_to_jsonl(ds)
+        assert dataset_from_jsonl(data) == ds
 
     def test_jsonl_rejects_bad_header_or_count(self, sampling_docs):
         ds = build_balanced_dataset(sampling_docs, seed=7)
