@@ -282,15 +282,16 @@ LABEL_KEYS = ("label", "count", "proportion")
 
 def _load(what: str, path, loader):
     """`loader(path)` for one input file. A file that cannot be read is a
-    configuration error; malformed content is a parse error."""
+    configuration error; malformed content is a parse error that names the
+    file, as one from `read_documents` already does."""
     try:
         return loader(path)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
-    except ParseError:
-        raise
     except (BridgekitError, AttributeError, KeyError, TypeError, ValueError,
             RecursionError) as exc:
+        if isinstance(exc, ParseError) and str(exc).startswith(f"{path}: "):
+            raise
         raise ParseError(f"malformed {what} {path}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -22,7 +22,8 @@ from typing import Iterable, Iterator, NamedTuple, Union
 import numpy as np
 
 from ..errors import ConfigError, DegenerateTrainingError, SchemaMismatchError, ValidationError
-from .encoding import EncoderSchema
+from ..ingest import record_entries, record_reader
+from .encoding import EncoderSchema, FeatureBlock
 
 FORMAT_VERSION = 1
 
@@ -84,8 +85,8 @@ class Split:
     column: int
     threshold: float
     gain: float
-    left: Union["Split", Leaf]
-    right: Union["Split", Leaf]
+    left: Node
+    right: Node
 
 
 Node = Union[Split, Leaf]
@@ -282,6 +283,17 @@ def tree_values(node: Node, X: np.ndarray, rows: np.ndarray | None = None) -> np
     return out if rows is None else out[rows]
 
 
+def splits(nodes: Iterable[Node]) -> Iterator[Split]:
+    """Every split in the trees rooted at `nodes`, depth first from the
+    last root, right child first."""
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Split):
+            yield node
+            stack += node.left, node.right
+
+
 def train(
     X: np.ndarray,
     y: np.ndarray,
@@ -385,23 +397,16 @@ def predict_proba(model: GbdtModel, X: np.ndarray) -> np.ndarray | float:
 # serialization
 
 
-# Per node class: each field with the converter its annotation implies;
-# child fields (annotated with the node union) recurse.
-_NODE_FIELDS = {
-    cls: tuple((f.name, {"int": int, "float": float}.get(f.type)) for f in fields(cls))
-    for cls in (Leaf, Split)
-}
+def _read_node(obj, path: str) -> Node:
+    """A node is a Leaf when it has `weight`, otherwise a Split."""
+    read = _read_leaf if isinstance(obj, dict) and "weight" in obj else _read_split
+    return read(obj, path)
 
 
-def _node_from_dict(obj: dict, n_features: int) -> Node:
-    cls = Leaf if "weight" in obj else Split
-    node = cls(**{
-        name: convert(obj[name]) if convert else _node_from_dict(obj[name], n_features)
-        for name, convert in _NODE_FIELDS[cls]
-    })
-    if cls is Split and not 0 <= node.column < n_features:
-        raise ValidationError(f"split column {node.column} outside 0..{n_features - 1}")
-    return node
+_NODE_READS = record_entries("Node", _read_node)
+_read_leaf = record_reader(Leaf)
+_read_split = record_reader(Split, reads=_NODE_READS)
+_read_model = record_reader(FeatureBlock, EncoderSchema, HyperParams, GbdtModel, reads=_NODE_READS)
 
 
 def model_to_dict(model: GbdtModel) -> dict:
@@ -409,27 +414,29 @@ def model_to_dict(model: GbdtModel) -> dict:
 
 
 def model_from_dict(obj: dict) -> GbdtModel:
-    if obj.get("format_version") != FORMAT_VERSION:
-        raise SchemaMismatchError(
-            f"unsupported model format version {obj.get('format_version')!r}"
-        )
-    schema = obj.get("schema")
-    if schema is not None:
-        schema = EncoderSchema.from_dict(schema)
-    n_features = int(obj["n_features"])
-    if schema is not None and n_features != schema.n_columns:
+    """Read a model from its record layouts; a mistyped, missing or unknown
+    field raises ValidationError naming its path."""
+    if not isinstance(obj, dict):
+        raise ValidationError("model: expected an object")
+    obj = dict(obj)
+    version = obj.pop("format_version", None)
+    if version != FORMAT_VERSION:
+        raise SchemaMismatchError(f"unsupported model format version {version!r}")
+    try:
+        model = _read_model(obj, "model")
+    except RecursionError:
+        raise ValidationError("model: trees nested too deeply") from None
+    if model.schema is not None and model.n_features != model.schema.n_columns:
         raise ValidationError(
-            f"n_features {n_features} differs from the encoder schema's {schema.n_columns} columns"
+            f"n_features {model.n_features} differs from the encoder schema's "
+            f"{model.schema.n_columns} columns"
         )
-    return GbdtModel(
-        base_score=float(obj["base_score"]),
-        trees=tuple(_node_from_dict(t, n_features) for t in obj["trees"]),
-        params=HyperParams(**obj["params"]),
-        seed=int(obj["seed"]),
-        n_features=n_features,
-        schema=schema,
-        training_loss=tuple(float(x) for x in obj["training_loss"]),
-    )
+    for split in splits(model.trees):
+        if not 0 <= split.column < model.n_features:
+            raise ValidationError(
+                f"split column {split.column} outside 0..{model.n_features - 1}"
+            )
+    return model
 
 
 def save_model(model: GbdtModel, path: str | Path) -> None:

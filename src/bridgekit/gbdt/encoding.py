@@ -31,6 +31,10 @@ class FeatureBlock:
     # the listed categories, numeric blocks have none.
     categories: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise ValidationError(f"unknown block kind {self.kind!r}")
+
     @property
     def width(self) -> int:
         if self.kind == "numeric":
@@ -64,17 +68,6 @@ class EncoderSchema:
             for block in self.blocks
             for _ in range(block.width)
         ]
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "EncoderSchema":
-        blocks = []
-        for entry in obj["blocks"]:
-            if entry["kind"] not in _KINDS:
-                raise ValidationError(f"unknown block kind {entry['kind']!r}")
-            blocks.append(
-                FeatureBlock(entry["feature"], entry["kind"], tuple(entry["categories"]))
-            )
-        return cls(blocks=tuple(blocks), lemma_top_k=obj["lemma_top_k"])
 
 
 def _examples(dataset: PairDataset | list[PairExample]) -> list[PairExample]:

@@ -10,8 +10,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..pairgen import PairDataset, PairExample
 from .boosting import (
-    GbdtModel, Leaf, Node, Split, add_in_order, predict_proba, sigmoid, tree_contributions,
-    tree_values,
+    GbdtModel, add_in_order, predict_proba, sigmoid, splits, tree_contributions, tree_values,
 )
 from .encoding import encode
 from .evaluation import DECISION_THRESHOLD
@@ -21,15 +20,9 @@ def column_gain_totals(model: GbdtModel) -> tuple[dict[int, float], dict[int, in
     """Per-column summed split gain and split counts over all trees."""
     totals: dict[int, float] = {}
     counts: dict[int, int] = {}
-    stack: list[Node] = list(model.trees)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            continue
+    for node in splits(model.trees):
         totals[node.column] = totals.get(node.column, 0.0) + node.gain
         counts[node.column] = counts.get(node.column, 0) + 1
-        stack.append(node.left)
-        stack.append(node.right)
     return totals, counts
 
 
@@ -50,18 +43,6 @@ def gain_importance(model: GbdtModel) -> dict[str, float]:
                   if feature_count[feature] else 0.0)
         for feature in feature_total
     }
-
-
-def _split_columns(tree: Node) -> set[int]:
-    columns: set[int] = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Split):
-            columns.add(node.column)
-            stack.append(node.left)
-            stack.append(node.right)
-    return columns
 
 
 def mda_importance(
@@ -98,7 +79,7 @@ def mda_importance(
     # row 0 the base score, row t the learning-rate-scaled values of tree t
     contributions = np.array([np.full(X.shape[0], model.base_score),
                               *tree_contributions(model, X)])
-    tree_columns = [_split_columns(tree) for tree in model.trees]
+    tree_columns = [{node.column for node in splits([tree])} for tree in model.trees]
     rate = model.params.learning_rate
     Xp = X.copy()
     out: dict[str, float] = {}

@@ -57,7 +57,7 @@ import re
 from dataclasses import fields
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 from .errors import DialectViolationError, ParseError, ValidationError
 from .model import (
@@ -515,11 +515,12 @@ def parse_standoff(data: bytes | str) -> list[Document]:
 # Both directions are generated from the record layouts, the dataclass
 # fields, so each layout is declared once. Per annotation, `_JSON_VALUES`
 # says how to write a value and `_JSON_READS` how to read one back; each
-# class adds a record-tuple entry to both as it is generated, and one for a
-# single nested record to the writer's (`pairgen` writes its pair examples
-# with the same generator). An annotation
-# missing from either table raises at import, so a new field cannot be
-# dropped, mis-written or read unchecked unnoticed.
+# class adds entries to both as it is generated, for one nested record and a
+# tuple of them (and to the reader's, for a record or null). `pairgen` reads
+# and writes its pair datasets, and `gbdt.boosting` reads its model files,
+# with the same generators. An annotation missing from either table raises
+# at import, so a new field cannot be dropped, mis-written or read unchecked
+# unnoticed.
 #
 # The writer gives each class one f-string function that writes its fields in
 # sorted key order: the bytes `json.dumps(sort_keys=True, ensure_ascii=False,
@@ -529,9 +530,10 @@ def parse_standoff(data: bytes | str) -> list[Document]:
 # `ensure_ascii`. A `str | None` field is left out when it is None.
 #
 # The reader gives each class one function that checks an object's key set
-# and reads its fields in layout order; a `str | None` key may be absent.
-# Each entry takes a JSON value, the record's path and the field name, and
-# returns the field value or raises naming `path.name`.
+# and reads its fields in layout order; a key annotated `... | None` may be
+# absent. Each entry takes a JSON value, the record's path and the field
+# name, and returns the field value or raises naming `path.name`. A list
+# entry also takes a tuple, as `dataclasses.asdict` gives one.
 _OPTIONAL = "str | None"
 _JSON_VALUES = {
     "int": "{%s}",
@@ -549,6 +551,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _read_spans(value, path: str, name: str) -> tuple[tuple[int, int], ...]:
     if not (isinstance(value, list) and value):
         _fail(path, name, "expected a non-empty list")
@@ -560,13 +566,18 @@ def _read_spans(value, path: str, name: str) -> tuple[tuple[int, int], ...]:
 
 _JSON_READS = {
     "int": lambda v, path, name: v if _is_int(v) else _fail(path, name, "expected an integer"),
+    "float": lambda v, path, name: v if _is_number(v) else _fail(path, name, "expected a number"),
     "str": lambda v, path, name: v if isinstance(v, str) else _fail(path, name, "expected a string"),
     _OPTIONAL: lambda v, path, name: (
         v if v is None or isinstance(v, str) else _fail(path, name, "expected a string")
     ),
     "tuple[str, ...]": lambda v, path, name: (
-        tuple(v) if isinstance(v, list) and v and all(isinstance(a, str) for a in v)
-        else _fail(path, name, "expected a non-empty list of strings")
+        tuple(v) if isinstance(v, (list, tuple)) and all(isinstance(a, str) for a in v)
+        else _fail(path, name, "expected a list of strings")
+    ),
+    "tuple[float, ...]": lambda v, path, name: (
+        tuple(v) if isinstance(v, (list, tuple)) and all(map(_is_number, v))
+        else _fail(path, name, "expected a list of numbers")
     ),
     "tuple[tuple[int, int], ...]": _read_spans,
 }
@@ -595,7 +606,7 @@ def _writer_source(cls: type, values: dict[str, str]) -> str:
     return f"def _write_{cls.__name__}(r):\n    return f'''{{{{{''.join(pieces)}}}}}'''\n"
 
 
-def _record_writer(*classes: type):
+def record_writer(*classes: type):
     """The writer of the last of `classes`, which calls those of the others:
     a field may hold one record of an earlier class, or a tuple of them."""
     namespace = {"_s": encode_basestring}
@@ -608,14 +619,14 @@ def _record_writer(*classes: type):
     return namespace[f"_write_{classes[-1].__name__}"]
 
 
-def _record_reader(cls: type, reads: dict):
+def _class_reader(cls: type, reads: dict):
     """`read(obj, path)`, which reads one `cls` from a JSON object."""
     layout = fields(cls)
     unknown = [f"{f.name}: {f.type}" for f in layout if f.type not in reads]
     if unknown:
         raise TypeError(f"no canonical layout for {cls.__name__}: {unknown}")
     known = frozenset(f.name for f in layout)
-    required = frozenset(f.name for f in layout if f.type != _OPTIONAL)
+    required = frozenset(f.name for f in layout if not f.type.endswith(" | None"))
     steps = [(f.name, reads[f.type]) for f in layout]
 
     def read(obj, path: str):
@@ -631,27 +642,58 @@ def _record_reader(cls: type, reads: dict):
     return read
 
 
-def _list_reader(read_record):
-    """Reads a JSON list of records with `read_record` into a tuple."""
-    def read(value, path: str, name: str) -> tuple:
-        if not isinstance(value, list):
-            _fail(path, name, "expected a list")
-        return tuple([read_record(obj, f"{path}.{name}[{i}]") for i, obj in enumerate(value)])
+def record_entries(name: str, read) -> dict:
+    """The reader entries of a record type `name` that `read(obj, path)`
+    reads: one nested record, one or null, and a tuple of them."""
+    def read_tuple(value, path: str, field: str) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            _fail(path, field, "expected a list")
+        return tuple([read(obj, f"{path}.{field}[{i}]") for i, obj in enumerate(value)])
 
+    return {
+        name: lambda value, path, field: read(value, f"{path}.{field}"),
+        f"{name} | None": lambda value, path, field: (
+            None if value is None else read(value, f"{path}.{field}")
+        ),
+        f"tuple[{name}, ...]": read_tuple,
+    }
+
+
+def record_reader(*classes: type, reads: dict | None = None):
+    """The reader `read(obj, path)` of the last of `classes`, which calls
+    those of the others: a field may hold one record of an earlier class, one
+    or null, or a tuple of them. `reads` adds entries to the base table or
+    replaces some of them."""
+    table = {**_JSON_READS, **(reads or {})}
+    for cls in classes:
+        read = _class_reader(cls, table)
+        table.update(record_entries(cls.__name__, read))
     return read
 
 
-def _document_reader():
-    """The reader of a Document, which calls those of its records."""
-    reads = dict(_JSON_READS)
-    for cls in (Token, Mention, BridgingLink, Document):
-        read = _record_reader(cls, reads)
-        reads[f"tuple[{cls.__name__}, ...]"] = _list_reader(read)
-    return read
+def json_lines(data: bytes | str) -> Iterator:
+    """The JSON value of each non-blank line, in order. A line that is not
+    JSON raises ParseError naming its line."""
+    for line_no, line in enumerate(_decode(data).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line_no)
+        except RecursionError:
+            raise ParseError("invalid JSON: nested too deeply", line_no)
+        yield obj
 
 
-_write_document = _record_writer(Token, Mention, BridgingLink, Document)
-_read_document = _document_reader()
+_write_document = record_writer(Token, Mention, BridgingLink, Document)
+# the antecedents of a bridging link are never empty
+_read_document = record_reader(Token, Mention, BridgingLink, Document, reads={
+    "tuple[str, ...]": lambda v, path, name: (
+        tuple(v) if isinstance(v, list) and v and all(isinstance(a, str) for a in v)
+        else _fail(path, name, "expected a non-empty list of strings")
+    ),
+})
 
 
 def emit_canonical(docs: list[Document]) -> bytes:
@@ -669,18 +711,7 @@ def document_from_dict(obj: dict, path: str = "doc") -> Document:
 
 def parse_canonical(data: bytes | str) -> list[Document]:
     """Parse canonical JSONL; input order is preserved."""
-    docs = []
-    for line_no, line in enumerate(_decode(data).split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_no)
-        except RecursionError:
-            raise ParseError("invalid JSON: nested too deeply", line_no)
-        docs.append(document_from_dict(obj, path=f"doc[{len(docs)}]"))
-    return docs
+    return [document_from_dict(obj, path=f"doc[{i}]") for i, obj in enumerate(json_lines(data))]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
 
 from .errors import EmptyDatasetError, UndefinedDistanceError, ValidationError
-from .ingest import _record_writer
+from .ingest import json_lines, record_reader, record_writer
 from .model import Document, Mention, is_given, mention_order_key, mention_start
 
 LABELS = ("bridging", "coref", "none")
@@ -260,7 +260,17 @@ def bridging_rate_per_1k(docs: list[Document]) -> float:
 # serialization
 
 
-_write_example = _record_writer(FeatureVector, PairExample)
+@dataclass(frozen=True)
+class _Header:
+    """The first line of a pair-dataset file."""
+    provenance: Provenance
+    warnings: tuple[str, ...]
+    n_examples: int
+
+
+_write_example = record_writer(FeatureVector, PairExample)
+_read_example = record_reader(FeatureVector, PairExample)
+_read_header = record_reader(Provenance, _Header)
 
 
 def dataset_to_jsonl(dataset: PairDataset) -> bytes:
@@ -276,45 +286,28 @@ def dataset_to_jsonl(dataset: PairDataset) -> bytes:
     return "".join([f"{line}\n" for line in lines]).encode("utf-8")
 
 
-# Feature name -> the type its JSON value must have (annotations are strings).
-_FEATURE_TYPES = {f.name: int if f.type == "int" else str for f in fields(FeatureVector)}
-
-
 def dataset_from_jsonl(data: bytes | str) -> PairDataset:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    lines = [line for line in text.split("\n") if line.strip()]
-    if not lines:
+    """Read the header and each example from their record layouts. A line
+    that is not JSON raises ParseError naming its line; a mistyped, missing
+    or unknown field raises ValidationError naming its path."""
+    lines = json_lines(data)
+    header = next(lines, None)
+    if header is None:
         raise EmptyDatasetError("empty dataset file")
-    header = json.loads(lines[0])
-    if "provenance" not in header:
+    if not isinstance(header, dict) or "provenance" not in header:
         raise ValidationError("first line must be the provenance header")
+    header = _read_header(header, "header")
     examples = []
-    for i, line in enumerate(lines[1:]):
-        obj = json.loads(line)
-        if obj["label"] not in LABELS:
-            raise ValidationError(f"example {i}: unknown label {obj['label']!r}")
-        features = obj["features"]
-        wrong = [k for k, kind in _FEATURE_TYPES.items() if type(features.get(k)) is not kind]
-        if wrong:
-            raise ValidationError(f"example {i}: missing or mistyped features {wrong}")
-        examples.append(
-            PairExample(
-                doc_id=obj["doc_id"],
-                antecedent_id=obj["antecedent_id"],
-                anaphor_id=obj["anaphor_id"],
-                features=FeatureVector(**features),
-                label=obj["label"],
-            )
-        )
-    if header.get("n_examples") not in (None, len(examples)):
+    for i, obj in enumerate(lines):
+        example = _read_example(obj, f"example[{i}]")
+        if example.label not in LABELS:
+            raise ValidationError(f"example {i}: unknown label {example.label!r}")
+        examples.append(example)
+    if header.n_examples != len(examples):
         raise ValidationError(
-            f"header declares {header['n_examples']} examples, found {len(examples)}"
+            f"header declares {header.n_examples} examples, found {len(examples)}"
         )
-    return PairDataset(
-        examples=tuple(examples),
-        provenance=Provenance(**header["provenance"]),
-        warnings=tuple(header.get("warnings", ())),
-    )
+    return PairDataset(tuple(examples), header.provenance, header.warnings)
 
 
 def dataset_to_csv(dataset: PairDataset) -> str:

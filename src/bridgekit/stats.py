@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,10 +167,7 @@ def entity_pair_distribution(docs: list[Document], threshold: float = 0.01) -> P
     pairs = _link_type_pairs(docs)
     if not pairs:
         raise EmptyDatasetError("no bridging links to tabulate")
-    counts: dict[tuple[str, str], int] = {}
-    for pair in pairs:
-        counts[pair] = counts.get(pair, 0) + 1
-    return PairTypeDistribution(counts=counts, total=len(pairs), threshold=threshold)
+    return PairTypeDistribution(counts=Counter(pairs), total=len(pairs), threshold=threshold)
 
 
 @dataclass(frozen=True)
@@ -196,29 +194,17 @@ class LabelDistribution:
 
 def anaphor_entity_distribution(docs: list[Document]) -> LabelDistribution:
     """Unified entity type of the anaphor, one count per bridging link."""
-    counts: dict[str, int] = {}
-    total = 0
-    for doc in docs:
-        for link in doc.bridging:
-            ana = doc.mention_by_id[link.anaphor_id]
-            label = ana.entity_type_unified
-            if label == UNRESOLVED:
-                label = ana.entity_type_original
-            counts[label] = counts.get(label, 0) + 1
-            total += 1
-    return LabelDistribution(counts=counts, total=total)
+    anaphors = [doc.mention_by_id[link.anaphor_id] for doc in docs for link in doc.bridging]
+    labels = [ana.entity_type_original if ana.entity_type_unified == UNRESOLVED
+              else ana.entity_type_unified for ana in anaphors]
+    return LabelDistribution(counts=Counter(labels), total=len(labels))
 
 
 def subtype_distribution(docs: list[Document]) -> LabelDistribution:
     """Bridging subtype counts; links without a subtype count as unmarked."""
-    counts: dict[str, int] = {}
-    total = 0
-    for doc in docs:
-        for link in doc.bridging:
-            label = link.subtype if link.subtype is not None else "unmarked"
-            counts[label] = counts.get(label, 0) + 1
-            total += 1
-    return LabelDistribution(counts=counts, total=total)
+    labels = [link.subtype if link.subtype is not None else "unmarked"
+              for doc in docs for link in doc.bridging]
+    return LabelDistribution(counts=Counter(labels), total=len(labels))
 
 
 @dataclass(frozen=True)

@@ -401,6 +401,50 @@ class TestPairsTrainEvalChain:
             f"n_features 1000 differs from the encoder schema's {width} columns\n"
         )
 
+    @pytest.mark.parametrize(
+        ("edit", "message"),
+        [
+            (lambda obj, i: obj["trees"][i].update(column=2.5),
+             "model.trees[{i}].column: expected an integer"),
+            (lambda obj, i: obj["trees"][i].update(threshold="0.5"),
+             "model.trees[{i}].threshold: expected a number"),
+        ],
+    )
+    def test_mistyped_model_field_exits_2_naming_file_and_field(
+        self, chain, tmp_path, capsys, edit, message
+    ):
+        obj = json.loads(chain["model"].read_text())
+        i = next(i for i, tree in enumerate(obj["trees"]) if "column" in tree)
+        edit(obj, i)
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["eval", "--model", str(bad), "--pairs", str(chain["pairs"])]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: malformed model {bad}: ValidationError: {message.format(i=i)}\n"
+        )
+
+    @pytest.mark.parametrize(
+        ("line", "edit", "message"),
+        [
+            (2, lambda text: json.dumps({**json.loads(text), "doc_id": 5}),
+             "ValidationError: example[0].doc_id: expected a string"),
+            (1, lambda text: json.dumps({**json.loads(text), "warnings": "abc"}),
+             "ValidationError: header.warnings: expected a list of strings"),
+            (5, lambda text: "{broken",
+             "ParseError: line 5: invalid JSON: Expecting property name enclosed in double quotes"),
+        ],
+    )
+    def test_malformed_pair_dataset_exits_2_naming_the_file(
+        self, chain, tmp_path, capsys, line, edit, message
+    ):
+        lines = chain["pairs"].read_text().splitlines()
+        lines[line - 1] = edit(lines[line - 1])
+        bad = tmp_path / "pairs.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["analyze", "--pairs", str(bad), "--model", str(chain["model"]), "--tau", "1"])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: malformed pair dataset {bad}: {message}\n"
+
     def test_analyze_refuses_a_model_without_an_encoder_schema(self, chain, tmp_path, capsys):
         obj = json.loads(chain["model"].read_text())
         obj["schema"] = None
@@ -853,6 +897,7 @@ class TestRun:
             ("chi_square_residuals", "analysis", EXIT_PIPELINE, "boom"),
             ("confident_errors", "analysis", EXIT_PIPELINE, "boom"),
             (None, "load", EXIT_PARSE,
+             "malformed exclusion list {tmp}/exclusions.tsv: ParseError: "
              "line 1: expected 'doc_id<TAB>anaphor_id', got 'no-tab'"),
         ],
     )

@@ -198,13 +198,17 @@ class TestEncoding:
 
     def test_schema_serialization_round_trip(self, planted_train_dataset):
         schema = fit_schema(planted_train_dataset)
-        assert EncoderSchema.from_dict(json.loads(json.dumps(asdict(schema)))) == schema
+        model = GbdtModel(base_score=0.0, trees=(Leaf(0.0),), params=HyperParams(), seed=0,
+                          n_features=schema.n_columns, schema=schema)
+        assert model_from_dict(json.loads(json.dumps(model_to_dict(model)))).schema == schema
 
     def test_unknown_block_kind_is_rejected(self):
-        with pytest.raises(Exception, match="unknown block kind"):
-            EncoderSchema.from_dict({"lemma_top_k": 1, "blocks": [
-                {"feature": "x", "kind": "fuzzy", "categories": []}
-            ]})
+        obj = model_to_dict(HAND_BUILT_MODEL)
+        obj["schema"] = {"lemma_top_k": 1, "blocks": [
+            {"feature": "x", "kind": "fuzzy", "categories": []}
+        ]}
+        with pytest.raises(ValidationError, match="^unknown block kind 'fuzzy'$"):
+            model_from_dict(obj)
 
     def test_negative_lemma_top_k_is_rejected(self, planted_train_dataset):
         with pytest.raises(ConfigError, match="lemma_top_k"):
@@ -804,6 +808,70 @@ class TestModelSerialization:
         model = TestTraining().hand_model()
         assert model.schema is None
         assert model_from_dict(model_to_dict(model)) == model
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_trained_models_round_trip_and_rewrite_the_same_bytes(
+        self, planted_train_dataset, tmp_path, depth
+    ):
+        X, y, schema = encode(planted_train_dataset)
+        model = train(X, y, HyperParams(n_rounds=8, max_depth=depth), seed=depth, schema=schema)
+        assert model_from_dict(model_to_dict(model)) == model
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        data = path.read_bytes()
+        loaded = load_model(path)
+        assert loaded == model
+        save_model(loaded, path)
+        assert path.read_bytes() == data
+
+    def test_a_number_keeps_the_type_it_was_read_with(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(HAND_BUILT_MODEL_BYTES.replace(b'"threshold":2.5', b'"threshold":2'))
+        assert load_model(path).trees[0].threshold == 2
+        data = path.read_bytes()
+        save_model(load_model(path), path)
+        assert path.read_bytes() == data
+
+    @pytest.mark.parametrize(
+        ("edit", "message"),
+        [
+            # read as column 2 and as threshold "0.5" before
+            (lambda obj: obj["trees"][0].update(column=2.5),
+             r"^model\.trees\[0\]\.column: expected an integer$"),
+            (lambda obj: obj["trees"][0]["right"].update(threshold="0.5"),
+             r"^model\.trees\[0\]\.right\.threshold: expected a number$"),
+            (lambda obj: obj["trees"][1].update(weight=True),
+             r"^model\.trees\[1\]\.weight: expected a number$"),
+            (lambda obj: obj["trees"][0]["left"].update(gain=1.0),
+             r"^model\.trees\[0\]\.left: unexpected keys \['gain'\]$"),
+            (lambda obj: obj["params"].update(max_depth="2"),
+             r"^model\.params\.max_depth: expected an integer$"),
+            (lambda obj: obj.update(training_loss=["0.5"]),
+             r"^model\.training_loss: expected a list of numbers$"),
+            (lambda obj: obj["schema"]["blocks"][1].update(categories="ab"),
+             r"^model\.schema\.blocks\[1\]\.categories: expected a list of strings$"),
+            (lambda obj: obj.pop("seed"), r"^model: missing keys \['seed'\]$"),
+        ],
+    )
+    def test_each_field_of_the_file_is_checked_naming_its_path(self, edit, message):
+        obj = json.loads(HAND_BUILT_MODEL_BYTES)
+        edit(obj)
+        with pytest.raises(ValidationError, match=message):
+            model_from_dict(obj)
+
+    def test_trees_nested_too_deeply_are_a_validation_error(self):
+        node = {"weight": 0.0}
+        for _ in range(2000):
+            node = {"column": 0, "threshold": 0.5, "gain": 1.0, "left": node,
+                    "right": {"weight": 0.0}}
+        obj = model_to_dict(replace(HAND_BUILT_MODEL, schema=None))
+        obj["trees"] = [node]
+        with pytest.raises(ValidationError, match="^model: trees nested too deeply$"):
+            model_from_dict(obj)
+
+    def test_a_model_that_is_not_an_object_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="^model: expected an object$"):
+            model_from_dict([])
 
 
 class TestMetrics:

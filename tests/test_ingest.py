@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import re
@@ -9,7 +10,9 @@ import re
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bridgekit.errors import DialectViolationError, ParseError, ValidationError
+from bridgekit.errors import BridgekitError, DialectViolationError, ParseError, ValidationError
+from bridgekit.gbdt import HyperParams, encode, model_from_dict, model_to_dict, train
+from bridgekit.harmonize import harmonize_corpus
 from bridgekit.ingest import (
     DIALECT_PARSERS,
     document_from_dict,
@@ -23,7 +26,13 @@ from bridgekit.ingest import (
     read_documents,
 )
 from bridgekit.model import BridgingLink, Document, Mention, Token, validate_document
-from bridgekit.synth import random_corpus, standoff_text
+from bridgekit.pairgen import (
+    PairDataset,
+    build_balanced_dataset,
+    dataset_from_jsonl,
+    dataset_to_jsonl,
+)
+from bridgekit.synth import planted_rule_corpus, random_corpus, standoff_text
 
 BRACKET_DOC = """\
 # doc_id = demo
@@ -731,6 +740,59 @@ class TestCanonical:
         mutate(obj)
         with pytest.raises(ValidationError, match=message):
             parse_canonical(json.dumps(obj))
+
+
+@functools.cache
+def _record_files() -> tuple[str, str]:
+    """A small pair-dataset file and the JSON of a model trained on it."""
+    docs, _ = harmonize_corpus(planted_rule_corpus(3, n_docs=4))
+    full = build_balanced_dataset(docs, seed=1)
+    dataset = PairDataset(full.examples[::10], full.provenance, ("a warning",))
+    X, y, schema = encode(dataset)
+    model = train(X, y, HyperParams(n_rounds=3, max_depth=2), schema=schema)
+    assert any("column" in tree for tree in model_to_dict(model)["trees"])
+    return dataset_to_jsonl(dataset).decode(), json.dumps(model_to_dict(model))
+
+
+def _put_one_fault(root, kind: str, added_keys: tuple[str, ...], data, top: dict) -> None:
+    """Drop, add or replace one value of a parsed JSON tree, each site as
+    likely as any other; a key added to a list goes to `top`."""
+    sites = _json_sites(root, {})
+    container, key = data.draw(st.sampled_from(sites[data.draw(st.sampled_from(sorted(sites)))]))
+    if kind == "drop":
+        del container[key]
+    elif kind == "add":
+        target = container if isinstance(container, dict) else top
+        target[data.draw(st.sampled_from(added_keys))] = data.draw(st.sampled_from(_FAULTY_VALUES))
+    else:
+        container[key] = data.draw(st.sampled_from(_FAULTY_VALUES))
+
+
+class TestOtherRecordFiles:
+    """Pair-dataset and model files are read by the reader generated from
+    their record layouts: any one fault in them is a BridgekitError."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(kind=st.sampled_from(["drop", "add", "replace"]), data=st.data())
+    def test_one_fault_in_a_pair_dataset_file_is_a_bridgekit_error(self, kind, data):
+        lines = [json.loads(line) for line in _record_files()[0].splitlines()]
+        _put_one_fault(lines, kind, ("extra", "label", "t_a_dist", "seed", "n_examples"),
+                       data, lines[0])
+        try:
+            assert isinstance(dataset_from_jsonl("\n".join(map(json.dumps, lines))), PairDataset)
+        except BridgekitError:
+            pass
+
+    @settings(max_examples=500, deadline=None)
+    @given(kind=st.sampled_from(["drop", "add", "replace"]), data=st.data())
+    def test_one_fault_in_a_model_file_is_a_bridgekit_error(self, kind, data):
+        obj = json.loads(_record_files()[1])
+        _put_one_fault(obj, kind, ("extra", "weight", "column", "schema", "format_version"),
+                       data, obj)
+        try:
+            assert model_from_dict(obj) is not None
+        except BridgekitError:
+            pass
 
 
 class TestFindHead:

@@ -5,13 +5,18 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bridgekit import pairgen
-from bridgekit.errors import EmptyDatasetError, UndefinedDistanceError, ValidationError
+from bridgekit.errors import (
+    EmptyDatasetError,
+    ParseError,
+    UndefinedDistanceError,
+    ValidationError,
+)
 from bridgekit.harmonize import harmonize_corpus
 from bridgekit.model import (
     BridgingLink,
@@ -453,6 +458,46 @@ def reference_dataset_to_jsonl(dataset: PairDataset) -> bytes:
     return ("".join(line + "\n" for line in lines)).encode("utf-8")
 
 
+def reference_dataset_from_jsonl(data: bytes | str) -> PairDataset:
+    """The hand-written reader the generated one replaced: on valid files
+    the two must read the same dataset."""
+    feature_types = {f.name: int if f.type == "int" else str for f in fields(FeatureVector)}
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    lines = [line for line in text.split("\n") if line.strip()]
+    if not lines:
+        raise EmptyDatasetError("empty dataset file")
+    header = json.loads(lines[0])
+    if "provenance" not in header:
+        raise ValidationError("first line must be the provenance header")
+    examples = []
+    for i, line in enumerate(lines[1:]):
+        obj = json.loads(line)
+        if obj["label"] not in LABELS:
+            raise ValidationError(f"example {i}: unknown label {obj['label']!r}")
+        features = obj["features"]
+        wrong = [k for k, kind in feature_types.items() if type(features.get(k)) is not kind]
+        if wrong:
+            raise ValidationError(f"example {i}: missing or mistyped features {wrong}")
+        examples.append(
+            PairExample(
+                doc_id=obj["doc_id"],
+                antecedent_id=obj["antecedent_id"],
+                anaphor_id=obj["anaphor_id"],
+                features=FeatureVector(**features),
+                label=obj["label"],
+            )
+        )
+    if header.get("n_examples") not in (None, len(examples)):
+        raise ValidationError(
+            f"header declares {header['n_examples']} examples, found {len(examples)}"
+        )
+    return PairDataset(
+        examples=tuple(examples),
+        provenance=Provenance(**header["provenance"]),
+        warnings=tuple(header.get("warnings", ())),
+    )
+
+
 # Strings JSON must escape or that are easy to mis-encode: quotes,
 # backslashes, C0 controls and DEL, the JavaScript line separators, and
 # characters outside the Basic Multilingual Plane.
@@ -505,10 +550,70 @@ class TestSerialization:
             dataset_from_jsonl("\n".join([lines[0], json.dumps(example)] + lines[2:]))
         example = json.loads(lines[1])
         example["features"]["t_a_dist"] = "far"
-        with pytest.raises(ValidationError, match=r"mistyped features \['t_a_dist'\]"):
+        with pytest.raises(ValidationError,
+                           match=r"^example\[0\]\.features\.t_a_dist: expected an integer$"):
             dataset_from_jsonl("\n".join([lines[0], json.dumps(example)] + lines[2:]))
         with pytest.raises(EmptyDatasetError):
             dataset_from_jsonl("\n\n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_EXAMPLES, max_size=3), st.lists(_TEXT, max_size=2), _TEXT,
+           st.integers(min_value=0, max_value=10**12))
+    def test_reader_matches_the_hand_written_reader_on_valid_files(
+        self, examples, warnings, corpus, seed
+    ):
+        ds = PairDataset(tuple(examples), Provenance(corpus, "dev", seed, 7), tuple(warnings))
+        data = dataset_to_jsonl(ds)
+        assert dataset_from_jsonl(data) == reference_dataset_from_jsonl(data) == ds
+
+    @pytest.mark.parametrize(
+        ("line", "edit", "message"),
+        [
+            # an integer doc_id was copied into analyze's confident errors
+            (1, lambda obj: obj.update(doc_id=5), r"^example\[0\]\.doc_id: expected a string$"),
+            # a string of warnings read as one warning per character
+            (0, lambda obj: obj.update(warnings="abc"),
+             r"^header\.warnings: expected a list of strings$"),
+            (0, lambda obj: obj["provenance"].update(seed="7"),
+             r"^header\.provenance\.seed: expected an integer$"),
+            (0, lambda obj: obj["provenance"].pop("corpus"),
+             r"^header\.provenance: missing keys \['corpus'\]$"),
+            # these raised TypeError or KeyError
+            (2, lambda obj: obj.clear(), r"^example\[1\]: missing keys \['anaphor_id', "),
+            (1, lambda obj: obj["features"].update(extra=1),
+             r"^example\[0\]\.features: unexpected keys \['extra'\]$"),
+            (1, lambda obj: obj["features"].pop("t_a_dist"),
+             r"^example\[0\]\.features: missing keys \['t_a_dist'\]$"),
+        ],
+    )
+    def test_each_field_of_the_file_is_checked_naming_its_path(
+        self, sampling_docs, line, edit, message
+    ):
+        lines = dataset_to_jsonl(build_balanced_dataset(sampling_docs, seed=7)).decode().splitlines()
+        obj = json.loads(lines[line])
+        edit(obj)
+        lines[line] = json.dumps(obj)
+        with pytest.raises(ValidationError, match=message):
+            dataset_from_jsonl("\n".join(lines))
+
+    def test_an_example_that_is_not_an_object_is_a_validation_error(self, sampling_docs):
+        lines = dataset_to_jsonl(build_balanced_dataset(sampling_docs, seed=7)).decode().splitlines()
+        lines[1] = "[]"
+        with pytest.raises(ValidationError, match=r"^example\[0\]: expected an object$"):
+            dataset_from_jsonl("\n".join(lines))
+
+    @pytest.mark.parametrize(
+        ("broken", "message"),
+        [("{broken", "invalid JSON: Expecting property name"),
+         ("[" * 100_000, "invalid JSON: nested too deeply")],
+    )
+    def test_invalid_json_names_the_file_line(self, sampling_docs, broken, message):
+        lines = dataset_to_jsonl(build_balanced_dataset(sampling_docs, seed=7)).decode().splitlines()
+        # a blank line before it still counts
+        lines[3:5] = ["", broken]
+        with pytest.raises(ParseError, match=f"^line 5: {message}") as info:
+            dataset_from_jsonl("\n".join(lines))
+        assert info.value.line == 5
 
     def test_csv_has_one_column_per_feature(self, sampling_docs):
         ds = build_balanced_dataset(sampling_docs, seed=7)
