@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple, Union
 import numpy as np
 
 from ..errors import ConfigError, DegenerateTrainingError, SchemaMismatchError, ValidationError
-from ..ingest import record_entries, record_reader
+from ..ingest import read_text, record_entries, record_reader
 from .encoding import EncoderSchema, FeatureBlock
 
 FORMAT_VERSION = 1
@@ -211,7 +211,7 @@ def _find_best_split(
     for start in range(0, len(cols.numeric), width):
         block = cols.X_numeric[:, start:start + width]
         order = np.argsort(block, axis=0, kind="stable")
-        xs = np.take_along_axis(block, order, axis=0)
+        xs = block[order, np.arange(block.shape[1])]
         # a split lies between two distinct sorted values
         cs, rows = np.nonzero((xs[1:] > xs[:-1]).T)
         H_L = np.cumsum(h[order], axis=0)[rows, cs]
@@ -241,17 +241,22 @@ def _build_tree(
 ) -> Node:
     """Grow a tree over the rows `indices`, and write each leaf's weight to
     `values` at the leaf's rows."""
-    lam = hp.l2_leaf_penalty
-    G = float(g[indices].sum())
-    H = float(h[indices].sum())
+    lam, min_h = hp.l2_leaf_penalty, hp.min_child_hessian
+    g_node, h_node = g[indices], h[indices]
+    G = float(g_node.sum())
+    H = float(h_node.sum())
     if H + lam == 0.0:
         # Only a root with lambda == 0 whose every hessian underflowed.
         raise DegenerateTrainingError(
             "node hessian sum is 0 with l2_leaf_penalty 0; the model has saturated"
         )
     found = None
-    if depth < hp.max_depth and len(indices) >= 2:
-        found = _find_best_split(cols.take(indices), g[indices], h[indices], hp)
+    # A node this light has no cut that gives both children min_h, so it is
+    # a leaf without a search. The search takes H_R = H - H_L with this same
+    # H, and rounding is monotone: a cut with H_L >= min_h has
+    # fl(H - H_L) <= fl(H - min_h) < min_h, and fails the floor there too.
+    if depth < hp.max_depth and len(indices) >= 2 and H - min_h >= min_h:
+        found = _find_best_split(cols.take(indices), g_node, h_node, hp)
     if found is None:
         leaf = Leaf(-G / (H + lam))
         values[indices] = leaf.weight
@@ -318,19 +323,20 @@ def train(
     base_score = float(np.log(positive_rate / (1.0 - positive_rate)))
 
     margins = np.full(X.shape[0], base_score, dtype=np.float64)
-    losses = [log_loss(y, sigmoid(margins))]
+    p = sigmoid(margins)
+    losses = [log_loss(y, p)]
     trees: list[Node] = []
     cols = _Columns.of(X)
     all_rows = np.arange(X.shape[0])
     values = np.empty(X.shape[0], dtype=np.float64)
     for _ in range(hp.n_rounds):
-        p = sigmoid(margins)
         g = p - y
         h = p * (1.0 - p)
         # the leaves partition the rows, so this fills every entry of values
         trees.append(_build_tree(X, cols, g, h, all_rows, 0, hp, values))
         margins += hp.learning_rate * values
-        losses.append(log_loss(y, sigmoid(margins)))
+        p = sigmoid(margins)
+        losses.append(log_loss(y, p))
     return GbdtModel(
         base_score=base_score,
         trees=tuple(trees),
@@ -447,4 +453,4 @@ def save_model(model: GbdtModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> GbdtModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return model_from_dict(json.loads(read_text(path)))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ParseError, UnknownEntityTypeError, ValidationError
+from .ingest import read_text
 from .model import BridgingLink, Document, Mention, UNRESOLVED, is_given
 
 # Original-label -> unified-label maps. Keys are lowercase; lookup lowercases
@@ -144,7 +145,7 @@ def format_report(report: HarmonizeReport) -> str:
 def read_exclusion_list(path: str | Path) -> frozenset[tuple[str, str]]:
     """One ``doc_id <tab> anaphor_mention_id`` per line; blank lines ignored."""
     pairs = set()
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+    for line_no, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue

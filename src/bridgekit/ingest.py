@@ -80,7 +80,23 @@ _SPAN = re.compile(r"([0-9]+)-([0-9]+)")
 
 
 def _decode(data: bytes | str) -> str:
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+    """The text of `data`; bytes that are not UTF-8 raise ParseError naming
+    the line of the first bad byte."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data[:exc.start].count(b"\n") + 1
+        raise ParseError(f"not valid utf-8: {exc.reason}", line) from None
+
+
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file, with "\\r\\n" and "\\r" read as "\\n", as a
+    file opened in text mode reads them; bytes that are not UTF-8 raise
+    ParseError naming their line. No byte of a multi-byte UTF-8 character
+    is a line end, so the line ends are replaced before decoding."""
+    return _decode(Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
 
 
 def find_head(tokens: tuple[Token, ...], spans: tuple[tuple[int, int], ...]) -> int:
@@ -744,7 +760,7 @@ def read_documents(path: str | Path, dialect: str | None = None) -> list[Documen
     data = Path(path).read_bytes()
     try:
         return DIALECT_PARSERS[dialect](data)
-    except (ParseError, ValidationError, UnicodeDecodeError) as exc:
+    except (ParseError, ValidationError) as exc:
         located = ParseError(f"{path}: {exc}")
         located.line = getattr(exc, "line", None)
         raise located from exc

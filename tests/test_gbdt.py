@@ -13,6 +13,7 @@ from bridgekit.errors import (
     ConfigError,
     DegenerateTrainingError,
     EmptyDatasetError,
+    ParseError,
     SchemaMismatchError,
     ValidationError,
 )
@@ -541,11 +542,48 @@ def split_problems(draw):
     lam = draw(st.sampled_from([0.0, 0.5, 1.0]))
     hp = HyperParams(
         l2_leaf_penalty=lam,
-        min_child_hessian=draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0]).filter(
+        min_child_hessian=draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 5.0]).filter(
             lambda mch: lam > 0 or mch > 0)),
         split_gain_threshold=draw(st.sampled_from([0.0, 0.05])),
     )
     return X, g, h, hp
+
+
+@st.composite
+def light_nodes(draw):
+    """A node whose hessian sum lies a few ulps from twice
+    `min_child_hessian`, on either side, over a `random_matrix`. With equal
+    hessians, the middle cut's H_L is min_child_hessian or next to it."""
+    n_rows, n_cols = draw(st.integers(2, 12)), draw(st.integers(1, 6))
+    rng, X = draw_matrix(draw, n_rows, n_cols)
+    min_h = draw(st.sampled_from([1e-3, 0.1, 1.0, 5.0]))
+    h = np.ones(n_rows) if draw(st.booleans()) else rng.uniform(0.05, 1.0, n_rows)
+    h *= 2 * min_h / h.sum()
+    target = 2 * min_h
+    steps = draw(st.integers(-4, 4))
+    for _ in range(abs(steps)):
+        target = np.nextafter(target, math.copysign(math.inf, steps))
+    # each correction of the last row brings the sum closer to the target
+    for _ in range(3):
+        h[-1] += target - h.sum()
+    hp = HyperParams(
+        l2_leaf_penalty=draw(st.sampled_from([0.0, 1.0])),
+        min_child_hessian=min_h,
+        split_gain_threshold=0.0,
+    )
+    return X, rng.uniform(-1.0, 1.0, n_rows), h, hp
+
+
+def leaf_rows(node, X):
+    """The depth of each leaf of a tree and the rows of X that reach it."""
+    stack = [(node, 0, np.arange(X.shape[0]))]
+    while stack:
+        nd, depth, rows = stack.pop()
+        if isinstance(nd, Leaf):
+            yield depth, rows
+        else:
+            left = X[rows, nd.column] < nd.threshold
+            stack += (nd.left, depth + 1, rows[left]), (nd.right, depth + 1, rows[~left])
 
 
 def reference_train(X, y, hp):
@@ -606,7 +644,7 @@ def train_problems(draw):
         max_depth=max_depth,
         learning_rate=draw(st.sampled_from([0.1, 0.3])),
         l2_leaf_penalty=lam,
-        min_child_hessian=draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0]).filter(
+        min_child_hessian=draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 5.0]).filter(
             lambda mch: lam > 0 or mch > 0)),
         split_gain_threshold=draw(st.sampled_from([0.0, 0.05])),
     )
@@ -639,6 +677,50 @@ class TestSplitSearch:
         trees, losses = reference_train(X, y, hp)
         assert [tree_bits(t) for t in model.trees] == [tree_bits(t) for t in trees]
         assert [x.hex() for x in model.training_loss] == [x.hex() for x in losses]
+
+    @settings(max_examples=500, deadline=None)
+    @given(light_nodes())
+    def test_a_node_too_light_to_split_has_no_cut(self, problem):
+        # the rule by which the trainer makes such a node a leaf unsearched
+        X, g, h, hp = problem
+        H, min_h = h.sum(), hp.min_child_hessian
+        ulps = round((H - 2 * min_h) / np.spacing(2 * min_h))
+        assume(abs(ulps) <= 8 and h.min() > 0)
+        event("H below 2 min_h" if ulps < 0 else "H above 2 min_h" if ulps > 0
+              else "H is 2 min_h")
+        if H - min_h < min_h:
+            event("too light to split")
+            assert reference_best_split(X, g, h, hp) is None
+
+    def test_nodes_too_light_to_split_are_not_searched(self, planted_train_dataset, monkeypatch):
+        X, y, _ = encode(planted_train_dataset)
+        hp = HyperParams(n_rounds=10, max_depth=6, min_child_hessian=5.0)
+        searched = []
+        search = boosting._find_best_split
+
+        def recording(cols, g, h, hp):
+            searched.append(float(h.sum()))
+            return search(cols, g, h, hp)
+
+        monkeypatch.setattr(boosting, "_find_best_split", recording)
+        model = train(X, y, hp)
+        assert searched and all(H - 5.0 >= 5.0 for H in searched)
+        # some leaf that depth and row count alone would have let split is
+        # that light
+        light = 0
+        for margins, tree in zip(staged_margins(model, X), model.trees):
+            p = sigmoid(margins)
+            h = p * (1.0 - p)
+            light += sum(depth < hp.max_depth and len(rows) >= 2 and h[rows].sum() < 10.0
+                         for depth, rows in leaf_rows(tree, X))
+        assert light > 0
+
+    def test_a_node_of_exactly_twice_min_child_hessian_splits_in_half(self):
+        # at p = 0.5 each hessian is 0.25, so H is 2.0 and each half 1.0
+        X = np.repeat([[0.0], [1.0]], 4, axis=0)
+        hp = HyperParams(n_rounds=1, max_depth=1, min_child_hessian=1.0)
+        (tree,) = train(X, X[:, 0], hp).trees
+        assert (tree.column, tree.threshold) == (0, 0.5)
 
     def grad(self, y):
         p = np.full(len(y), 0.5)
@@ -858,6 +940,15 @@ class TestModelSerialization:
         edit(obj)
         with pytest.raises(ValidationError, match=message):
             model_from_dict(obj)
+
+    def test_bytes_that_are_not_utf_8_name_their_line(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\n" + HAND_BUILT_MODEL_BYTES.replace(b"river", b"riv\xe9r"))
+        with pytest.raises(
+            ParseError, match="^line 2: not valid utf-8: invalid continuation byte$"
+        ) as info:
+            load_model(path)
+        assert info.value.line == 2
 
     def test_trees_nested_too_deeply_are_a_validation_error(self):
         node = {"weight": 0.0}

@@ -421,6 +421,20 @@ class TestExclusionList:
         path.write_text("doc1\tm3\n\ndoc2\tm7\n")
         assert read_exclusion_list(path) == frozenset({("doc1", "m3"), ("doc2", "m7")})
 
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+    def test_line_ends_are_read_as_in_text_mode(self, tmp_path, end):
+        path = tmp_path / "excl.tsv"
+        path.write_bytes(end.join([b"doc1\tm3", b"", b"doc2\tm7", b""]))
+        assert read_exclusion_list(path) == frozenset({("doc1", "m3"), ("doc2", "m7")})
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    def test_bytes_that_are_not_utf_8_name_their_line(self, tmp_path, end):
+        path = tmp_path / "excl.tsv"
+        path.write_bytes(end.join([b"doc1\tm3", b"", b"doc\xff2\tm7", b""]))
+        with pytest.raises(ParseError, match="^line 3: not valid utf-8: invalid start byte$") as info:
+            read_exclusion_list(path)
+        assert info.value.line == 3
+
     def test_malformed_line_raises_with_line_number(self, tmp_path):
         path = tmp_path / "excl.tsv"
         path.write_text("doc1\tm3\njust-one-field\n")

@@ -615,6 +615,15 @@ class TestSerialization:
             dataset_from_jsonl("\n".join(lines))
         assert info.value.line == 5
 
+    def test_bytes_that_are_not_utf_8_name_their_line(self, sampling_docs):
+        lines = dataset_to_jsonl(build_balanced_dataset(sampling_docs, seed=7)).split(b"\n")
+        lines[4] = lines[4].replace(b"{", b"{\xff", 1)
+        with pytest.raises(ParseError, match="^line 5: not valid utf-8: invalid start byte$") as info:
+            dataset_from_jsonl(b"\n".join(lines))
+        assert info.value.line == 5
+        with pytest.raises(ParseError, match="^line 1: not valid utf-8: "):
+            dataset_from_jsonl(b"\xff\n")
+
     def test_csv_has_one_column_per_feature(self, sampling_docs):
         ds = build_balanced_dataset(sampling_docs, seed=7)
         rows = list(csv.reader(io.StringIO(dataset_to_csv(ds))))
