@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple, Union
 import numpy as np
 
 from ..errors import ConfigError, DegenerateTrainingError, SchemaMismatchError, ValidationError
-from ..ingest import read_text, record_entries, record_reader
+from ..ingest import json_value, read_text, record_entries, record_reader
 from .encoding import EncoderSchema, FeatureBlock
 
 FORMAT_VERSION = 1
@@ -116,18 +116,30 @@ def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
 
 
 def log_loss(y: np.ndarray, p: np.ndarray) -> float:
+    """Mean logistic loss. The per-row terms are sorted before they are
+    summed, so the loss does not depend on the order of the rows."""
     p = np.clip(p, 1e-15, 1.0 - 1e-15)
-    return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
+    return float(-np.mean(np.sort(y * np.log(p) + (1 - y) * np.log(1 - p))))
 
 
-# Cells (rows x columns) of one block of the split search. Sorting all
-# columns of a large node at once holds several arrays of its full size;
-# blocks of this many cells keep them small while still spreading the cost
-# of each numpy call over many columns.
+# Each round's gradients and hessians are rounded to multiples of this
+# grid. A gradient lies in [-1, 1] and a hessian in [0, 1/4], so a sum of
+# at most _MAX_TRAINING_ROWS of them is a multiple of 2^-30 of magnitude at
+# most 2^23: a float64 holds it exactly, and every order of addition gives
+# the same bits. The rounding moves each value by at most 2^-31.
+_GRID = 2.0**-30
+_MAX_TRAINING_ROWS = 2**23
+
+
+def _quantize(x: np.ndarray) -> np.ndarray:
+    return np.round(x / _GRID) * _GRID
+
+
+# Cells (rows x columns) of one block of the numeric split search. Sorting
+# all columns of a large node at once holds several arrays of its full
+# size; blocks of this many cells keep them small while still spreading
+# the cost of each numpy call over many columns.
 _SPLIT_BLOCK_CELLS = 4096
-# The same bound for the masked sums over 0/1 columns, which hold two
-# arrays of a block's size rather than several.
-_BINARY_BLOCK_CELLS = 8192
 
 
 class _Columns(NamedTuple):
@@ -138,7 +150,7 @@ class _Columns(NamedTuple):
     """
 
     binary: np.ndarray  # positions of the 0/1 columns, ascending
-    zero: np.ndarray  # X == 0 on those columns
+    zero: np.ndarray  # X == 0 on those columns, as 1.0 and 0.0
     numeric: np.ndarray  # positions of the other columns, ascending
     X_numeric: np.ndarray  # X on those columns, contiguous
 
@@ -146,7 +158,8 @@ class _Columns(NamedTuple):
     def of(cls, X: np.ndarray) -> "_Columns":
         is_binary = np.all((X == 0) | (X == 1), axis=0)
         binary, numeric = np.flatnonzero(is_binary), np.flatnonzero(~is_binary)
-        return cls(binary, X[:, binary] == 0, numeric, np.ascontiguousarray(X[:, numeric]))
+        zero = (X[:, binary] == 0).astype(np.float64)
+        return cls(binary, zero, numeric, np.ascontiguousarray(X[:, numeric]))
 
     def take(self, rows: np.ndarray) -> "_Columns":
         return self._replace(zero=self.zero[rows], X_numeric=self.X_numeric[rows])
@@ -158,16 +171,14 @@ def _find_best_split(
     """Exact greedy search over a node's rows; returns (column, threshold,
     gain) or None.
 
-    Every gain is exact to the bit, equal to that of a stable sort and scan
-    of one column at a time. A 0/1 column's one cut adds the rows with
-    x = 0 in row order, which is what a masked cumulative sum adds too
-    (adding 0.0 changes no partial sum). Each block of other columns is
-    sorted once and scanned with column-wise cumulative sums, which add in
-    the same order as a sort and scan per column. Reductions such as
-    `np.add.reduce` would sum pairwise for some shapes, and the trees would
-    then differ. Ties resolve to the lowest column, then the lowest
-    threshold, which keeps training deterministic regardless of data order.
-    No gain is NaN, because `HyperParams` rules out a zero `l2_leaf_penalty`
+    `g` and `h` are multiples of `_GRID`, so every sum of them is exact and
+    every gain is the same to the bit however its sums are ordered. The
+    one cut of each 0/1 column, at 0.5, takes its left sums over the rows
+    with x = 0 from one matrix product over all 0/1 columns. Each block of
+    other columns is sorted once and scanned with column-wise cumulative
+    sums. Ties resolve to the lowest column, then the lowest threshold,
+    which keeps training deterministic regardless of data order. No gain
+    is NaN, because `HyperParams` rules out a zero `l2_leaf_penalty`
     together with a zero `min_child_hessian`, and `_build_tree` a node with
     `H + lambda == 0`.
     """
@@ -186,26 +197,18 @@ def _find_best_split(
     # (gain, column, threshold): the best of each block whose gain is positive
     found: list[tuple[float, int, float]] = []
 
-    # A cut needs both values on the node's rows. Over all of them, G_L
-    # (a sequential sum) and G (a pairwise one) could differ in their last
-    # bits and pass for a positive gain.
-    n_zero = np.count_nonzero(cols.zero, axis=0)
-    cuts = np.flatnonzero((n_zero > 0) & (n_zero < n_rows))
-    width = max(1, _BINARY_BLOCK_CELLS // n_rows)
-    for start in range(0, len(cuts), width):
-        block = cuts[start:start + width]
-        zero = cols.zero[:, block]
-        H_L = np.cumsum(np.where(zero, h[:, None], 0.0), axis=0)[-1]
-        H_R = H - H_L
-        valid = (H_L >= min_h) & (H_R >= min_h)
-        if not valid.any():
-            continue
-        block, H_L, H_R = block[valid], H_L[valid], H_R[valid]
-        G_L = np.cumsum(np.where(zero[:, valid], g[:, None], 0.0), axis=0)[-1]
-        block_gains = gains(G_L, H_L, H_R)
-        j = int(np.argmax(block_gains))
-        if block_gains[j] > 0.0:
-            found.append((float(block_gains[j]), int(cols.binary[block[j]]), 0.5))
+    # The sums are exact, so a 0/1 column constant on the node's rows has
+    # G_L and H_L equal to G and H or to 0, and its gain is exactly -gamma
+    # when the floor lets it through: never positive.
+    H_L = h @ cols.zero
+    H_R = H - H_L
+    valid = np.flatnonzero((H_L >= min_h) & (H_R >= min_h))
+    if len(valid):
+        G_L = (g @ cols.zero)[valid]
+        binary_gains = gains(G_L, H_L[valid], H_R[valid])
+        j = int(np.argmax(binary_gains))
+        if binary_gains[j] > 0.0:
+            found.append((float(binary_gains[j]), int(cols.binary[valid[j]]), 0.5))
 
     width = max(1, _SPLIT_BLOCK_CELLS // n_rows)
     for start in range(0, len(cols.numeric), width):
@@ -308,14 +311,23 @@ def train(
 ) -> GbdtModel:
     """Fit a boosted ensemble on a dense matrix and binary labels.
 
-    The split search is exact and deterministic, so the seed only enters
-    provenance; it is kept in the signature so callers record it uniformly.
+    Each round's gradients and hessians are rounded to multiples of
+    `_GRID`, so every sum of them is exact and the model does not depend on
+    the order of the rows. More than `_MAX_TRAINING_ROWS` rows raise
+    ConfigError. The split search is exact and deterministic, so the seed
+    only enters provenance; it is kept in the signature so callers record
+    it uniformly.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise SchemaMismatchError(
             f"matrix shape {X.shape} does not match {y.shape[0]} labels"
+        )
+    if X.shape[0] > _MAX_TRAINING_ROWS:
+        raise ConfigError(
+            f"{X.shape[0]} training rows; sums of gradients are exact for at most "
+            f"{_MAX_TRAINING_ROWS}"
         )
     if len(np.unique(y)) < 2:
         raise DegenerateTrainingError("training labels contain a single class")
@@ -330,8 +342,8 @@ def train(
     all_rows = np.arange(X.shape[0])
     values = np.empty(X.shape[0], dtype=np.float64)
     for _ in range(hp.n_rounds):
-        g = p - y
-        h = p * (1.0 - p)
+        g = _quantize(p - y)
+        h = _quantize(p * (1.0 - p))
         # the leaves partition the rows, so this fills every entry of values
         trees.append(_build_tree(X, cols, g, h, all_rows, 0, hp, values))
         margins += hp.learning_rate * values
@@ -453,4 +465,6 @@ def save_model(model: GbdtModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> GbdtModel:
-    return model_from_dict(json.loads(read_text(path)))
+    """Read a model file. It is parsed as a whole, since it may be pretty
+    printed; text that is not JSON raises ParseError naming its line."""
+    return model_from_dict(json_value(read_text(path)))

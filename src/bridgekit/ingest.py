@@ -687,19 +687,23 @@ def record_reader(*classes: type, reads: dict | None = None):
     return read
 
 
+def json_value(text: str, first_line: int = 1):
+    """The JSON value of `text`, whose first line is line `first_line` of
+    its input. Text that is not JSON raises ParseError naming its line."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", first_line + exc.lineno - 1)
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", first_line)
+
+
 def json_lines(data: bytes | str) -> Iterator:
     """The JSON value of each non-blank line, in order. A line that is not
     JSON raises ParseError naming its line."""
     for line_no, line in enumerate(_decode(data).split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_no)
-        except RecursionError:
-            raise ParseError("invalid JSON: nested too deeply", line_no)
-        yield obj
+        if line.strip():
+            yield json_value(line, line_no)
 
 
 _write_document = record_writer(Token, Mention, BridgingLink, Document)
