@@ -135,111 +135,96 @@ def _quantize(x: np.ndarray) -> np.ndarray:
     return np.round(x / _GRID) * _GRID
 
 
-# Cells (rows x columns) of one block of the numeric split search. Sorting
-# all columns of a large node at once holds several arrays of its full
-# size; blocks of this many cells keep them small while still spreading
-# the cost of each numpy call over many columns.
-_SPLIT_BLOCK_CELLS = 4096
-
-
 class _Columns(NamedTuple):
-    """A training matrix split once into its 0/1 columns and the others.
+    """A training matrix coded once for the split search, with every cut
+    of every column listed in (column, value) order.
 
-    A column whose values are all 0 or 1 has one candidate split, at 0.5,
-    so it needs no sort: its mask of zeros is all the search reads.
+    A column whose values are all 0 or 1 has one cut, after 0; its mask of
+    zeros is all the search reads of it. Every other column is coded by the
+    rank of each of its values among the column's distinct values, and has
+    a cut after each distinct value but the last. A cut sends left the rows
+    whose value is at most the cut's value. `train` has checked that X is
+    finite: a NaN would be the last distinct value of its column, and the
+    cut before it would have no threshold.
     """
 
-    binary: np.ndarray  # positions of the 0/1 columns, ascending
-    zero: np.ndarray  # X == 0 on those columns, as 1.0 and 0.0
-    numeric: np.ndarray  # positions of the other columns, ascending
-    X_numeric: np.ndarray  # X on those columns, contiguous
+    X: np.ndarray
+    zero: np.ndarray  # X == 0 on the 0/1 columns, as 1.0 and 0.0
+    codes: np.ndarray  # the ranks, one row for each other column
+    n_values: list[int]  # the number of distinct values of each other column
+    column: np.ndarray  # each cut's column
+    value: np.ndarray  # each cut's value
+    order: np.ndarray  # each cut's place among the 0/1 cuts followed by the other cuts
 
     @classmethod
     def of(cls, X: np.ndarray) -> "_Columns":
         is_binary = np.all((X == 0) | (X == 1), axis=0)
-        binary, numeric = np.flatnonzero(is_binary), np.flatnonzero(~is_binary)
-        zero = (X[:, binary] == 0).astype(np.float64)
-        return cls(binary, zero, numeric, np.ascontiguousarray(X[:, numeric]))
-
-    def take(self, rows: np.ndarray) -> "_Columns":
-        return self._replace(zero=self.zero[rows], X_numeric=self.X_numeric[rows])
+        binary, other = np.flatnonzero(is_binary), np.flatnonzero(~is_binary)
+        codes = np.empty((len(other), X.shape[0]), dtype=np.intp)
+        values = []
+        for i, j in enumerate(other):
+            distinct, codes[i] = np.unique(X[:, j], return_inverse=True)
+            values.append(distinct)
+        column = np.concatenate([binary, *(np.full(len(v) - 1, j) for j, v in zip(other, values))])
+        value = np.concatenate([np.zeros(len(binary)), *(v[:-1] for v in values)])
+        order = np.argsort(column, kind="stable")
+        return cls(X, (X[:, binary] == 0).astype(np.float64), codes, [len(v) for v in values],
+                   column[order], value[order], order)
 
 
 def _find_best_split(
-    cols: _Columns, g: np.ndarray, h: np.ndarray, hp: HyperParams
+    cols: _Columns, rows: np.ndarray, g: np.ndarray, h: np.ndarray, hp: HyperParams
 ) -> tuple[int, float, float] | None:
-    """Exact greedy search over a node's rows; returns (column, threshold,
+    """Exact greedy search over the node of the rows `rows`, whose
+    gradients and hessians are `g` and `h`; returns (column, threshold,
     gain) or None.
 
-    `g` and `h` are multiples of `_GRID`, so every sum of them is exact and
-    every gain is the same to the bit however its sums are ordered. The
-    one cut of each 0/1 column, at 0.5, takes its left sums over the rows
-    with x = 0 from one matrix product over all 0/1 columns. Each block of
-    other columns is sorted once and scanned with column-wise cumulative
-    sums. Ties resolve to the lowest column, then the lowest threshold,
-    which keeps training deterministic regardless of data order. No gain
-    is NaN, because `HyperParams` rules out a zero `l2_leaf_penalty`
-    together with a zero `min_child_hessian`, and `_build_tree` a node with
+    Every cut of the matrix is scored at once. Its left sums come from one
+    matrix product with the node's mask of zeros for the 0/1 columns, and
+    from the cumulative sums of a histogram of the node's ranks for each
+    other column. `g` and `h` are multiples of `_GRID`, so every sum of
+    them is exact, and two cuts that leave the same rows on each side have
+    the same gain to the bit. The first of those in cut order lies after a
+    value of the node's own, and a cut with an empty side scores exactly
+    -gamma, so the first best cut is the lowest column, then the lowest
+    threshold, among the cuts between adjacent distinct values of the node.
+    The threshold is the midpoint of those two values. No gain is NaN,
+    because `HyperParams` rules out a zero `l2_leaf_penalty` together with
+    a zero `min_child_hessian`, and `_build_tree` a node with
     `H + lambda == 0`.
     """
-    n_rows = g.shape[0]
     lam, min_h = hp.l2_leaf_penalty, hp.min_child_hessian
     G, H = g.sum(), h.sum()
     parent = G * G / (H + lam)
+    zero, codes = cols.zero[rows], cols.codes[:, rows]
 
-    def gains(G_L: np.ndarray, H_L: np.ndarray, H_R: np.ndarray) -> np.ndarray:
-        G_R = G - G_L
-        return (
-            0.5 * (G_L**2 / (H_L + lam) + G_R**2 / (H_R + lam) - parent)
-            - hp.split_gain_threshold
-        )
+    def left_sums(w: np.ndarray) -> np.ndarray:
+        other = (np.cumsum(np.bincount(c, weights=w, minlength=n))[:-1]
+                 for c, n in zip(codes, cols.n_values))
+        return np.concatenate([w @ zero, *other])[cols.order]
 
-    # (gain, column, threshold): the best of each block whose gain is positive
-    found: list[tuple[float, int, float]] = []
-
-    # The sums are exact, so a 0/1 column constant on the node's rows has
-    # G_L and H_L equal to G and H or to 0, and its gain is exactly -gamma
-    # when the floor lets it through: never positive.
-    H_L = h @ cols.zero
+    H_L = left_sums(h)
     H_R = H - H_L
     valid = np.flatnonzero((H_L >= min_h) & (H_R >= min_h))
-    if len(valid):
-        G_L = (g @ cols.zero)[valid]
-        binary_gains = gains(G_L, H_L[valid], H_R[valid])
-        j = int(np.argmax(binary_gains))
-        if binary_gains[j] > 0.0:
-            found.append((float(binary_gains[j]), int(cols.binary[valid[j]]), 0.5))
-
-    width = max(1, _SPLIT_BLOCK_CELLS // n_rows)
-    for start in range(0, len(cols.numeric), width):
-        block = cols.X_numeric[:, start:start + width]
-        order = np.argsort(block, axis=0, kind="stable")
-        xs = block[order, np.arange(block.shape[1])]
-        # a split lies between two distinct sorted values
-        cs, rows = np.nonzero((xs[1:] > xs[:-1]).T)
-        H_L = np.cumsum(h[order], axis=0)[rows, cs]
-        H_R = H - H_L
-        valid = (H_L >= min_h) & (H_R >= min_h)
-        if not valid.any():
-            continue
-        cs, rows, H_L, H_R = cs[valid], rows[valid], H_L[valid], H_R[valid]
-        G_L = np.cumsum(g[order], axis=0)[rows, cs]
-        block_gains = gains(G_L, H_L, H_R)
-        j = int(np.argmax(block_gains))
-        if block_gains[j] > 0.0:
-            c, i = int(cs[j]), int(rows[j])
-            threshold = float((xs[i, c] + xs[i + 1, c]) / 2.0)
-            found.append((float(block_gains[j]), int(cols.numeric[start + c]), threshold))
-
-    if not found:
+    if not len(valid):
         return None
-    # each block's best is its lowest column and threshold of its top gain
-    gain, col, threshold = max(found, key=lambda f: (f[0], -f[1]))
-    return col, threshold, gain
+    G_L = left_sums(g)[valid]
+    G_R = G - G_L
+    gains = (
+        0.5 * (G_L**2 / (H_L[valid] + lam) + G_R**2 / (H_R[valid] + lam) - parent)
+        - hp.split_gain_threshold
+    )
+    best = int(np.argmax(gains))
+    if gains[best] <= 0.0:
+        return None
+    cut = valid[best]
+    col, value = int(cols.column[cut]), cols.value[cut]
+    x = cols.X[rows, col]
+    return col, float((value + x[x > value].min()) / 2.0), float(gains[best])
 
 
 def _build_tree(
-    X: np.ndarray, cols: _Columns, g: np.ndarray, h: np.ndarray, indices: np.ndarray,
+    cols: _Columns, g: np.ndarray, h: np.ndarray, indices: np.ndarray,
     depth: int, hp: HyperParams, values: np.ndarray,
 ) -> Node:
     """Grow a tree over the rows `indices`, and write each leaf's weight to
@@ -259,19 +244,19 @@ def _build_tree(
     # H, and rounding is monotone: a cut with H_L >= min_h has
     # fl(H - H_L) <= fl(H - min_h) < min_h, and fails the floor there too.
     if depth < hp.max_depth and len(indices) >= 2 and H - min_h >= min_h:
-        found = _find_best_split(cols.take(indices), g_node, h_node, hp)
+        found = _find_best_split(cols, indices, g_node, h_node, hp)
     if found is None:
         leaf = Leaf(-G / (H + lam))
         values[indices] = leaf.weight
         return leaf
     col, threshold, gain = found
-    mask = X[indices, col] < threshold
+    mask = cols.X[indices, col] < threshold
     return Split(
         column=col,
         threshold=threshold,
         gain=gain,
-        left=_build_tree(X, cols, g, h, indices[mask], depth + 1, hp, values),
-        right=_build_tree(X, cols, g, h, indices[~mask], depth + 1, hp, values),
+        left=_build_tree(cols, g, h, indices[mask], depth + 1, hp, values),
+        right=_build_tree(cols, g, h, indices[~mask], depth + 1, hp, values),
     )
 
 
@@ -313,7 +298,8 @@ def train(
 
     Each round's gradients and hessians are rounded to multiples of
     `_GRID`, so every sum of them is exact and the model does not depend on
-    the order of the rows. More than `_MAX_TRAINING_ROWS` rows raise
+    the order of the rows. A value of X that is not finite raises
+    ValidationError, and more than `_MAX_TRAINING_ROWS` rows raise
     ConfigError. The split search is exact and deterministic, so the seed
     only enters provenance; it is kept in the signature so callers record
     it uniformly.
@@ -324,6 +310,8 @@ def train(
         raise SchemaMismatchError(
             f"matrix shape {X.shape} does not match {y.shape[0]} labels"
         )
+    if not np.isfinite(X).all():
+        raise ValidationError("training matrix holds a value that is not finite")
     if X.shape[0] > _MAX_TRAINING_ROWS:
         raise ConfigError(
             f"{X.shape[0]} training rows; sums of gradients are exact for at most "
@@ -345,7 +333,7 @@ def train(
         g = _quantize(p - y)
         h = _quantize(p * (1.0 - p))
         # the leaves partition the rows, so this fills every entry of values
-        trees.append(_build_tree(X, cols, g, h, all_rows, 0, hp, values))
+        trees.append(_build_tree(cols, g, h, all_rows, 0, hp, values))
         margins += hp.learning_rate * values
         p = sigmoid(margins)
         losses.append(log_loss(y, p))

@@ -62,9 +62,11 @@ def mda_importance(
     A permutation changes the margin only of the rows whose block values
     it moves, and only through the trees that split on the block. Those
     trees are evaluated again on those rows alone; every other tree's
-    contribution is taken from a cache made once, and the margins are
-    summed in tree order as in prediction, so the result is that of
-    predicting each permuted matrix in full.
+    contribution is taken from a cache made once. The moved rows start from
+    their staged margin just before the first tree that splits on the
+    block, and the later trees are added to it in tree order as in
+    prediction, so the result is that of predicting each permuted matrix in
+    full.
     """
     if model.schema is None:
         raise ConfigError("model carries no encoder schema")
@@ -76,17 +78,23 @@ def mda_importance(
     baseline = float(np.mean(correct))
     rng = np.random.default_rng(seed)
     slices = model.schema.block_slices()
-    # row 0 the base score, row t the learning-rate-scaled values of tree t
-    contributions = np.array([np.full(X.shape[0], model.base_score),
-                              *tree_contributions(model, X)])
+    # row t the learning-rate-scaled values of tree t
+    contributions = np.array(list(tree_contributions(model, X)))
     tree_columns = [{node.column for node in splits([tree])} for tree in model.trees]
+    splitting = {
+        feature: [t for t, columns in enumerate(tree_columns)
+                  if any(block.start <= c < block.stop for c in columns)]
+        for feature, block in slices.items()
+    }
+    # the margins of the trees before each tree that is first to split on a block
+    firsts = {trees[0] for trees in splitting.values() if trees}
+    staged = {t: margins.copy() for t, margins in enumerate(
+        add_in_order(np.full(X.shape[0], model.base_score), contributions)) if t in firsts}
     rate = model.params.learning_rate
     Xp = X.copy()
     out: dict[str, float] = {}
     for feature in sorted(slices):
-        block = slices[feature]
-        trees = [t for t, columns in enumerate(tree_columns)
-                 if any(block.start <= c < block.stop for c in columns)]
+        block, trees = slices[feature], splitting[feature]
         values = X[:, block]
         drops = []
         for _ in range(repeats):
@@ -97,10 +105,11 @@ def mda_importance(
                 drops.append(0.0)
                 continue
             Xp[:, block] = shuffled
-            part = contributions[:, rows]
+            first = trees[0]
+            part = contributions[first:, rows]
             for t in trees:
-                part[t + 1] = rate * tree_values(model.trees[t], Xp, rows)
-            *_, margins = add_in_order(part[0], part[1:])
+                part[t - first] = rate * tree_values(model.trees[t], Xp, rows)
+            *_, margins = add_in_order(staged[first][rows], part)
             permuted = correct.copy()
             permuted[rows] = (sigmoid(margins) >= DECISION_THRESHOLD) == y[rows]
             drops.append(baseline - float(np.mean(permuted)))

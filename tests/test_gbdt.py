@@ -333,6 +333,13 @@ class TestTraining:
         with pytest.raises(DegenerateTrainingError, match="hessian sum is 0"):
             train(X, y, saturating)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_value_that_is_not_finite_is_rejected(self, value):
+        X = np.array([[0.0], [1.0], [value]])
+        message = "^training matrix holds a value that is not finite$"
+        with pytest.raises(ValidationError, match=message):
+            train(X, np.array([0, 1, 1]), HyperParams(n_rounds=1))
+
     def test_shape_mismatch_is_rejected(self):
         with pytest.raises(SchemaMismatchError):
             train(np.zeros((4, 1)), np.array([0, 1]), HyperParams())
@@ -448,7 +455,7 @@ class TestPrediction:
 
 def find_best_split(X, g, h, hp):
     """The trainer's split search on a node whose rows are all of X."""
-    return boosting._find_best_split(boosting._Columns.of(X), g, h, hp)
+    return boosting._find_best_split(boosting._Columns.of(X), np.arange(len(X)), g, h, hp)
 
 
 def quantize(x):
@@ -507,8 +514,8 @@ def split_bits(found):
 
 def random_matrix(rng, kinds, n_rows):
     """One column per kind: 0/1 (with 0.0 or -0.0 for the zeros), a
-    complement or duplicate of an earlier column, constant, small integers
-    or continuous."""
+    complement or duplicate of an earlier column, constant, small integers,
+    integers of up to 200 values or continuous."""
     X = np.empty((n_rows, len(kinds)))
     for j, kind in enumerate(kinds):
         if kind in ("complement", "duplicate") and j > 0:
@@ -520,6 +527,8 @@ def random_matrix(rng, kinds, n_rows):
             X[:, j] = rng.integers(3)
         elif kind == "integer":
             X[:, j] = rng.integers(0, 5, n_rows)
+        elif kind == "wide integer":
+            X[:, j] = rng.integers(0, 200, n_rows)
         elif kind == "real":
             X[:, j] = rng.normal(size=n_rows)
         else:
@@ -528,7 +537,8 @@ def random_matrix(rng, kinds, n_rows):
 
 
 _column_kinds = st.sampled_from(
-    ["binary", "signed zero", "complement", "duplicate", "constant", "integer", "real"]
+    ["binary", "signed zero", "complement", "duplicate", "constant", "integer",
+     "wide integer", "real"]
 )
 
 
@@ -539,21 +549,18 @@ def draw_matrix(draw, n_rows, n_cols):
 
 
 def large_shape(draw):
-    """Rows and columns of a matrix whose columns other than 0/1, when about
-    half of its columns are, span several blocks of the sort and scan."""
-    n_rows = draw(st.integers(300, 600))
-    width = boosting._SPLIT_BLOCK_CELLS // n_rows
-    return n_rows, draw(st.integers(4 * width + 1, 10 * width))
+    """Rows and columns of a matrix in which, with the columns of a
+    `random_matrix`, some column other than 0/1 nearly always holds
+    more than 100 distinct values."""
+    return draw(st.integers(300, 600)), draw(st.integers(10, 40))
 
 
-def note_numeric_blocks(X):
-    """Record, as a hypothesis event, whether the columns of X other than
-    its 0/1 columns span more than one block of the sort and scan at the
-    root."""
-    width = boosting._SPLIT_BLOCK_CELLS // X.shape[0]
-    n_blocks = -(-len(boosting._Columns.of(X).numeric) // width)
-    event("other columns span more than one block" if n_blocks > 1
-          else "other columns fit one block")
+def note_distinct_values(X):
+    """Record, as a hypothesis event, whether some column of X holds more
+    than 100 distinct values, and so more than 99 cuts."""
+    widest = max(len(np.unique(x)) for x in X.T)
+    event("a column holds more than 100 distinct values" if widest > 100
+          else "no column holds more than 100 distinct values")
 
 
 @st.composite
@@ -580,6 +587,24 @@ def split_problems(draw):
         split_gain_threshold=draw(st.sampled_from([0.0, 0.05])),
     )
     return X, g, h, hp
+
+
+@st.composite
+def subset_problems(draw):
+    """A node whose rows are a strict subset of the rows of a
+    `split_problems` matrix, with h == 0 on about a quarter of the matrix's
+    rows: many of the matrix's cuts lie after values that no row of the
+    node holds."""
+    X, g, h, hp = draw(split_problems())
+    assume(len(X) >= 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = np.where(rng.uniform(size=len(X)) < 0.25, 0.0, h)
+    rows = np.flatnonzero(rng.uniform(size=len(X)) < draw(st.sampled_from([0.2, 0.5, 0.8])))
+    if len(rows) == len(X):
+        rows = rows[1:]
+    if not len(rows):
+        rows = np.array([rng.integers(len(X))])
+    return X, rows, g, h, hp
 
 
 @st.composite
@@ -708,16 +733,30 @@ class TestSplitSearch:
         X, g, h, hp = problem
         # a node with H + lambda == 0 is rejected before its split search
         assume(h.sum() + hp.l2_leaf_penalty > 0)
-        note_numeric_blocks(X)
+        note_distinct_values(X)
         assert split_bits(find_best_split(X, g, h, hp)) == split_bits(
             reference_best_split(X, g, h, hp)
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(subset_problems())
+    def test_a_node_of_a_wider_matrix_matches_the_reference_on_its_rows(self, problem):
+        X, rows, g, h, hp = problem
+        g, h = g[rows], h[rows]
+        assume(h.sum() + hp.l2_leaf_penalty > 0)
+        event("the node lacks a value of a column" if any(
+            len(np.unique(x[rows])) < len(np.unique(x)) for x in X.T)
+            else "the node holds every value of every column")
+        event("some row of the node has h == 0" if (h == 0).any()
+              else "no row of the node has h == 0")
+        found = boosting._find_best_split(boosting._Columns.of(X), rows, g, h, hp)
+        assert split_bits(found) == split_bits(reference_best_split(X[rows], g, h, hp))
 
     @settings(max_examples=200, deadline=None)
     @given(train_problems())
     def test_train_matches_the_reference_trainer_tree_for_tree(self, problem):
         X, y, hp = problem
-        note_numeric_blocks(X)
+        note_distinct_values(X)
         try:
             model = train(X, y, hp)
         except DegenerateTrainingError:
@@ -770,9 +809,9 @@ class TestSplitSearch:
         searched = []
         search = boosting._find_best_split
 
-        def recording(cols, g, h, hp):
+        def recording(cols, rows, g, h, hp):
             searched.append(float(h.sum()))
-            return search(cols, g, h, hp)
+            return search(cols, rows, g, h, hp)
 
         monkeypatch.setattr(boosting, "_find_best_split", recording)
         model = train(X, y, hp)
@@ -806,22 +845,17 @@ class TestSplitSearch:
         col, threshold, _ = find_best_split(X, g, h, hp)
         assert (col, threshold) == (0, 0.5)
         assert find_best_split(X[:, 1:], g, h, hp)[:2] == (1, 0.5)
-
-    @pytest.mark.parametrize("high", [1.0, 2.0])
-    def test_identical_columns_in_different_blocks_resolve_to_the_lowest(self, high):
-        # 0/1 columns (high 1) are scored all at once, and the others (high
-        # 2) in blocks of adjacent columns, where the identical columns lie
-        # in different blocks
+        # the same, 12 columns apart among 0/1 columns (high 1), whose cuts
+        # are scored by one matrix product, and among other columns (high
+        # 2), each scored by its own histogram
         n_rows = 400
-        width = boosting._SPLIT_BLOCK_CELLS // n_rows
         y = np.arange(n_rows) % 2
-        rng = np.random.default_rng(0)
-        X = high * rng.integers(0, 2, (n_rows, 2 * width + 3)).astype(np.float64)
-        X[:, width - 1] = X[:, 2 * width + 1] = high * y
         g, h = self.grad(y)
-        col, threshold, gain = find_best_split(X, g, h, HyperParams())
-        assert (col, threshold) == (width - 1, high / 2)
-        assert find_best_split(X[:, width:], g, h, HyperParams())[0] == width + 1
+        for high in 1.0, 2.0:
+            X = high * np.random.default_rng(0).integers(0, 2, (n_rows, 23)).astype(np.float64)
+            X[:, 9] = X[:, 21] = high * y
+            assert find_best_split(X, g, h, HyperParams())[:2] == (9, high / 2)
+            assert find_best_split(X[:, 10:], g, h, HyperParams())[0] == 11
 
     @pytest.mark.parametrize("seed", range(3))
     def test_complementary_0_1_columns_resolve_to_the_lower(self, seed):
@@ -844,7 +878,9 @@ class TestSplitSearch:
         # the same partition, so the same sums in the same order
         columns = [binary, 3.0 * binary]
         X = np.column_stack(columns if binary_first else columns[::-1])
-        assert boosting._Columns.of(X).binary.tolist() == [0 if binary_first else 1]
+        # one column is scored by the matrix product, the other by its histogram
+        cols = boosting._Columns.of(X)
+        assert cols.zero.shape[1] == len(cols.codes) == 1
         g, h = self.grad([0, 0, 1, 1, 1, 0])
         hp = HyperParams(min_child_hessian=0.1)
         found = find_best_split(X, g, h, hp)
@@ -860,18 +896,18 @@ class TestSplitSearch:
         n_rows = 500
         X = np.r_[np.zeros(n_rows), np.ones(n_rows)][:, None]
         cols = boosting._Columns.of(X)
-        assert cols.binary.tolist() == [0]
-        node = cols.take(np.flatnonzero(X[:, 0] == value))
+        assert cols.zero.shape[1] == 1
+        rows = np.flatnonzero(X[:, 0] == value)
         hp = HyperParams(min_child_hessian=0.0)
         for seed in range(20):
             rng = np.random.default_rng(seed)
             p = rng.uniform(size=n_rows)
             g, h = quantize(p - rng.integers(0, 2, n_rows)), quantize(p * (1.0 - p))
-            assert boosting._find_best_split(node, g, h, hp) is None
+            assert boosting._find_best_split(cols, rows, g, h, hp) is None
 
     def test_a_column_of_negative_zeros_and_ones_splits_at_one_half(self):
         X = np.array([[-0.0], [1.0], [-0.0], [1.0]])
-        assert boosting._Columns.of(X).binary.tolist() == [0]
+        assert boosting._Columns.of(X).zero.shape == (4, 1)
         y = [0, 1, 0, 1]
         g, h = self.grad(y)
         hp = HyperParams(min_child_hessian=0.1)
