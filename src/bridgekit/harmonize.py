@@ -1,11 +1,13 @@
 """Harmonization rules that reduce rich standoff-style annotation to the
 stricter scope shared by both corpora, plus entity-type unification.
 
-The corpus-level pipeline applies, in a fixed order: exclusion list,
-flatten_discontinuous, drop_split_antecedent_links, drop_given_anaphor_links,
-entity-type unification, subtype validation. The order matters because
-flattening can change mention start positions and hence givenness; fixing it
-makes every reported count deterministic.
+`harmonize_document` makes two passes. The mention pass flattens each
+discontinuous mention to its envelope and unifies its entity type, building
+each changed mention once. The link pass drops, in this order, excluded
+links, links with split antecedents and links whose anaphor is given, and
+checks the subtype of each link it keeps. Givenness is read from the
+flattened mentions, because flattening can move a mention's start and so its
+givenness; the fixed order makes every reported count deterministic.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from pathlib import Path
 
 from .errors import ParseError, UnknownEntityTypeError, ValidationError
 from .ingest import read_text
-from .model import BridgingLink, Document, Mention, UNRESOLVED, is_given
+from .model import BridgingLink, Document, UNRESOLVED
 
 # Original-label -> unified-label maps. Keys are lowercase; lookup lowercases
 # the input because corpus releases vary in casing.
@@ -156,60 +158,6 @@ def read_exclusion_list(path: str | Path) -> frozenset[tuple[str, str]]:
     return frozenset(pairs)
 
 
-def drop_split_antecedent_links(doc: Document) -> tuple[Document, int]:
-    """Remove every bridging link with more than one antecedent."""
-    kept = tuple(link for link in doc.bridging if not link.split_antecedent)
-    count = len(doc.bridging) - len(kept)
-    if count == 0:
-        return doc, 0
-    return replace(doc, bridging=kept), count
-
-
-def drop_given_anaphor_links(doc: Document) -> tuple[Document, int]:
-    """Remove links whose anaphor already has an identity antecedent."""
-    kept = tuple(
-        link for link in doc.bridging
-        if not is_given(doc, doc.mention_by_id[link.anaphor_id])
-    )
-    count = len(doc.bridging) - len(kept)
-    if count == 0:
-        return doc, 0
-    return replace(doc, bridging=kept), count
-
-
-def flatten_discontinuous(
-    doc: Document,
-) -> tuple[Document, int, list[tuple[str, str, str]], dict[tuple[str, str], tuple]]:
-    """Replace multi-span mentions by their envelope [min start, max end].
-
-    Returns the rewritten document, the number of mentions changed, any
-    merge conflicts (two mentions left with identical spans and the same
-    chain), and the original spans of every flattened mention for audit.
-    """
-    changed = 0
-    audit: dict[tuple[str, str], tuple] = {}
-    mentions = []
-    for m in doc.mentions:
-        if m.discontinuous:
-            audit[(doc.doc_id, m.id)] = m.spans
-            envelope = (m.spans[0][0], m.spans[-1][1])
-            mentions.append(replace(m, spans=(envelope,)))
-            changed += 1
-        else:
-            mentions.append(m)
-    if changed == 0:
-        return doc, 0, [], {}
-    conflicts = []
-    by_key: dict[tuple, str] = {}
-    for m in mentions:
-        key = (m.spans, m.chain_id)
-        if m.chain_id is not None and key in by_key:
-            conflicts.append((doc.doc_id, by_key[key], m.id))
-        else:
-            by_key[key] = m.id
-    return replace(doc, mentions=tuple(mentions)), changed, conflicts, audit
-
-
 def unify_entity_type(schema: str, original: str) -> str:
     """Map an original entity label to the unified inventory.
 
@@ -226,82 +174,74 @@ def unify_entity_type(schema: str, original: str) -> str:
     return mapping[label]
 
 
-def resolve_entity_types(doc: Document) -> tuple[Document, int, list[str]]:
-    """Fill in entity_type_unified for every unresolved mention.
+def harmonize_document(
+    doc: Document, exclusions: frozenset[tuple[str, str]] = frozenset()
+) -> tuple[Document, HarmonizeReport]:
+    """One pass over the mentions, then one over the links, each counting
+    into the report; the document is returned unchanged when no rule applies.
 
-    Mentions whose unified type is already set are left alone, which makes
-    the operation idempotent. Unknown labels are collected and the mention
-    stays unresolved.
+    `exclusions` holds (doc_id, anaphor mention id) pairs whose bridging
+    links are dropped before any rule runs; it covers manual error-spotting
+    decisions that are not expressible as a rule. A link that more than one
+    rule drops is counted under the first of them.
     """
-    remaps = 0
-    unknown: list[str] = []
+    report = HarmonizeReport()
+    unknown = report.unresolved_entity_types
+    types_by_chain: dict[str, set[str]] = {}
     mentions = []
     for m in doc.mentions:
-        if m.entity_type_unified != UNRESOLVED:
-            mentions.append(m)
-            continue
-        try:
-            unified = unify_entity_type(doc.schema, m.entity_type_original)
-        except UnknownEntityTypeError:
-            if m.entity_type_original not in unknown:
-                unknown.append(m.entity_type_original)
-            mentions.append(m)
-            continue
-        mentions.append(replace(m, entity_type_unified=unified))
-        remaps += 1
-    if remaps == 0 and not unknown:
-        return doc, 0, []
-    return replace(doc, mentions=tuple(mentions)), remaps, unknown
-
-
-def validate_subtypes(doc: Document) -> list[tuple[str, BridgingLink]]:
-    """Report links whose subtype falls outside the known inventory."""
-    return [
-        (doc.doc_id, link)
-        for link in doc.bridging
-        if link.subtype is not None and link.subtype not in VALID_SUBTYPES
-    ]
-
-
-def _chain_type_conflicts(doc: Document) -> list[tuple[str, str]]:
-    types_by_chain: dict[str, set[str]] = {}
-    for m in doc.mentions:
-        if m.chain_id is not None and m.entity_type_unified != UNRESOLVED:
-            types_by_chain.setdefault(m.chain_id, set()).add(m.entity_type_unified)
-    return [
+        spans, unified = m.spans, m.entity_type_unified
+        if m.discontinuous:
+            report.flattened_spans[(doc.doc_id, m.id)] = spans
+            spans = ((spans[0][0], spans[-1][1]),)
+            report.flattened_discontinuous += 1
+        if unified == UNRESOLVED:
+            try:
+                unified = unify_entity_type(doc.schema, m.entity_type_original)
+            except UnknownEntityTypeError:
+                if m.entity_type_original not in unknown:
+                    unknown.append(m.entity_type_original)
+            else:
+                report.entity_type_remaps += 1
+        # one rebuild, whichever rules changed the mention
+        if spans is not m.spans or unified is not m.entity_type_unified:
+            m = replace(m, spans=spans, entity_type_unified=unified)
+        mentions.append(m)
+        if m.chain_id is not None and unified != UNRESOLVED:
+            types_by_chain.setdefault(m.chain_id, set()).add(unified)
+    report.chain_type_conflicts = [
         (doc.doc_id, chain_id)
         for chain_id, types in sorted(types_by_chain.items())
         if len(types) > 1
     ]
+    if report.flattened_discontinuous:
+        # two mentions of one chain left with the same span are reported,
+        # not merged
+        first_by_key: dict[tuple, str] = {}
+        for m in mentions:
+            if m.chain_id is not None:
+                first = first_by_key.setdefault((m.spans, m.chain_id), m.id)
+                if first != m.id:
+                    report.merge_conflicts.append((doc.doc_id, first, m.id))
+    if report.flattened_discontinuous or report.entity_type_remaps:
+        doc = replace(doc, mentions=tuple(mentions))
 
-
-def harmonize_document(
-    doc: Document, exclusions: frozenset[tuple[str, str]] = frozenset()
-) -> tuple[Document, HarmonizeReport]:
-    """`exclusions` holds (doc_id, anaphor mention id) pairs whose bridging
-    links are dropped before any rule runs; it covers manual error-spotting
-    decisions that are not expressible as a rule."""
-    report = HarmonizeReport()
-
-    if exclusions:
-        kept = tuple(
-            link for link in doc.bridging
-            if (doc.doc_id, link.anaphor_id) not in exclusions
-        )
-        report.excluded_links = len(doc.bridging) - len(kept)
-        if report.excluded_links:
-            doc = replace(doc, bridging=kept)
-
-    doc, flattened, conflicts, audit = flatten_discontinuous(doc)
-    report.flattened_discontinuous = flattened
-    report.merge_conflicts = conflicts
-    report.flattened_spans = audit
-
-    doc, report.removed_split_antecedent = drop_split_antecedent_links(doc)
-    doc, report.removed_given_anaphor = drop_given_anaphor_links(doc)
-    doc, report.entity_type_remaps, report.unresolved_entity_types = resolve_entity_types(doc)
-    report.subtype_violations = validate_subtypes(doc)
-    report.chain_type_conflicts = _chain_type_conflicts(doc)
+    # givenness is read from the flattened mentions: an envelope can move a
+    # mention's start and so its place in its chain
+    kept = []
+    for link in doc.bridging:
+        if (doc.doc_id, link.anaphor_id) in exclusions:
+            report.excluded_links += 1
+        elif link.split_antecedent:
+            report.removed_split_antecedent += 1
+        elif link.anaphor_id in doc.given_mention_ids:
+            report.removed_given_anaphor += 1
+        else:
+            kept.append(link)
+            if link.subtype is not None and link.subtype not in VALID_SUBTYPES:
+                report.subtype_violations.append((doc.doc_id, link))
+    if len(kept) < len(doc.bridging):
+        doc = replace(doc, bridging=tuple(kept))
     return doc, report
 
 

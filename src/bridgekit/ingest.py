@@ -340,12 +340,6 @@ def _bracket_label_ok(label: str, allow_hyphen: bool) -> bool:
     return not any(ch in banned for ch in label)
 
 
-def _effective_type(mention: Mention) -> str:
-    if mention.entity_type_unified != UNRESOLVED:
-        return mention.entity_type_unified
-    return mention.entity_type_original
-
-
 def _check_bracket_representable(doc: Document) -> dict[str, BridgingLink]:
     # the header reader strips its values and a newline ends the header line
     for field, value in (("doc_id", doc.doc_id), ("genre", doc.genre)):
@@ -358,9 +352,9 @@ def _check_bracket_representable(doc: Document) -> dict[str, BridgingLink]:
             )
         if not _bracket_label_ok(m.id, allow_hyphen=False):
             raise DialectViolationError(f"doc {doc.doc_id!r}: mention id {m.id!r} uses reserved characters")
-        if not _bracket_label_ok(_effective_type(m), allow_hyphen=True):
+        if not _bracket_label_ok(m.entity_type, allow_hyphen=True):
             raise DialectViolationError(
-                f"doc {doc.doc_id!r}: entity type {_effective_type(m)!r} uses reserved characters"
+                f"doc {doc.doc_id!r}: entity type {m.entity_type!r} uses reserved characters"
             )
         if m.chain_id is not None and not _bracket_label_ok(m.chain_id, allow_hyphen=True):
             raise DialectViolationError(f"doc {doc.doc_id!r}: chain id {m.chain_id!r} uses reserved characters")
@@ -427,11 +421,11 @@ def emit_bracket(doc: Document) -> bytes:
     for tok in doc.tokens:
         items: list[str] = []
         for m in opens.get(tok.index, []):
-            items.append(f"({m.id}-{_effective_type(m)}-{m.infstat}-{m.definiteness}")
+            items.append(f"({m.id}-{m.entity_type}-{m.infstat}-{m.definiteness}")
             stack.append(m)
         for m in singles.get(tok.index, []):
             items.append(
-                f"({m.id}-{_effective_type(m)}-{m.infstat}-{m.definiteness}){closing_suffixes(m)}"
+                f"({m.id}-{m.entity_type}-{m.infstat}-{m.definiteness}){closing_suffixes(m)}"
             )
         while stack and stack[-1].spans[0][1] == tok.index:
             m = stack.pop()

@@ -56,6 +56,13 @@ class Mention:
     chain_id: str | None = None
 
     @property
+    def entity_type(self) -> str:
+        """The unified entity type once resolved, otherwise the original label."""
+        if self.entity_type_unified != UNRESOLVED:
+            return self.entity_type_unified
+        return self.entity_type_original
+
+    @property
     def discontinuous(self) -> bool:
         return len(self.spans) > 1
 

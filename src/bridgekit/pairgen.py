@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import random
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .errors import EmptyDatasetError, UndefinedDistanceError, ValidationError
 from .ingest import json_lines, record_reader, record_writer
@@ -270,19 +269,15 @@ class _Header:
 
 _write_example = record_writer(FeatureVector, PairExample)
 _read_example = record_reader(FeatureVector, PairExample)
+_write_header = record_writer(Provenance, _Header)
 _read_header = record_reader(Provenance, _Header)
 
 
 def dataset_to_jsonl(dataset: PairDataset) -> bytes:
     """A header line, then one line per example: the bytes of sorted-key,
-    compact `json.dumps`, each example written from its record layout."""
-    header = {
-        "provenance": asdict(dataset.provenance),
-        "warnings": list(dataset.warnings),
-        "n_examples": len(dataset.examples),
-    }
-    lines = [json.dumps(header, sort_keys=True, ensure_ascii=False, separators=(",", ":"))]
-    lines += map(_write_example, dataset.examples)
+    compact `json.dumps`, each line written from its record layout."""
+    header = _Header(dataset.provenance, dataset.warnings, len(dataset.examples))
+    lines = [_write_header(header), *map(_write_example, dataset.examples)]
     return "".join([f"{line}\n" for line in lines]).encode("utf-8")
 
 

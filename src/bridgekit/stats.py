@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateTableError, EmptyDatasetError
 from .gbdt import GbdtModel, encode, predict_proba
-from .model import Document, UNRESOLVED
+from .model import Document
 from .pairgen import PairDataset, derive_definiteness
 
 ROW_LABELS = ("def", "ind")
@@ -193,10 +193,10 @@ class LabelDistribution:
 
 
 def anaphor_entity_distribution(docs: list[Document]) -> LabelDistribution:
-    """Unified entity type of the anaphor, one count per bridging link."""
-    anaphors = [doc.mention_by_id[link.anaphor_id] for doc in docs for link in doc.bridging]
-    labels = [ana.entity_type_original if ana.entity_type_unified == UNRESOLVED
-              else ana.entity_type_unified for ana in anaphors]
+    """Entity type of the anaphor, one count per bridging link: the unified
+    type, or the original label of an anaphor left unresolved."""
+    labels = [doc.mention_by_id[link.anaphor_id].entity_type
+              for doc in docs for link in doc.bridging]
     return LabelDistribution(counts=Counter(labels), total=len(labels))
 
 

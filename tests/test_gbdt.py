@@ -1502,6 +1502,34 @@ class TestImportance:
         mda_importance(planted_model, planted_eval_dataset, repeats=2, seed=0)
         assert calls == [(len(planted_eval_dataset.examples), planted_model.n_features)]
 
+    def test_permuted_margins_equal_the_full_prediction_bit_for_bit(
+        self, planted_model, planted_eval_dataset, monkeypatch
+    ):
+        seen = []
+
+        def spy(margins):
+            seen.append(margins.copy())
+            return sigmoid(margins)
+
+        monkeypatch.setattr(importance, "sigmoid", spy)
+        mda_importance(planted_model, planted_eval_dataset, repeats=2, seed=4)
+        # replay the permutations; a permutation that moves no row, or only
+        # rows of a block no tree splits on, reaches no sigmoid
+        X, _, schema = encode(planted_eval_dataset, schema=planted_model.schema)
+        by_column = schema.column_features()
+        used = {by_column[c] for c in column_gain_totals(planted_model)[0]}
+        rng = np.random.default_rng(4)
+        expected = []
+        for feature, block in sorted(schema.block_slices().items()):
+            for _ in range(2):
+                Xp = X.copy()
+                Xp[:, block] = X[rng.permutation(X.shape[0]), block]
+                rows = np.flatnonzero((Xp[:, block] != X[:, block]).any(axis=1))
+                if feature in used and len(rows):
+                    expected.append(predict_margin(planted_model, Xp)[rows])
+        assert len(expected) > 0
+        assert [m.tobytes() for m in seen] == [m.tobytes() for m in expected]
+
     def test_importance_requires_a_schema(self, planted_eval_dataset):
         model = TestTraining().hand_model()
         with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -14,18 +15,13 @@ from bridgekit.harmonize import (
     GUM_ENTITY_MAP,
     HarmonizeReport,
     VALID_SUBTYPES,
-    drop_given_anaphor_links,
-    drop_split_antecedent_links,
-    flatten_discontinuous,
     format_report,
     harmonize_corpus,
     harmonize_document,
     read_exclusion_list,
-    resolve_entity_types,
     unify_entity_type,
-    validate_subtypes,
 )
-from bridgekit.ingest import read_documents
+from bridgekit.ingest import emit_canonical, read_documents
 from bridgekit.model import (
     BridgingLink,
     Document,
@@ -131,15 +127,16 @@ class TestEntityMaps:
 class TestFlattenDiscontinuous:
     def test_envelope_replaces_the_spans(self):
         doc = build_doc([men("m1", ((3, 5), (9, 9), (12, 14)))])
-        out, changed, conflicts, audit = flatten_discontinuous(doc)
-        assert changed == 1 and conflicts == []
+        out, report = harmonize_document(doc)
+        assert report.flattened_discontinuous == 1 and report.merge_conflicts == []
         assert out.mention_by_id["m1"].spans == ((3, 14),)
-        assert audit == {("d1", "m1"): ((3, 5), (9, 9), (12, 14))}
+        assert report.flattened_spans == {("d1", "m1"): ((3, 5), (9, 9), (12, 14))}
 
     def test_continuous_mentions_are_untouched(self):
         doc = build_doc([men("m1", ((3, 5),))])
-        out, changed, conflicts, audit = flatten_discontinuous(doc)
-        assert out is doc and changed == 0 and audit == {}
+        out, report = harmonize_document(doc)
+        assert out.mention_by_id["m1"].spans == ((3, 5),)
+        assert report.flattened_discontinuous == 0 and report.flattened_spans == {}
 
     def test_identical_envelopes_in_one_chain_report_a_merge_conflict(self):
         doc = build_doc(
@@ -148,16 +145,16 @@ class TestFlattenDiscontinuous:
                 men("m2", ((3, 5), (6, 7)), chain="c1"),
             ]
         )
-        out, changed, conflicts, _ = flatten_discontinuous(doc)
-        assert changed == 2
-        assert conflicts == [("d1", "m1", "m2")]
+        out, report = harmonize_document(doc)
+        assert report.flattened_discontinuous == 2
+        assert report.merge_conflicts == [("d1", "m1", "m2")]
         # both mentions survive; nothing is silently merged
         assert len(out.mentions) == 2
 
     def test_identical_envelopes_without_shared_chain_are_fine(self):
         doc = build_doc([men("m1", ((3, 3), (7, 7)), chain="c1"), men("m2", ((3, 5), (6, 7))) ])
-        _, _, conflicts, _ = flatten_discontinuous(doc)
-        assert conflicts == []
+        _, report = harmonize_document(doc)
+        assert report.merge_conflicts == []
 
 
 class TestDropRules:
@@ -166,8 +163,8 @@ class TestDropRules:
             [men("m1", ((1, 1),)), men("m2", ((3, 3),)), men("m3", ((5, 5),))],
             [BridgingLink("m3", ("m1", "m2")), BridgingLink("m2", ("m1",))],
         )
-        out, removed = drop_split_antecedent_links(doc)
-        assert removed == 1
+        out, report = harmonize_document(doc)
+        assert report.removed_split_antecedent == 1
         assert out.bridging == (BridgingLink("m2", ("m1",)),)
 
     def test_given_anaphor_links_go(self):
@@ -179,8 +176,8 @@ class TestDropRules:
             ],
             [BridgingLink("m3", ("m2",)), BridgingLink("m2", ("m1",))],
         )
-        out, removed = drop_given_anaphor_links(doc)
-        assert removed == 1
+        out, report = harmonize_document(doc)
+        assert report.removed_given_anaphor == 1
         assert out.bridging == (BridgingLink("m2", ("m1",)),)
 
     def test_first_chain_member_keeps_its_link(self):
@@ -188,10 +185,11 @@ class TestDropRules:
             [men("m1", ((1, 1),)), men("m2", ((3, 3),), chain="c1"), men("m3", ((5, 5),), chain="c1")],
             [BridgingLink("m2", ("m1",))],
         )
-        out, removed = drop_given_anaphor_links(doc)
-        assert removed == 0 and len(out.bridging) == 1
+        out, report = harmonize_document(doc)
+        assert report.removed_given_anaphor == 0 and len(out.bridging) == 1
 
-    def test_drop_rules_commute(self):
+    def test_a_link_two_rules_drop_counts_under_the_first(self):
+        # m3 is given, and its first link also has split antecedents
         doc = build_doc(
             [
                 men("m1", ((1, 1),), chain="c1"),
@@ -204,21 +202,22 @@ class TestDropRules:
                 BridgingLink("m2", ("m1",)),
             ],
         )
-        a = drop_given_anaphor_links(drop_split_antecedent_links(doc)[0])[0]
-        b = drop_split_antecedent_links(drop_given_anaphor_links(doc)[0])[0]
-        assert a == b
-        assert a.bridging == (BridgingLink("m2", ("m1",)),)
+        out, report = harmonize_document(doc)
+        assert out.bridging == (BridgingLink("m2", ("m1",)),)
+        assert report.removed_split_antecedent == 1
+        assert report.removed_given_anaphor == 1
 
 
 class TestResolveEntityTypes:
     def test_resolution_counts_and_is_idempotent(self):
         doc = build_doc([men("m1", ((1, 1),), etype="space"), men("m2", ((3, 3),), etype="plan")])
-        out, remaps, unknown = resolve_entity_types(doc)
-        assert remaps == 2 and unknown == []
+        out, report = harmonize_document(doc)
+        assert report.entity_type_remaps == 2 and report.unresolved_entity_types == []
         assert out.mention_by_id["m1"].entity_type_unified == "place"
         assert out.mention_by_id["m2"].entity_type_unified == "event"
-        again, remaps2, unknown2 = resolve_entity_types(out)
-        assert again == out and remaps2 == 0 and unknown2 == []
+        again, second = harmonize_document(out)
+        assert again == out
+        assert second.entity_type_remaps == 0 and second.unresolved_entity_types == []
 
     def test_unknown_labels_are_collected_not_fatal(self):
         doc = build_doc(
@@ -228,9 +227,9 @@ class TestResolveEntityTypes:
                 men("m3", ((5, 5),), etype="gadget"),
             ]
         )
-        out, remaps, unknown = resolve_entity_types(doc)
-        assert remaps == 1
-        assert unknown == ["gadget"]  # deduplicated, in first-seen order
+        out, report = harmonize_document(doc)
+        assert report.entity_type_remaps == 1
+        assert report.unresolved_entity_types == ["gadget"]  # deduplicated, in first-seen order
         assert out.mention_by_id["m1"].entity_type_unified == UNRESOLVED
 
 
@@ -250,8 +249,8 @@ class TestSubtypes:
                 BridgingLink("m3", ("m2",), "part-of"),
             ],
         )
-        violations = validate_subtypes(doc)
-        assert [(d, link.subtype) for d, link in violations] == [("d1", "part-of")]
+        _, report = harmonize_document(doc)
+        assert [(d, link.subtype) for d, link in report.subtype_violations] == [("d1", "part-of")]
 
 
 class TestHarmonizeDocument:
@@ -384,6 +383,46 @@ class TestCorpusFixture:
         }
         surviving = [link for doc in out for link in doc.bridging]
         assert [link.anaphor_id for link in surviving] == ["m17"]
+
+
+# sha256 of what `harmonize_bytes` writes for each flavor. Seed 3 gives
+# flattened mentions, an envelope merge conflict, chain type conflicts,
+# unknown labels and links that more than one rule drops; the rule fixture
+# adds a subtype violation.
+HARMONIZE_SHA256 = {
+    "gum_like": "b95b0cfe71f4165988905ca9423cc485d7e29522c8bfcc48e7fb6f77dcdbd652",
+    "arrau_like": "9c9c3e90febfd96aec83f8235bbfd25387a45e6dce9b61e52588d9480fe5dba9",
+    "canonical": "bd5570730b8d4526cb39e7466bce49e67b88516398c2ccf839383af0fa874d7c",
+}
+
+
+def harmonize_bytes(flavor: str) -> tuple[bytes, list[HarmonizeReport]]:
+    """The canonical output and the sorted-key report JSON of harmonizing a
+    random corpus without and with exclusions, each harmonized once more."""
+    docs = random_corpus(3, 60, flavor=flavor) + [TestHarmonizeDocument().fixture_doc()]
+    exclusions = frozenset((doc.doc_id, f"m{k}") for doc in docs for k in (1, 4))
+    data, reports = [], []
+    for excluded in (frozenset(), exclusions):
+        out, report = harmonize_corpus(docs, excluded)
+        again, second = harmonize_corpus(out)
+        for result, rep in ((out, report), (again, second)):
+            data += [emit_canonical(result), json.dumps(rep.to_dict(), sort_keys=True).encode()]
+        reports.append(report)
+    return b"".join(data), reports
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("flavor", sorted(HARMONIZE_SHA256))
+    def test_harmonized_bytes_match_golden_hashes(self, flavor):
+        data, _ = harmonize_bytes(flavor)
+        assert hashlib.sha256(data).hexdigest() == HARMONIZE_SHA256[flavor]
+
+    def test_the_golden_corpora_exercise_every_rule(self):
+        total = HarmonizeReport()
+        for flavor in HARMONIZE_SHA256:
+            for report in harmonize_bytes(flavor)[1]:
+                total.merge(report)
+        assert all(value for value in total.to_dict().values())
 
 
 class TestReport:

@@ -53,6 +53,11 @@ class TestMention:
         assert m.covers(2) and m.covers(4) and m.covers(6)
         assert not m.covers(5) and not m.covers(1) and not m.covers(7)
 
+    def test_entity_type_is_the_unified_type_once_resolved(self):
+        m = Mention(id="m1", spans=((1, 1),), head_index=1, entity_type_original="space")
+        assert m.entity_type == "space"
+        assert dataclasses.replace(m, entity_type_unified="place").entity_type == "place"
+
     def test_mentions_are_immutable(self):
         m = Mention(id="m1", spans=((1, 1),), head_index=1, entity_type_original="person")
         with pytest.raises(dataclasses.FrozenInstanceError):
