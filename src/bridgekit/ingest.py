@@ -36,6 +36,10 @@ Canonical file (``.jsonl``)
     same fields: it checks every record's keys and value types, naming the
     field path of the first fault.
 
+Every reader here builds its records with makers generated from the same
+fields (`record_maker`), which store the fields without the frozen
+dataclass `__init__`.
+
 All parsers are pure functions over the input bytes and never silently drop
 annotations: every annotation item either lands in the output document or
 raises.
@@ -154,17 +158,18 @@ class _DocBuilder:
                             f"bridge {role} {mention_id!r} does not resolve to a mention", line
                         )
         tokens = tuple(self.tokens)
-        doc = Document(
+        doc = _make_document(
             self.doc_id,
             self.genre,
             self.schema,
             tokens,
-            tuple(
-                Mention(mention_id, rec["spans"], find_head(tokens, rec["spans"]), rec["etype"],
-                        UNRESOLVED, rec["infstat"], rec["definite"], rec["chain"])
+            tuple([
+                _make_mention(mention_id, rec["spans"], find_head(tokens, rec["spans"]),
+                              rec["etype"], UNRESOLVED, rec["infstat"], rec["definite"],
+                              rec["chain"])
                 for mention_id, rec in self.mentions.items()
-            ),
-            tuple(BridgingLink(anaphor, antes, subtype) for anaphor, antes, subtype, _ in self.links),
+            ]),
+            tuple([_make_link(anaphor, antes, subtype) for anaphor, antes, subtype, _ in self.links]),
         )
         validate_document(doc)
         return doc
@@ -324,7 +329,7 @@ def parse_bracket(data: bytes | str) -> list[Document]:
         idx, head = int(idx_s), int(head_s)
         if idx != len(builder.tokens) + 1:
             raise ParseError(f"token index {idx} breaks 1..N ordering", line_no)
-        builder.tokens.append(Token(idx, form, lemma, xpos, number, deprel, head))
+        builder.tokens.append(_make_token(idx, form, lemma, xpos, number, deprel, head))
         if annotation not in ("", _EMPTY_FIELD):
             for item in annotation.split(","):
                 builder.item(item, idx, line_no)
@@ -500,7 +505,7 @@ def parse_standoff(data: bytes | str) -> list[Document]:
             idx, head = int(idx_s), int(head_s)
             if idx != len(builder.tokens) + 1:
                 raise ParseError(f"token index {idx} breaks 1..N ordering", line_no)
-            builder.tokens.append(Token(idx, f[1], f[2], f[3], f[4], f[5], head))
+            builder.tokens.append(_make_token(idx, f[1], f[2], f[3], f[4], f[5], head))
         elif tag == "MEN":
             f = _split_payload(payload, 4, line_no)
             builder.mention(f[0], _parse_spans(f[1], line_no), f[2], "none", "none",
@@ -540,7 +545,8 @@ def parse_standoff(data: bytes | str) -> list[Document]:
 # `ensure_ascii`. A `str | None` field is left out when it is None.
 #
 # The reader gives each class one function that checks an object's key set
-# and reads its fields in layout order; a key annotated `... | None` may be
+# and reads its fields in layout order, then builds the record with the
+# class's maker (`record_maker`); a key annotated `... | None` may be
 # absent. Each entry takes a JSON value, the record's path and the field
 # name, and returns the field value or raises naming `path.name`. A list
 # entry also takes a tuple, as `dataclasses.asdict` gives one.
@@ -629,6 +635,33 @@ def record_writer(*classes: type):
     return namespace[f"_write_{classes[-1].__name__}"]
 
 
+def record_maker(cls: type):
+    """`make(f1, ..., fn)`, which builds one `cls` from all its fields,
+    positional in layout order, at the cost of storing them: the dataclass
+    `__init__` of a frozen class sets each field through
+    `object.__setattr__`. A slotted class's fields are set through their
+    slot descriptors, and any other class's are written into the fresh
+    instance dict, which holds nothing else yet. A class that checks its
+    fields in `__post_init__` raises TypeError; build it with its
+    constructor."""
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__name__} has __post_init__; call its constructor")
+    names = [f.name for f in fields(cls)]
+    # the maker's own names are dunders, so no field name shadows them
+    namespace = {"__new__": object.__new__, "__cls__": cls}
+    lines = ["__record__ = __new__(__cls__)"]
+    if "__slots__" in cls.__dict__:
+        for i, name in enumerate(names):
+            namespace[f"__set{i}__"] = getattr(cls, name).__set__
+            lines.append(f"__set{i}__(__record__, {name})")
+    else:
+        lines.append("__fields__ = __record__.__dict__")
+        lines.extend(f"__fields__[{name!r}] = {name}" for name in names)
+    body = "".join(f"    {line}\n" for line in lines)
+    exec(f"def make({', '.join(names)}):\n{body}    return __record__\n", namespace)
+    return namespace["make"]
+
+
 def _class_reader(cls: type, reads: dict):
     """`read(obj, path)`, which reads one `cls` from a JSON object."""
     layout = fields(cls)
@@ -638,6 +671,8 @@ def _class_reader(cls: type, reads: dict):
     known = frozenset(f.name for f in layout)
     required = frozenset(f.name for f in layout if not f.type.endswith(" | None"))
     steps = [(f.name, reads[f.type]) for f in layout]
+    # a class that checks its fields in `__post_init__` is built by its constructor
+    make = cls if hasattr(cls, "__post_init__") else record_maker(cls)
 
     def read(obj, path: str):
         if not isinstance(obj, dict):
@@ -647,7 +682,7 @@ def _class_reader(cls: type, reads: dict):
             raise ValidationError(f"{path}: missing keys {sorted(required - keys)}")
         if not keys <= known:
             raise ValidationError(f"{path}: unexpected keys {sorted(keys - known)}")
-        return cls(*[read_value(obj.get(name), path, name) for name, read_value in steps])
+        return make(*[read_value(obj.get(name), path, name) for name, read_value in steps])
 
     return read
 
@@ -700,6 +735,10 @@ def json_lines(data: bytes | str) -> Iterator:
             yield json_value(line, line_no)
 
 
+_make_token = record_maker(Token)
+_make_mention = record_maker(Mention)
+_make_link = record_maker(BridgingLink)
+_make_document = record_maker(Document)
 _write_document = record_writer(Token, Mention, BridgingLink, Document)
 # the antecedents of a bridging link are never empty
 _read_document = record_reader(Token, Mention, BridgingLink, Document, reads={

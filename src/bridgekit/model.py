@@ -5,6 +5,12 @@ inclusive ``(start, end)`` token ranges, so a single-token mention is
 ``(k, k)``. All types are frozen dataclasses: documents are never mutated in
 place, transformations construct new ones, which makes everything safe to
 share across concurrent readers.
+
+`Token`, `Mention` and `BridgingLink` are slotted (``slots=True``): a reader
+builds tens of thousands of them per corpus, and a slotted record stores its
+fields in the object itself, with no instance dict, so it is smaller and its
+fields are set faster. `Document` keeps its instance dict, because its
+`cached_property` lookup tables are stored there.
 """
 from __future__ import annotations
 
@@ -33,7 +39,7 @@ UNIFIED_ENTITY_TYPES = (
 UNRESOLVED = "unresolved"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     index: int  # 1-based position in the document
     form: str
@@ -44,7 +50,7 @@ class Token:
     head: int  # token index of the dependency head, 0 for root
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mention:
     id: str
     spans: tuple[tuple[int, int], ...]
@@ -74,7 +80,7 @@ class Mention:
         return any(start <= index <= end for start, end in self.spans)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BridgingLink:
     anaphor_id: str
     antecedent_ids: tuple[str, ...]

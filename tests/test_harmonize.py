@@ -327,6 +327,28 @@ class TestHarmonizeDocument:
         assert report.flattened_discontinuous == 1
         assert report.removed_given_anaphor == 1
 
+    def test_caches_read_on_the_input_do_not_reach_the_output(self):
+        # m2 comes first in chain c1 on its short first span (2,2), and
+        # second once its envelope (2,9) sorts after m1's (2,5)
+        def fresh():
+            return build_doc(
+                [men("m2", ((2, 2), (9, 9)), chain="c1"), men("m1", ((2, 5),), chain="c1"),
+                 men("m3", ((12, 12),))],
+                [BridgingLink("m2", ("m3",)), BridgingLink("m1", ("m3",))],
+            )
+
+        doc = fresh()
+        assert doc.given_mention_ids == frozenset({"m1"})
+        assert doc.mention_by_id["m2"].spans == ((2, 2), (9, 9))
+        out, report = harmonize_document(doc)
+        assert out.given_mention_ids == frozenset({"m2"})
+        assert out.mention_by_id == {m.id: m for m in out.mentions}
+        assert out.mention_by_id["m2"].spans == ((2, 9),)
+        assert out.bridging == (BridgingLink("m1", ("m3",)),)
+        fresh_out, fresh_report = harmonize_document(fresh())
+        assert out == fresh_out
+        assert report.to_dict() == fresh_report.to_dict()
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
     def test_random_corpora_harmonize_idempotently(self, seed):

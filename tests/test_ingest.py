@@ -468,7 +468,8 @@ def reference_emit_canonical(docs: list[Document]) -> bytes:
     """The canonical writer as a dict per record dumped by `json.dumps`: the
     reference the generated writer must match byte for byte."""
     def record(obj) -> dict:
-        return {key: value for key, value in vars(obj).items() if value is not None}
+        values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        return {key: value for key, value in values.items() if value is not None}
 
     lines = [
         json.dumps(
@@ -873,6 +874,21 @@ class TestFileHelpers:
         except (ParseError, DialectViolationError):
             return
         assert all(isinstance(doc, Document) for doc in docs)
+
+    @pytest.mark.parametrize("dialect", sorted(DIALECT_PARSERS))
+    def test_crlf_line_ends_parse_as_lf(self, tmp_path, dialect):
+        docs = planted_rule_corpus(5, n_docs=3, single_link_per_anaphor=True)
+        text = {
+            "bracket": b"".join(map(emit_bracket, docs)),
+            "standoff": standoff_text(docs).encode("utf-8"),
+            "canonical": emit_canonical(docs),
+        }[dialect]
+        lf, crlf = tmp_path / "lf", tmp_path / "crlf"
+        lf.write_bytes(text)
+        crlf.write_bytes(text.replace(b"\n", b"\r\n"))
+        expected = read_documents(lf, dialect)
+        assert len(expected) == 3
+        assert read_documents(crlf, dialect) == expected
 
     def test_read_documents_honors_explicit_dialect_over_suffix(self, tmp_path):
         path = tmp_path / "data.txt"

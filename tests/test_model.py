@@ -2,11 +2,21 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bridgekit.errors import ValidationError
+from bridgekit.errors import ConfigError, ValidationError
+from bridgekit.gbdt import (
+    FeatureBlock,
+    GbdtModel,
+    HyperParams,
+    Leaf,
+    model_from_dict,
+    model_to_dict,
+)
+from bridgekit.ingest import record_maker
 from bridgekit.model import (
     BridgingLink,
     Document,
@@ -322,3 +332,75 @@ class TestValidation:
             bridging=[BridgingLink("m3", ("m1", "m2")), BridgingLink("m3", ("m1",))],
         )
         validate_document(doc)
+
+
+MAKERS = {cls: record_maker(cls) for cls in (Token, Mention, BridgingLink, Document)}
+
+
+def field_values(record) -> tuple:
+    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+
+
+def made_and_built(doc: Document) -> list[tuple[object, object, tuple]]:
+    """(maker's record, constructor's record, field values) for each record
+    of `doc` and for the document itself."""
+    out = []
+    for record in (*doc.tokens, *doc.mentions, *doc.bridging, doc):
+        cls, values = type(record), field_values(record)
+        out.append((MAKERS[cls](*values), cls(*values), values))
+    return out
+
+
+class TestRecordMakers:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from(["canonical", "gum_like", "arrau_like"]),
+    )
+    def test_a_made_record_equals_the_constructed_one(self, seed, flavor):
+        for doc in random_corpus(seed, 2, flavor=flavor):
+            records = made_and_built(doc)
+            for made, built, values in records:
+                assert type(made) is type(built)
+                assert made == built
+                assert hash(made) == hash(built)
+                assert repr(made) == repr(built)
+                assert all(a is b for a, b in zip(field_values(made), values))
+                again = pickle.loads(pickle.dumps(made))
+                assert again == built and field_values(again) == values
+                assert dataclasses.replace(made) == built
+            made_doc = records[-1][0]
+            assert made_doc.mention_by_id == doc.mention_by_id
+            assert made_doc.mention_position == doc.mention_position
+            assert made_doc.given_mention_ids == doc.given_mention_ids
+
+    def test_made_records_are_frozen_and_only_the_document_has_a_dict(self):
+        (doc,) = random_corpus(5, 1, flavor="arrau_like")
+        assert doc.tokens and doc.mentions and doc.bridging
+        for made, _, _ in made_and_built(doc):
+            name = dataclasses.fields(made)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(made, name, None)
+            assert hasattr(made, "__dict__") == isinstance(made, Document)
+        for cls in (Token, Mention, BridgingLink):
+            assert "__slots__" in cls.__dict__
+
+    def test_the_maker_takes_every_field_in_layout_order(self):
+        make = MAKERS[BridgingLink]
+        assert make("m2", ("m1",), None) == BridgingLink("m2", ("m1",))
+        with pytest.raises(TypeError):
+            make("m2", ("m1",))
+
+    @pytest.mark.parametrize("cls", [HyperParams, FeatureBlock])
+    def test_a_class_with_post_init_has_no_maker(self, cls):
+        with pytest.raises(TypeError, match="__post_init__"):
+            record_maker(cls)
+
+    def test_a_model_file_still_checks_its_hyperparameters(self):
+        model = GbdtModel(base_score=0.0, trees=(Leaf(0.5),), params=HyperParams(),
+                          seed=0, n_features=1)
+        obj = model_to_dict(model)
+        assert model_from_dict(obj) == model
+        obj["params"]["max_depth"] = 0
+        with pytest.raises(ConfigError, match="max_depth must be >= 1"):
+            model_from_dict(obj)
