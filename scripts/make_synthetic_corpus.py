@@ -25,6 +25,13 @@ from bridgekit.synth import (
 )
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build(args) -> list:
     if args.kind == "random":
         return random_corpus(args.seed, args.n_docs, flavor=args.flavor)
@@ -43,7 +50,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--kind", choices=["random", "planted", "sampling"], default="planted")
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--n-docs", type=int, default=24)
+    parser.add_argument("--n-docs", type=positive_int, default=24)
     parser.add_argument("--flavor", default="canonical",
                         choices=["canonical", "gum_like", "arrau_like"],
                         help="schema flavor for --kind random")

@@ -12,14 +12,19 @@ Three families:
   links, abundant negatives, pronoun mentions, and out-of-range pairs, for
   exercising the balanced sampler's filters.
 
-All generators are pure functions of their seed.
+All generators are pure functions of their seed, and their output is
+pinned byte for byte (tests/test_synth.py). Generation is linear in
+document length: a token's head is drawn by index, without a list of the
+other tokens, and an anaphor's antecedents are looked for only among the
+mentions that start within the distance limit before it.
 """
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 from .harmonize import GUM_ENTITY_MAP
-from .ingest import find_head
+from .ingest import find_head, record_maker
 from .model import BridgingLink, Document, Mention, Token, UNRESOLVED, validate_document
 
 _WORDS = (
@@ -31,6 +36,7 @@ _WORDS = (
 )
 
 _FILLER_XPOS = ("VBD", "IN", "DT", "JJ", "RB")
+_RANDOM_XPOS = _FILLER_XPOS + ("NN", "NNS", "NNP")
 _DEPRELS = ("nsubj", "obj", "nmod", "obl")
 _SUBTYPE_CYCLE = ("element", "poss", "subset", None, "other-inv", None)
 
@@ -42,24 +48,26 @@ _PLANT_LABELS = ("person", "object", "plant", "place", "abstract")
 ARRAU_POOL = ("person", "concrete", "space", "abstract", "plan")
 
 
+_make_token = record_maker(Token)
+
+
 def _token(rng: random.Random, index: int, xpos: str, head: int) -> Token:
     word = rng.choice(_WORDS)
-    return Token(
-        index=index,
-        form=word,
-        lemma=word,
-        xpos=xpos,
-        number=rng.choice(("sing", "plur")),
-        deprel=rng.choice(_DEPRELS),
-        head=head,
-    )
+    number = rng.choice(("sing", "plur"))
+    return _make_token(index, word, word, xpos, number, rng.choice(_DEPRELS), head)
 
 
 def _random_tokens(rng: random.Random, n: int) -> tuple[Token, ...]:
     tokens = []
     for i in range(1, n + 1):
-        head = 0 if i == 1 else rng.choice([h for h in range(0, n + 1) if h != i])
-        tokens.append(_token(rng, i, rng.choice(_FILLER_XPOS + ("NN", "NNS", "NNP")), head))
+        if i == 1:
+            head = 0
+        else:
+            # the k-th of the heads 0..n other than i, drawn from the stream
+            # as a choice from a list of those n heads would draw it
+            k = rng.choice(range(n))
+            head = k + (k >= i)
+        tokens.append(_token(rng, i, rng.choice(_RANDOM_XPOS), head))
     return tuple(tokens)
 
 
@@ -234,8 +242,8 @@ def planted_rule_corpus(
                 infstat = "new"
             if surface_definiteness and definite == "def":
                 old = tokens[pos - 1]
-                tokens[pos - 1] = Token(old.index, "the", "the", old.xpos,
-                                        old.number, old.deprel, old.head)
+                tokens[pos - 1] = _make_token(old.index, "the", "the", old.xpos,
+                                              old.number, old.deprel, old.head)
             mentions.append(
                 Mention(
                     id=f"m{k + 1}",
@@ -256,9 +264,12 @@ def planted_rule_corpus(
         for j, ana in enumerate(mentions):
             if ana.definiteness != "def" or ana.chain_id is not None:
                 continue
+            # positions increase, so only mentions from the first one that
+            # starts less than distance_limit before the anaphor can qualify
+            first = bisect_left(positions, positions[j] - distance_limit + 1, 0, j)
             antes = [
-                ante for i, ante in enumerate(mentions[:j])
-                if unified[ante.id] == unified[ana.id]
+                mentions[i] for i in range(first, j)
+                if unified[mentions[i].id] == unified[ana.id]
                 and 0 < positions[j] - positions[i] < distance_limit
             ]
             if single_link_per_anaphor and antes:

@@ -5,20 +5,119 @@ the advertised structure, so the guarantees are pinned here.
 """
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bridgekit.harmonize import ENTITY_MAPS, harmonize_corpus
-from bridgekit.model import mention_start, validate_document
+from bridgekit.ingest import emit_canonical
+from bridgekit.model import BridgingLink, Token, mention_start, validate_document
 from bridgekit.pairgen import derive_definiteness, is_pronoun
 from bridgekit.synth import (
     ARRAU_POOL,
+    _DEPRELS,
+    _FILLER_XPOS,
+    _SUBTYPE_CYCLE,
+    _WORDS,
+    _random_tokens,
     balanced_sampling_corpus,
     planted_rule_corpus,
     random_corpus,
     standoff_text,
 )
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "make_synthetic_corpus.py"
+
+
+def reference_random_tokens(rng: random.Random, n: int) -> tuple[Token, ...]:
+    """The list-based token generator: each head is a choice from a list of
+    the n heads other than the token itself, built for every token."""
+    tokens = []
+    for i in range(1, n + 1):
+        head = 0 if i == 1 else rng.choice([h for h in range(0, n + 1) if h != i])
+        xpos = rng.choice(_FILLER_XPOS + ("NN", "NNS", "NNP"))
+        word = rng.choice(_WORDS)
+        tokens.append(Token(
+            index=i, form=word, lemma=word, xpos=xpos,
+            number=rng.choice(("sing", "plur")), deprel=rng.choice(_DEPRELS), head=head,
+        ))
+    return tuple(tokens)
+
+
+def reference_links(doc, distance_limit: int, single_link_per_anaphor: bool):
+    """The planted rule's links by brute force: every earlier mention is
+    tried as an antecedent of every definite chainless anaphor."""
+    entity_map = ENTITY_MAPS[doc.schema]
+    mentions = doc.mentions
+    links = []
+    for j, ana in enumerate(mentions):
+        if ana.definiteness != "def" or ana.chain_id is not None:
+            continue
+        antes = [
+            ante for ante in mentions[:j]
+            if entity_map[ante.entity_type_original] == entity_map[ana.entity_type_original]
+            and 0 < mention_start(ana) - mention_start(ante) < distance_limit
+        ]
+        if single_link_per_anaphor and antes:
+            antes = antes[-1:]
+        for ante in antes:
+            subtype = _SUBTYPE_CYCLE[len(links) % len(_SUBTYPE_CYCLE)]
+            links.append(BridgingLink(ana.id, (ante.id,), subtype))
+    return tuple(links)
+
+
+# sha256 of emit_canonical for documents of 1,277 tokens and 256 mentions,
+# the size of the long-docs benchmark's documents
+LONG_PLANTED_SHA256 = {
+    (1, "gum_like"): "8b74f6191e6e18691e2eba5f78fb57ad72c3087871d705392ce6ab7a2169d3b5",
+    (2, "gum_like"): "d4de2da4c6beaf721a946ff2688b15a219c1e605833271af335b505f330ab70f",
+    (1, "arrau_like"): "c1c9bfe22d37c5f9a1160e6b8cc900b7fddbff0a720a440ef46b8e9995c2368d",
+    (2, "arrau_like"): "85bc81eb5a54bdf0abf740470563ce585a0b9eab4ebd9028fa6f2bfafabf385b",
+}
+
+
+class TestRandomStream:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400))
+    def test_tokens_and_final_state_match_the_list_draw(self, seed, n):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        assert _random_tokens(rng, n) == reference_random_tokens(reference_rng, n)
+        assert rng.getstate() == reference_rng.getstate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        stride=st.integers(1, 7),
+        distance_limit=st.integers(1, 60),
+        single_link_per_anaphor=st.booleans(),
+        n_chains=st.integers(0, 3),
+        n_free=st.integers(1, 24),
+        schema=st.sampled_from(["gum_like", "arrau_like"]),
+    )
+    def test_windowed_antecedent_scan_finds_every_link(
+        self, seed, stride, distance_limit, single_link_per_anaphor, n_chains, n_free, schema
+    ):
+        docs = planted_rule_corpus(
+            seed, n_docs=2, n_chains=n_chains, n_free=n_free, stride=stride,
+            distance_limit=distance_limit, definite_prob=0.8,
+            single_link_per_anaphor=single_link_per_anaphor, schema=schema,
+        )
+        for doc in docs:
+            assert doc.bridging == reference_links(doc, distance_limit, single_link_per_anaphor)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("schema", ["gum_like", "arrau_like"])
+    def test_long_planted_documents_keep_their_bytes(self, seed, schema):
+        kwargs = {"schema": "arrau_like", "surface_definiteness": True} if schema == "arrau_like" else {}
+        docs = planted_rule_corpus(seed, n_docs=2, n_chains=32, n_free=128, **kwargs)
+        assert [len(doc.tokens) for doc in docs] == [1277, 1277]
+        digest = hashlib.sha256(emit_canonical(docs)).hexdigest()
+        assert digest == LONG_PLANTED_SHA256[seed, schema]
 
 
 class TestRandomCorpus:
@@ -172,3 +271,26 @@ class TestBalancedSamplingCorpus:
         ds = build_balanced_dataset(docs, seed=0)
         assert ds.label_counts() == {"bridging": 50, "coref": 50, "none": 50}
         assert ds.warnings == ()
+
+
+class TestMakeSyntheticCorpusScript:
+    @pytest.fixture(scope="class")
+    def script(self):
+        spec = importlib.util.spec_from_file_location("make_synthetic_corpus", SCRIPT)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize("n_docs", ["-2", "0"])
+    def test_n_docs_below_one_is_a_usage_error(self, script, tmp_path, capsys, n_docs):
+        out = tmp_path / "sub" / "c.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            script.main(["--kind", "random", "--n-docs", n_docs, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument --n-docs: must be at least 1, got {n_docs}" in capsys.readouterr().err
+        assert not out.exists() and not out.parent.exists()
+
+    def test_one_document_is_written(self, script, tmp_path):
+        out = tmp_path / "c.jsonl"
+        assert script.main(["--kind", "random", "--n-docs", "1", "--out", str(out)]) == 0
+        assert out.read_bytes() == emit_canonical(random_corpus(42, 1))
