@@ -3,7 +3,7 @@
 
 Examples:
     python scripts/make_synthetic_corpus.py --kind planted --seed 42 \
-        --out corpora/planted.brk --dialect bracket
+        --single-link --out corpora/planted.brk --dialect bracket
     python scripts/make_synthetic_corpus.py --kind planted --seed 200 \
         --schema arrau_like --surface-definiteness \
         --out corpora/planted.sff --dialect standoff
@@ -25,6 +25,15 @@ from bridgekit.synth import (
 )
 
 
+# The flags that apply to one --kind only; any other kind rejects them.
+KIND_FLAGS = {
+    "flavor": "random",
+    "schema": "planted",
+    "surface_definiteness": "planted",
+    "single_link": "planted",
+}
+
+
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -34,13 +43,13 @@ def positive_int(text: str) -> int:
 
 def build(args) -> list:
     if args.kind == "random":
-        return random_corpus(args.seed, args.n_docs, flavor=args.flavor)
+        return random_corpus(args.seed, args.n_docs, flavor=args.flavor or "canonical")
     if args.kind == "sampling":
         return balanced_sampling_corpus(args.seed, n_docs=args.n_docs)
     return planted_rule_corpus(
         args.seed,
         n_docs=args.n_docs,
-        schema=args.schema,
+        schema=args.schema or "gum_like",
         surface_definiteness=args.surface_definiteness,
         single_link_per_anaphor=args.single_link,
     )
@@ -51,19 +60,23 @@ def main(argv=None) -> int:
     parser.add_argument("--kind", choices=["random", "planted", "sampling"], default="planted")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--n-docs", type=positive_int, default=24)
-    parser.add_argument("--flavor", default="canonical",
-                        choices=["canonical", "gum_like", "arrau_like"],
-                        help="schema flavor for --kind random")
-    parser.add_argument("--schema", default="gum_like", choices=["gum_like", "arrau_like"],
-                        help="schema for --kind planted")
+    parser.add_argument("--flavor", choices=["canonical", "gum_like", "arrau_like"],
+                        help="schema flavor for --kind random (default canonical)")
+    parser.add_argument("--schema", choices=["gum_like", "arrau_like"],
+                        help="schema for --kind planted (default gum_like)")
     parser.add_argument("--surface-definiteness", action="store_true",
-                        help="mark definites with a 'the' token instead of annotation")
+                        help="mark definites with a 'the' token instead of annotation "
+                             "(--kind planted)")
     parser.add_argument("--single-link", action="store_true",
-                        help="at most one bridging link per anaphor (bracket-compatible)")
+                        help="at most one bridging link per anaphor, bracket-compatible "
+                             "(--kind planted)")
     parser.add_argument("--dialect", choices=["bracket", "standoff", "canonical"],
                         default="canonical")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
+    for name, kind in KIND_FLAGS.items():
+        if getattr(args, name) and args.kind != kind:
+            parser.error(f"--{name.replace('_', '-')} applies only to --kind {kind}")
 
     docs = build(args)
     out = Path(args.out)

@@ -53,6 +53,7 @@ from .pairgen import (
     dataset_to_csv,
     dataset_to_jsonl,
 )
+from .records import is_int, is_number
 from .stats import (
     anaphor_entity_distribution,
     chi_square_residuals,
@@ -159,12 +160,12 @@ class PipelineConfig:
 
 
 # JSON check, expected-type wording and conversion for each annotation of a
-# PipelineConfig or CorpusSpec field that has a plain default.
+# PipelineConfig or CorpusSpec field that has a plain default; an `X | None`
+# field is checked as an X.
 _CONFIG_TYPES = {
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", int),
-    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number", float),
+    "int": (is_int, "an integer", int),
+    "float": (is_number, "a number", float),
     "str": (lambda v: isinstance(v, str), "a string", str),
-    "str | None": (lambda v: isinstance(v, str), "a string", str),
     "tuple[str, ...]": (
         lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
         "a list of strings",
@@ -178,7 +179,7 @@ def _config_value(value, f: Field):
     field default."""
     if value is None:
         return f.default
-    check, expected, convert = _CONFIG_TYPES[f.type]
+    check, expected, convert = _CONFIG_TYPES[f.type.removesuffix(" | None")]
     if not check(value):
         raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
     return convert(value)
@@ -196,16 +197,19 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}")
     except UnicodeDecodeError:
         raise ConfigError("config is not valid UTF-8")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc.msg}")
+    except (json.JSONDecodeError, RecursionError) as exc:
+        reason = exc.msg if isinstance(exc, json.JSONDecodeError) else "nested too deeply"
+        raise ConfigError(f"config is not valid JSON: {reason}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     raw.update(overrides or {})
     _reject_unknown_keys(raw, PipelineConfig, "config")
 
-    if "seed" not in raw or not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool):
+    if not is_int(raw.get("seed")):
         raise ConfigError("config requires an integer seed; no clock-based default exists")
     corpora_raw = raw.get("corpora")
     if not isinstance(corpora_raw, list) or not corpora_raw:
@@ -239,7 +243,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     elif isinstance(grid_raw, list) and grid_raw:
         try:
             grid = tuple(HyperParams(**entry) for entry in grid_raw)
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ConfigError(f"bad grid entry: {exc}")
     else:
         raise ConfigError("grid must be \"default\" or a non-empty list of objects")
@@ -289,7 +293,7 @@ def _load(what: str, path, loader):
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
     except (BridgekitError, AttributeError, KeyError, TypeError, ValueError,
-            RecursionError) as exc:
+            RecursionError, OverflowError) as exc:
         if isinstance(exc, ParseError) and str(exc).startswith(f"{path}: "):
             raise
         raise ParseError(f"malformed {what} {path}: {type(exc).__name__}: {exc}") from exc

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple, Union
 import numpy as np
 
 from ..errors import ConfigError, DegenerateTrainingError, SchemaMismatchError, ValidationError
-from ..ingest import json_value, read_text, record_entries, record_reader
+from ..records import is_int, is_number, json_value, read_text, record_reader
 from .encoding import EncoderSchema, FeatureBlock
 
 FORMAT_VERSION = 1
@@ -40,9 +40,9 @@ class HyperParams:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+            if f.type == "int" and not is_int(value):
                 raise ConfigError(f"{f.name} must be an integer")
-            if f.type == "float" and not math.isfinite(value):
+            if f.type == "float" and not (is_number(value) and math.isfinite(value)):
                 raise ConfigError(f"{f.name} must be a finite number")
         if self.n_rounds < 0:
             raise ConfigError("n_rounds must be >= 0")
@@ -409,10 +409,10 @@ def _read_node(obj, path: str) -> Node:
     return read(obj, path)
 
 
-_NODE_READS = record_entries("Node", _read_node)
 _read_leaf = record_reader(Leaf)
-_read_split = record_reader(Split, reads=_NODE_READS)
-_read_model = record_reader(FeatureBlock, EncoderSchema, HyperParams, GbdtModel, reads=_NODE_READS)
+_read_split = record_reader(Split, reads={"Node": _read_node})
+_read_model = record_reader(FeatureBlock, EncoderSchema, HyperParams, GbdtModel,
+                            reads={"Node": _read_node})
 
 
 def model_to_dict(model: GbdtModel) -> dict:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ParseError, UnknownEntityTypeError, ValidationError
-from .ingest import read_text, record_maker
 from .model import BridgingLink, Document, Mention, UNRESOLVED
+from .records import read_text, record_maker
 
 # Original-label -> unified-label maps. Keys are lowercase; lookup lowercases
 # the input because corpus releases vary in casing.
@@ -66,11 +66,6 @@ VALID_SUBTYPES = frozenset(
     {"poss", "poss-inv", "element", "element-inv", "subset", "subset-inv",
      "other", "other-inv", "undersp-rel"}
 )
-
-# A rebuilt document starts with an empty instance dict, so its cached
-# lookup tables are computed from its own mentions.
-_make_mention = record_maker(Mention)
-_make_document = record_maker(Document)
 
 
 @dataclass
@@ -210,8 +205,8 @@ def harmonize_document(
                 report.entity_type_remaps += 1
         # one rebuild, whichever rules changed the mention
         if spans is not m.spans or unified is not m.entity_type_unified:
-            m = _make_mention(m.id, spans, m.head_index, m.entity_type_original, unified,
-                              m.infstat, m.definiteness, m.chain_id)
+            m = record_maker(Mention)(m.id, spans, m.head_index, m.entity_type_original,
+                                      unified, m.infstat, m.definiteness, m.chain_id)
         mentions.append(m)
         if m.chain_id is not None and unified != UNRESOLVED:
             types_by_chain.setdefault(m.chain_id, set()).add(unified)
@@ -229,9 +224,11 @@ def harmonize_document(
                 first = first_by_key.setdefault((m.spans, m.chain_id), m.id)
                 if first != m.id:
                     report.merge_conflicts.append((doc.doc_id, first, m.id))
+    # a rebuilt document starts with an empty instance dict, so its cached
+    # lookup tables are computed from its own mentions
     if report.flattened_discontinuous or report.entity_type_remaps:
-        doc = _make_document(doc.doc_id, doc.genre, doc.schema, doc.tokens, tuple(mentions),
-                             doc.bridging)
+        doc = record_maker(Document)(doc.doc_id, doc.genre, doc.schema, doc.tokens,
+                                     tuple(mentions), doc.bridging)
 
     # givenness is read from the flattened mentions: an envelope can move a
     # mention's start and so its place in its chain
@@ -248,8 +245,8 @@ def harmonize_document(
             if link.subtype is not None and link.subtype not in VALID_SUBTYPES:
                 report.subtype_violations.append((doc.doc_id, link))
     if len(kept) < len(doc.bridging):
-        doc = _make_document(doc.doc_id, doc.genre, doc.schema, doc.tokens, doc.mentions,
-                             tuple(kept))
+        doc = record_maker(Document)(doc.doc_id, doc.genre, doc.schema, doc.tokens,
+                                     doc.mentions, tuple(kept))
     return doc, report
 
 

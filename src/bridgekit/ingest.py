@@ -1,4 +1,4 @@
-"""Parsers and serializers for the three on-disk formats.
+"""Parsers and serializers for the three corpus dialects.
 
 Bracket dialect (``.brk``)
     One token per line, tab-separated:
@@ -30,15 +30,8 @@ Canonical file (``.jsonl``)
     One JSON document per line mirroring the in-memory model field for
     field, with sorted keys and compact separators so emission is
     deterministic. ``chain_id`` and ``subtype`` are omitted when absent.
-    The writer is generated from the dataclass fields and writes the bytes
-    ``json.dumps(sort_keys=True, ensure_ascii=False, separators=(",", ":"))``
-    gives for each record's field dict. The reader is generated from the
-    same fields: it checks every record's keys and value types, naming the
-    field path of the first fault.
-
-Every reader here builds its records with makers generated from the same
-fields (`record_maker`), which store the fields without the frozen
-dataclass `__init__`.
+    Its writer and reader are generated by the record codec, `records`,
+    which also builds every record the readers here make.
 
 All parsers are pure functions over the input bytes and never silently drop
 annotations: every annotation item either lands in the output document or
@@ -56,12 +49,8 @@ vanish silently.
 """
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import fields
-from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterator, NoReturn
 
 from .errors import DialectViolationError, ParseError, ValidationError
 from .model import (
@@ -74,6 +63,7 @@ from .model import (
     UNRESOLVED,
     validate_document,
 )
+from .records import _decode, json_lines, record_maker, record_reader, record_writer
 
 _EMPTY_FIELD = "_"
 _SUFFIX_KEYS = ("Bridge", "Chain", "Subtype")
@@ -81,26 +71,6 @@ _SUFFIX_KEYS = ("Bridge", "Chain", "Subtype")
 _BRACKET_RESERVED = set("();,<=\t\n ")
 # A standoff span; `[0-9]`, as `\d` also matches non-ASCII digits.
 _SPAN = re.compile(r"([0-9]+)-([0-9]+)")
-
-
-def _decode(data: bytes | str) -> str:
-    """The text of `data`; bytes that are not UTF-8 raise ParseError naming
-    the line of the first bad byte."""
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data[:exc.start].count(b"\n") + 1
-        raise ParseError(f"not valid utf-8: {exc.reason}", line) from None
-
-
-def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file, with "\\r\\n" and "\\r" read as "\\n", as a
-    file opened in text mode reads them; bytes that are not UTF-8 raise
-    ParseError naming their line. No byte of a multi-byte UTF-8 character
-    is a line end, so the line ends are replaced before decoding."""
-    return _decode(Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
 
 
 def find_head(tokens: tuple[Token, ...], spans: tuple[tuple[int, int], ...]) -> int:
@@ -158,18 +128,19 @@ class _DocBuilder:
                             f"bridge {role} {mention_id!r} does not resolve to a mention", line
                         )
         tokens = tuple(self.tokens)
-        doc = _make_document(
+        doc = record_maker(Document)(
             self.doc_id,
             self.genre,
             self.schema,
             tokens,
             tuple([
-                _make_mention(mention_id, rec["spans"], find_head(tokens, rec["spans"]),
-                              rec["etype"], UNRESOLVED, rec["infstat"], rec["definite"],
-                              rec["chain"])
+                record_maker(Mention)(mention_id, rec["spans"], find_head(tokens, rec["spans"]),
+                                      rec["etype"], UNRESOLVED, rec["infstat"], rec["definite"],
+                                      rec["chain"])
                 for mention_id, rec in self.mentions.items()
             ]),
-            tuple([_make_link(anaphor, antes, subtype) for anaphor, antes, subtype, _ in self.links]),
+            # a link record is (anaphor, antecedents, subtype, line)
+            tuple([record_maker(BridgingLink)(*link[:3]) for link in self.links]),
         )
         validate_document(doc)
         return doc
@@ -329,7 +300,7 @@ def parse_bracket(data: bytes | str) -> list[Document]:
         idx, head = int(idx_s), int(head_s)
         if idx != len(builder.tokens) + 1:
             raise ParseError(f"token index {idx} breaks 1..N ordering", line_no)
-        builder.tokens.append(_make_token(idx, form, lemma, xpos, number, deprel, head))
+        builder.tokens.append(record_maker(Token)(idx, form, lemma, xpos, number, deprel, head))
         if annotation not in ("", _EMPTY_FIELD):
             for item in annotation.split(","):
                 builder.item(item, idx, line_no)
@@ -505,7 +476,7 @@ def parse_standoff(data: bytes | str) -> list[Document]:
             idx, head = int(idx_s), int(head_s)
             if idx != len(builder.tokens) + 1:
                 raise ParseError(f"token index {idx} breaks 1..N ordering", line_no)
-            builder.tokens.append(_make_token(idx, f[1], f[2], f[3], f[4], f[5], head))
+            builder.tokens.append(record_maker(Token)(idx, f[1], f[2], f[3], f[4], f[5], head))
         elif tag == "MEN":
             f = _split_payload(payload, 4, line_no)
             builder.mention(f[0], _parse_spans(f[1], line_no), f[2], "none", "none",
@@ -527,225 +498,11 @@ def parse_standoff(data: bytes | str) -> list[Document]:
 # canonical JSONL
 
 
-# Both directions are generated from the record layouts, the dataclass
-# fields, so each layout is declared once. Per annotation, `_JSON_VALUES`
-# says how to write a value and `_JSON_READS` how to read one back; each
-# class adds entries to both as it is generated, for one nested record and a
-# tuple of them (and to the reader's, for a record or null). `pairgen` reads
-# and writes its pair datasets, and `gbdt.boosting` reads its model files,
-# with the same generators. An annotation missing from either table raises
-# at import, so a new field cannot be dropped, mis-written or read unchecked
-# unnoticed.
-#
-# The writer gives each class one f-string function that writes its fields in
-# sorted key order: the bytes `json.dumps(sort_keys=True, ensure_ascii=False,
-# separators=(",", ":"))` gives for the dict of the fields, without building
-# that dict. Each entry renders a value `%s`; strings go through
-# `encode_basestring`, the escaper `json.dumps` itself uses without
-# `ensure_ascii`. A `str | None` field is left out when it is None.
-#
-# The reader gives each class one function that checks an object's key set
-# and reads its fields in layout order, then builds the record with the
-# class's maker (`record_maker`); a key annotated `... | None` may be
-# absent. Each entry takes a JSON value, the record's path and the field
-# name, and returns the field value or raises naming `path.name`. A list
-# entry also takes a tuple, as `dataclasses.asdict` gives one.
-_OPTIONAL = "str | None"
-_JSON_VALUES = {
-    "int": "{%s}",
-    "str": "{_s(%s)}",
-    "tuple[str, ...]": '[{",".join(map(_s, %s))}]',
-    "tuple[tuple[int, int], ...]": '[{",".join([f"[{a},{b}]" for a, b in %s])}]',
-}
-
-
-def _fail(path: str, name: str, message: str) -> NoReturn:
-    raise ValidationError(f"{path}.{name}: {message}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _read_spans(value, path: str, name: str) -> tuple[tuple[int, int], ...]:
-    if not (isinstance(value, list) and value):
-        _fail(path, name, "expected a non-empty list")
-    for j, span in enumerate(value):
-        if not (isinstance(span, list) and len(span) == 2 and _is_int(span[0]) and _is_int(span[1])):
-            _fail(path, f"{name}[{j}]", "expected a [start, end] integer pair")
-    return tuple([(start, end) for start, end in value])
-
-
-_JSON_READS = {
-    "int": lambda v, path, name: v if _is_int(v) else _fail(path, name, "expected an integer"),
-    "float": lambda v, path, name: v if _is_number(v) else _fail(path, name, "expected a number"),
-    "str": lambda v, path, name: v if isinstance(v, str) else _fail(path, name, "expected a string"),
-    _OPTIONAL: lambda v, path, name: (
-        v if v is None or isinstance(v, str) else _fail(path, name, "expected a string")
-    ),
-    "tuple[str, ...]": lambda v, path, name: (
-        tuple(v) if isinstance(v, (list, tuple)) and all(isinstance(a, str) for a in v)
-        else _fail(path, name, "expected a list of strings")
-    ),
-    "tuple[float, ...]": lambda v, path, name: (
-        tuple(v) if isinstance(v, (list, tuple)) and all(map(_is_number, v))
-        else _fail(path, name, "expected a list of numbers")
-    ),
-    "tuple[tuple[int, int], ...]": _read_spans,
-}
-
-
-def _writer_source(cls: type, values: dict[str, str]) -> str:
-    """Source of `_write_<cls>`, which writes one `cls` as a JSON object."""
-    layout = sorted(fields(cls), key=lambda f: f.name)
-    unknown = [f"{f.name}: {f.type}" for f in layout
-               if f.type not in values and f.type != _OPTIONAL]
-    required = [i for i, f in enumerate(layout) if f.type != _OPTIONAL]
-    if unknown or not required:
-        raise TypeError(f"no canonical layout for {cls.__name__}: {unknown or 'no required field'}")
-    # commas go between present fields: an optional field before the first
-    # required one carries a trailing comma, every later field a leading one
-    first = required[0]
-    pieces = []
-    for i, f in enumerate(layout):
-        value = f"r.{f.name}"
-        if f.type == _OPTIONAL:
-            key = repr(f'"{f.name}":' if i < first else f',"{f.name}":')
-            tail = " + ','" if i < first else ""
-            pieces.append(f'{{"" if {value} is None else {key} + _s({value}){tail}}}')
-        else:
-            pieces.append(("," if i > first else "") + f'"{f.name}":' + values[f.type] % value)
-    return f"def _write_{cls.__name__}(r):\n    return f'''{{{{{''.join(pieces)}}}}}'''\n"
-
-
-def record_writer(*classes: type):
-    """The writer of the last of `classes`, which calls those of the others:
-    a field may hold one record of an earlier class, or a tuple of them."""
-    namespace = {"_s": encode_basestring}
-    values = dict(_JSON_VALUES)
-    for cls in classes:
-        name = cls.__name__
-        exec(_writer_source(cls, values), namespace)
-        values[name] = "{_write_%s(%%s)}" % name
-        values[f"tuple[{name}, ...]"] = '[{",".join(map(_write_%s, %%s))}]' % name
-    return namespace[f"_write_{classes[-1].__name__}"]
-
-
-def record_maker(cls: type):
-    """`make(f1, ..., fn)`, which builds one `cls` from all its fields,
-    positional in layout order, at the cost of storing them: the dataclass
-    `__init__` of a frozen class sets each field through
-    `object.__setattr__`. A slotted class's fields are set through their
-    slot descriptors, and any other class's are written into the fresh
-    instance dict, which holds nothing else yet. A class that checks its
-    fields in `__post_init__` raises TypeError; build it with its
-    constructor."""
-    if hasattr(cls, "__post_init__"):
-        raise TypeError(f"{cls.__name__} has __post_init__; call its constructor")
-    names = [f.name for f in fields(cls)]
-    # the maker's own names are dunders, so no field name shadows them
-    namespace = {"__new__": object.__new__, "__cls__": cls}
-    lines = ["__record__ = __new__(__cls__)"]
-    if "__slots__" in cls.__dict__:
-        for i, name in enumerate(names):
-            namespace[f"__set{i}__"] = getattr(cls, name).__set__
-            lines.append(f"__set{i}__(__record__, {name})")
-    else:
-        lines.append("__fields__ = __record__.__dict__")
-        lines.extend(f"__fields__[{name!r}] = {name}" for name in names)
-    body = "".join(f"    {line}\n" for line in lines)
-    exec(f"def make({', '.join(names)}):\n{body}    return __record__\n", namespace)
-    return namespace["make"]
-
-
-def _class_reader(cls: type, reads: dict):
-    """`read(obj, path)`, which reads one `cls` from a JSON object."""
-    layout = fields(cls)
-    unknown = [f"{f.name}: {f.type}" for f in layout if f.type not in reads]
-    if unknown:
-        raise TypeError(f"no canonical layout for {cls.__name__}: {unknown}")
-    known = frozenset(f.name for f in layout)
-    required = frozenset(f.name for f in layout if not f.type.endswith(" | None"))
-    steps = [(f.name, reads[f.type]) for f in layout]
-    # a class that checks its fields in `__post_init__` is built by its constructor
-    make = cls if hasattr(cls, "__post_init__") else record_maker(cls)
-
-    def read(obj, path: str):
-        if not isinstance(obj, dict):
-            raise ValidationError(f"{path}: expected an object")
-        keys = obj.keys()
-        if not required <= keys:
-            raise ValidationError(f"{path}: missing keys {sorted(required - keys)}")
-        if not keys <= known:
-            raise ValidationError(f"{path}: unexpected keys {sorted(keys - known)}")
-        return make(*[read_value(obj.get(name), path, name) for name, read_value in steps])
-
-    return read
-
-
-def record_entries(name: str, read) -> dict:
-    """The reader entries of a record type `name` that `read(obj, path)`
-    reads: one nested record, one or null, and a tuple of them."""
-    def read_tuple(value, path: str, field: str) -> tuple:
-        if not isinstance(value, (list, tuple)):
-            _fail(path, field, "expected a list")
-        return tuple([read(obj, f"{path}.{field}[{i}]") for i, obj in enumerate(value)])
-
-    return {
-        name: lambda value, path, field: read(value, f"{path}.{field}"),
-        f"{name} | None": lambda value, path, field: (
-            None if value is None else read(value, f"{path}.{field}")
-        ),
-        f"tuple[{name}, ...]": read_tuple,
-    }
-
-
-def record_reader(*classes: type, reads: dict | None = None):
-    """The reader `read(obj, path)` of the last of `classes`, which calls
-    those of the others: a field may hold one record of an earlier class, one
-    or null, or a tuple of them. `reads` adds entries to the base table or
-    replaces some of them."""
-    table = {**_JSON_READS, **(reads or {})}
-    for cls in classes:
-        read = _class_reader(cls, table)
-        table.update(record_entries(cls.__name__, read))
-    return read
-
-
-def json_value(text: str, first_line: int = 1):
-    """The JSON value of `text`, whose first line is line `first_line` of
-    its input. Text that is not JSON raises ParseError naming its line."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", first_line + exc.lineno - 1)
-    except RecursionError:
-        raise ParseError("invalid JSON: nested too deeply", first_line)
-
-
-def json_lines(data: bytes | str) -> Iterator:
-    """The JSON value of each non-blank line, in order. A line that is not
-    JSON raises ParseError naming its line."""
-    for line_no, line in enumerate(_decode(data).split("\n"), start=1):
-        if line.strip():
-            yield json_value(line, line_no)
-
-
-_make_token = record_maker(Token)
-_make_mention = record_maker(Mention)
-_make_link = record_maker(BridgingLink)
-_make_document = record_maker(Document)
 _write_document = record_writer(Token, Mention, BridgingLink, Document)
 # the antecedents of a bridging link are never empty
 _read_document = record_reader(Token, Mention, BridgingLink, Document, reads={
-    "tuple[str, ...]": lambda v, path, name: (
-        tuple(v) if isinstance(v, list) and v and all(isinstance(a, str) for a in v)
-        else _fail(path, name, "expected a non-empty list of strings")
-    ),
+    "tuple[str, ...]": "tuple(%(v)s) if isinstance(%(v)s, list) and %(v)s and all([isinstance(a, str)"
+    " for a in %(v)s]) else _fail(path, %(name)r, 'expected a non-empty list of strings')",
 })
 
 

@@ -16,8 +16,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields
 
 from .errors import EmptyDatasetError, UndefinedDistanceError, ValidationError
-from .ingest import json_lines, record_reader, record_writer
 from .model import Document, Mention, is_given, mention_order_key, mention_start
+from .records import json_lines, record_reader, record_writer
 
 LABELS = ("bridging", "coref", "none")
 

@@ -24,8 +24,9 @@ import random
 from bisect import bisect_left
 
 from .harmonize import GUM_ENTITY_MAP
-from .ingest import find_head, record_maker
+from .ingest import find_head
 from .model import BridgingLink, Document, Mention, Token, UNRESOLVED, validate_document
+from .records import record_maker
 
 _WORDS = (
     "house", "door", "river", "stone", "window", "garden", "market", "treaty",
@@ -48,13 +49,10 @@ _PLANT_LABELS = ("person", "object", "plant", "place", "abstract")
 ARRAU_POOL = ("person", "concrete", "space", "abstract", "plan")
 
 
-_make_token = record_maker(Token)
-
-
 def _token(rng: random.Random, index: int, xpos: str, head: int) -> Token:
     word = rng.choice(_WORDS)
     number = rng.choice(("sing", "plur"))
-    return _make_token(index, word, word, xpos, number, rng.choice(_DEPRELS), head)
+    return record_maker(Token)(index, word, word, xpos, number, rng.choice(_DEPRELS), head)
 
 
 def _random_tokens(rng: random.Random, n: int) -> tuple[Token, ...]:
@@ -242,8 +240,8 @@ def planted_rule_corpus(
                 infstat = "new"
             if surface_definiteness and definite == "def":
                 old = tokens[pos - 1]
-                tokens[pos - 1] = _make_token(old.index, "the", "the", old.xpos,
-                                              old.number, old.deprel, old.head)
+                tokens[pos - 1] = record_maker(Token)(old.index, "the", "the", old.xpos,
+                                                      old.number, old.deprel, old.head)
             mentions.append(
                 Mention(
                     id=f"m{k + 1}",

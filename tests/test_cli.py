@@ -401,6 +401,18 @@ class TestPairsTrainEvalChain:
             f"n_features 1000 differs from the encoder schema's {width} columns\n"
         )
 
+    def test_model_with_a_hyperparameter_too_large_for_a_float_exits_2(
+        self, chain, tmp_path, capsys
+    ):
+        obj = json.loads(chain["model"].read_text())
+        obj["params"]["learning_rate"] = 10**400
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["eval", "--model", str(bad), "--pairs", str(chain["pairs"])]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: malformed model {bad}: OverflowError: int too large to convert to float\n"
+        )
+
     @pytest.mark.parametrize(
         ("edit", "message"),
         [
@@ -701,6 +713,37 @@ class TestConfig:
         path = self.write(tmp_path, {"seed": "x"})
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["directory", "nested too deeply"])
+    def test_an_unreadable_config_exits_1_with_one_error_line(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+            message = f"cannot read config {path}: Is a directory"
+        else:
+            path.write_text("[" * 100_000)
+            message = "config is not valid JSON: nested too deeply"
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_grid_value_too_large_for_a_float_exits_1(self, tmp_path, capsys):
+        payload = {**self.minimal(tmp_path), "grid": [{"learning_rate": 10**400}]}
+        assert main(["run", "--config", str(self.write(tmp_path, payload))]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: bad grid entry: int too large to convert to float\n"
+        )
+
+    @pytest.mark.parametrize("value", [True, False, "x", None, [0.3]])
+    @pytest.mark.parametrize(
+        "key", ["learning_rate", "l2_leaf_penalty", "split_gain_threshold", "min_child_hessian"]
+    )
+    def test_a_float_hyperparameter_that_is_not_a_number_exits_1(
+        self, tmp_path, capsys, key, value
+    ):
+        # a boolean would otherwise be saved in a model file that cannot be read back
+        payload = {**self.minimal(tmp_path), "grid": [{"n_rounds": 2, key: value}]}
+        assert main(["run", "--config", str(self.write(tmp_path, payload))]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {key} must be a finite number\n"
 
 
 class TestRun:

@@ -1,15 +1,21 @@
 """Parsing and serialization for all three on-disk formats."""
 from __future__ import annotations
 
+import ast
 import dataclasses
 import functools
 import hashlib
+import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import bridgekit.records
 from bridgekit.errors import BridgekitError, DialectViolationError, ParseError, ValidationError
 from bridgekit.gbdt import HyperParams, encode, model_from_dict, model_to_dict, train
 from bridgekit.harmonize import harmonize_corpus
@@ -794,6 +800,78 @@ class TestOtherRecordFiles:
             assert model_from_dict(obj) is not None
         except BridgekitError:
             pass
+
+
+def _one_site_outcomes(root, read) -> list[str]:
+    """What `read` makes of `root` with each site of it dropped once and,
+    in turn, replaced by each of `_FAULTY_VALUES`: `ok`, or the type and
+    message of the BridgekitError it raises. Each fault is undone after
+    its read."""
+    def outcome() -> str:
+        try:
+            read(root)
+        except BridgekitError as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return "ok"
+
+    outcomes = []
+    for sites in _json_sites(root, {}).values():
+        for container, key in sites:
+            value = container[key]
+            del container[key]
+            outcomes.append(outcome())
+            if isinstance(container, list):
+                container.insert(key, value)
+            for faulty in _FAULTY_VALUES:
+                container[key] = faulty
+                outcomes.append(outcome())
+            container[key] = value
+    return outcomes
+
+
+# sha256 of the joined outcomes of `_one_site_outcomes` on each record file;
+# every reader message, and the path it names, is pinned by these.
+_ONE_SITE_OUTCOMES_SHA256 = {
+    "canonical": "b72b0e7c6c1115e8a598dbdf83fb9912ff55e4dbb99e30cf228f4671b4b47207",
+    "pair dataset": "790f3644cae2f982629983d77f9941ca900615274f5dd5ac82b8657e33280aa6",
+    "model": "a77efaf12b0f93488f60a381a5c09dc1002dd9d2ada7bffb88f66667e6c0d9a5",
+}
+
+
+class TestReaderMessages:
+    @pytest.mark.parametrize("kind", sorted(_ONE_SITE_OUTCOMES_SHA256))
+    def test_each_one_site_fault_gives_its_pinned_outcome(self, kind):
+        dataset, model = _record_files()
+        root, read = {
+            "canonical": (json.loads(emit_canonical(parse_standoff(STANDOFF_DOC))), document_from_dict),
+            "pair dataset": ([json.loads(line) for line in dataset.splitlines()],
+                             lambda lines: dataset_from_jsonl("\n".join(map(json.dumps, lines)))),
+            "model": (json.loads(model), model_from_dict),
+        }[kind]
+        outcomes = _one_site_outcomes(root, read)
+        assert "ok" in outcomes and len(set(outcomes)) > 20
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == _ONE_SITE_OUTCOMES_SHA256[kind]
+
+
+class TestCodecModule:
+    def test_the_codec_imports_only_the_errors_module(self):
+        tree = ast.parse(inspect.getsource(bridgekit.records))
+        relative = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level}
+        absolute = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        absolute |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and not node.level}
+        assert relative == {"errors"}
+        assert not [name for name in absolute if name.split(".")[0] == "bridgekit"]
+
+    def test_record_file_readers_do_not_load_the_corpus_dialects(self):
+        code = ("import sys, bridgekit.gbdt, bridgekit.pairgen, bridgekit.harmonize; "
+                "print('bridgekit.ingest' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout == "False\n"
 
 
 class TestFindHead:

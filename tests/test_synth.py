@@ -290,6 +290,27 @@ class TestMakeSyntheticCorpusScript:
         assert f"argument --n-docs: must be at least 1, got {n_docs}" in capsys.readouterr().err
         assert not out.exists() and not out.parent.exists()
 
+    @pytest.mark.parametrize(
+        ("flag", "only_for"),
+        [
+            (["--flavor", "canonical"], "random"),
+            (["--schema", "gum_like"], "planted"),
+            (["--surface-definiteness"], "planted"),
+            (["--single-link"], "planted"),
+        ],
+    )
+    def test_a_flag_of_another_kind_is_a_usage_error(self, script, tmp_path, capsys, flag,
+                                                     only_for):
+        for kind in sorted({"random", "planted", "sampling"} - {only_for}):
+            out = tmp_path / "sub" / "c.jsonl"
+            with pytest.raises(SystemExit) as exc:
+                script.main(["--kind", kind, *flag, "--out", str(out)])
+            assert exc.value.code == 2
+            assert f"{flag[0]} applies only to --kind {only_for}" in capsys.readouterr().err
+            assert not out.exists() and not out.parent.exists()
+        out = tmp_path / "ok.jsonl"
+        assert script.main(["--kind", only_for, "--n-docs", "2", *flag, "--out", str(out)]) == 0
+
     def test_one_document_is_written(self, script, tmp_path):
         out = tmp_path / "c.jsonl"
         assert script.main(["--kind", "random", "--n-docs", "1", "--out", str(out)]) == 0
