@@ -16,6 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from bridgekit.errors import DialectViolationError
 from bridgekit.ingest import emit_bracket, emit_canonical
 from bridgekit.synth import (
     balanced_sampling_corpus,
@@ -79,14 +80,20 @@ def main(argv=None) -> int:
             parser.error(f"--{name.replace('_', '-')} applies only to --kind {kind}")
 
     docs = build(args)
+    # render before creating anything, so a corpus the dialect cannot carry
+    # leaves no file or directory behind
+    if args.dialect == "bracket":
+        try:
+            data = b"".join(emit_bracket(doc) for doc in docs)
+        except DialectViolationError as exc:
+            parser.error(f"--dialect bracket: {exc}")
+    elif args.dialect == "standoff":
+        data = standoff_text(docs).encode("utf-8")
+    else:
+        data = emit_canonical(docs)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    if args.dialect == "bracket":
-        out.write_bytes(b"".join(emit_bracket(doc) for doc in docs))
-    elif args.dialect == "standoff":
-        out.write_text(standoff_text(docs))
-    else:
-        out.write_bytes(emit_canonical(docs))
+    out.write_bytes(data)
     print(f"wrote {len(docs)} documents to {out}")
     return 0
 

@@ -67,6 +67,9 @@ VALID_SUBTYPES = frozenset(
      "other", "other-inv", "undersp-rel"}
 )
 
+_make_mention = record_maker(Mention)
+_make_document = record_maker(Document)
+
 
 @dataclass
 class HarmonizeReport:
@@ -205,8 +208,8 @@ def harmonize_document(
                 report.entity_type_remaps += 1
         # one rebuild, whichever rules changed the mention
         if spans is not m.spans or unified is not m.entity_type_unified:
-            m = record_maker(Mention)(m.id, spans, m.head_index, m.entity_type_original,
-                                      unified, m.infstat, m.definiteness, m.chain_id)
+            m = _make_mention(m.id, spans, m.head_index, m.entity_type_original,
+                              unified, m.infstat, m.definiteness, m.chain_id)
         mentions.append(m)
         if m.chain_id is not None and unified != UNRESOLVED:
             types_by_chain.setdefault(m.chain_id, set()).add(unified)
@@ -227,8 +230,8 @@ def harmonize_document(
     # a rebuilt document starts with an empty instance dict, so its cached
     # lookup tables are computed from its own mentions
     if report.flattened_discontinuous or report.entity_type_remaps:
-        doc = record_maker(Document)(doc.doc_id, doc.genre, doc.schema, doc.tokens,
-                                     tuple(mentions), doc.bridging)
+        doc = _make_document(doc.doc_id, doc.genre, doc.schema, doc.tokens,
+                             tuple(mentions), doc.bridging)
 
     # givenness is read from the flattened mentions: an envelope can move a
     # mention's start and so its place in its chain
@@ -245,8 +248,8 @@ def harmonize_document(
             if link.subtype is not None and link.subtype not in VALID_SUBTYPES:
                 report.subtype_violations.append((doc.doc_id, link))
     if len(kept) < len(doc.bridging):
-        doc = record_maker(Document)(doc.doc_id, doc.genre, doc.schema, doc.tokens,
-                                     doc.mentions, tuple(kept))
+        doc = _make_document(doc.doc_id, doc.genre, doc.schema, doc.tokens,
+                             doc.mentions, tuple(kept))
     return doc, report
 
 

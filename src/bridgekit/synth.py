@@ -48,11 +48,13 @@ _PLANT_LABELS = ("person", "object", "plant", "place", "abstract")
 # that schema.
 ARRAU_POOL = ("person", "concrete", "space", "abstract", "plan")
 
+_make_token = record_maker(Token)
+
 
 def _token(rng: random.Random, index: int, xpos: str, head: int) -> Token:
     word = rng.choice(_WORDS)
     number = rng.choice(("sing", "plur"))
-    return record_maker(Token)(index, word, word, xpos, number, rng.choice(_DEPRELS), head)
+    return _make_token(index, word, word, xpos, number, rng.choice(_DEPRELS), head)
 
 
 def _random_tokens(rng: random.Random, n: int) -> tuple[Token, ...]:
@@ -240,8 +242,8 @@ def planted_rule_corpus(
                 infstat = "new"
             if surface_definiteness and definite == "def":
                 old = tokens[pos - 1]
-                tokens[pos - 1] = record_maker(Token)(old.index, "the", "the", old.xpos,
-                                                      old.number, old.deprel, old.head)
+                tokens[pos - 1] = _make_token(old.index, "the", "the", old.xpos,
+                                              old.number, old.deprel, old.head)
             mentions.append(
                 Mention(
                     id=f"m{k + 1}",

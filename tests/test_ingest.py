@@ -427,6 +427,14 @@ class TestStandoffParsing:
         with pytest.raises(ParseError, match=message):
             parse_standoff(text)
 
+    @pytest.mark.parametrize("record", ["TOK", "MEN", "BRG", "TOK\r"])
+    def test_a_bare_record_tag_is_missing_its_separator(self, record):
+        # a bare tag is a line without a tab, not a record with no fields
+        text = f"DOC\td1 x\n{record}\nTOK\t1 a a NN sing dep 0\n"
+        message = f"line 2: missing record tag separator in {record.rstrip(chr(13))!r}"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_standoff(text)
+
     @pytest.mark.parametrize(
         ("brg", "message"),
         [
@@ -854,6 +862,48 @@ class TestReaderMessages:
         assert digest == _ONE_SITE_OUTCOMES_SHA256[kind]
 
 
+# sha256 of emit_canonical(planted_rule_corpus(1, n_docs=4,
+# single_link_per_anaphor=True)), which the bracket dialect carries whole
+PLANTED_BRACKET_SHA256 = "8d8d3d589036f4a812cb7b99f171a8d8d5763f3f6b7c4ff8871359107ffd8763"
+
+
+def _labels(docs: list[Document]) -> dict[str, list[str]]:
+    """The label strings of `docs` by kind of label."""
+    tokens = [t for doc in docs for t in doc.tokens]
+    mentions = [m for doc in docs for m in doc.mentions]
+    links = [link for doc in docs for link in doc.bridging]
+    labels = {f: [getattr(t, f) for t in tokens] for f in ("form", "lemma", "xpos", "number", "deprel")}
+    labels |= {f: [getattr(m, f) for m in mentions]
+               for f in ("id", "entity_type_original", "infstat", "definiteness")}
+    labels["chain_id"] = [m.chain_id for m in mentions if m.chain_id is not None]
+    labels["subtype"] = [link.subtype for link in links if link.subtype is not None]
+    labels["link ids"] = [i for link in links for i in (link.anaphor_id, *link.antecedent_ids)]
+    return labels
+
+
+class TestInternedLabels:
+    @pytest.mark.parametrize("dialect", ["standoff", "bracket"])
+    def test_equal_labels_are_one_object_and_the_bytes_are_kept(self, dialect):
+        if dialect == "standoff":
+            source = random_corpus(3, 40, flavor="arrau_like")
+            docs, golden = parse_standoff(standoff_text(source)), CANONICAL_SHA256["arrau_like"]
+        else:
+            source = planted_rule_corpus(1, n_docs=4, single_link_per_anaphor=True)
+            docs = parse_bracket(b"".join(emit_bracket(doc) for doc in source))
+            golden = PLANTED_BRACKET_SHA256
+        assert docs == source
+        assert hashlib.sha256(emit_canonical(docs)).hexdigest() == golden
+        a = docs[0].tokens[0]
+        b = next(t for doc in docs[1:] for t in doc.tokens if t.form == a.form)
+        assert a.form is b.form
+        labels = _labels(docs)
+        for kind, values in labels.items():
+            assert values and len({id(v) for v in values}) == len(set(values)), kind
+        # one object names a mention and every link to it, across documents
+        ids = labels["id"] + labels["link ids"]
+        assert len({id(v) for v in ids}) == len(set(labels["id"]))
+
+
 class TestCodecModule:
     def test_the_codec_imports_only_the_errors_module(self):
         tree = ast.parse(inspect.getsource(bridgekit.records))
@@ -888,6 +938,21 @@ class TestFindHead:
             Token(2, "b", "b", "NN", "sing", "dep", 1),
         )
         assert find_head(tokens, ((1, 2),)) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_covered_set_scan(self, data):
+        n = data.draw(st.integers(1, 12))
+        tokens = tuple(Token(i, "w", "w", "NN", "sing", "dep", data.draw(st.integers(0, n)))
+                       for i in range(1, n + 1))
+        bounds = sorted(data.draw(st.sets(st.integers(1, n), min_size=1, max_size=6)))
+        if len(bounds) % 2:
+            bounds.append(bounds[-1])
+        spans = tuple(zip(bounds[::2], bounds[1::2]))
+        covered = {i for start, end in spans for i in range(start, end + 1)}
+        expected = next((i for i in sorted(covered) if tokens[i - 1].head not in covered),
+                        spans[-1][1])
+        assert find_head(tokens, spans) == expected
 
 
 class TestFileHelpers:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -332,6 +333,68 @@ class TestValidation:
             bridging=[BridgingLink("m3", ("m1", "m2")), BridgingLink("m3", ("m1",))],
         )
         validate_document(doc)
+
+    @pytest.mark.parametrize(
+        ("faults", "message"),
+        [
+            ({7: {"number": "dual"}, 3: {"head": 12}},
+             "doc 'd1'.tokens[2].head: head 12 out of range or self-referential"),
+            ({2: {"head": 2}, 9: {"index": 1}},
+             "doc 'd1'.tokens[1].head: head 2 out of range or self-referential"),
+            ({4: {"index": 9, "number": "dual", "head": -1}},
+             "doc 'd1'.tokens[3].index: expected 4, got 9"),
+            ({4: {"number": "dual", "head": -1}}, "doc 'd1'.tokens[3].number: bad value 'dual'"),
+        ],
+    )
+    def test_the_first_token_fault_is_reported(self, faults, message):
+        doc = make_doc()
+        tokens = list(doc.tokens)
+        for k, kw in faults.items():
+            tokens[k - 1] = dataclasses.replace(tokens[k - 1], **kw)
+        with pytest.raises(ValidationError) as info:
+            validate_document(dataclasses.replace(doc, tokens=tuple(tokens)))
+        assert str(info.value) == message
+
+    def test_token_faults_are_reported_as_the_scalar_loop_finds_them(self):
+        faulty = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            n = rng.randint(1, 12)
+            tokens = [tok(i, head=rng.choice([h for h in range(n + 1) if h != i]))
+                      for i in range(1, n + 1)]
+            bad = {"index": [0, -1, n + 1, n + 5], "number": ["dual", "", "Sing"],
+                   "head": [-1, n + 1, 10**6]}
+            for _ in range(rng.randint(0, 4)):
+                k = rng.randrange(n)
+                field = rng.choice(sorted(bad))
+                # a head may also point at its own token
+                value = rng.choice(bad[field] + ([tokens[k].index] if field == "head" else []))
+                tokens[k] = dataclasses.replace(tokens[k], **{field: value})
+            doc = dataclasses.replace(make_doc(), tokens=tuple(tokens))
+            expected = reference_token_fault(doc)
+            try:
+                validate_document(doc)
+            except ValidationError as exc:
+                assert str(exc) == expected, f"seed {seed}"
+                faulty += 1
+            else:
+                assert expected is None, f"seed {seed}"
+        # most documents carry a fault, and some carry none
+        assert 250 < faulty < 400
+
+
+def reference_token_fault(doc: Document) -> str | None:
+    """The message of the first token fault of `doc`, token by token and,
+    within a token, index before number before head; None if there is none."""
+    n = len(doc.tokens)
+    for i, t in enumerate(doc.tokens):
+        if t.index != i + 1:
+            return f"doc {doc.doc_id!r}.tokens[{i}].index: expected {i + 1}, got {t.index}"
+        if t.number not in ("sing", "plur", "none"):
+            return f"doc {doc.doc_id!r}.tokens[{i}].number: bad value {t.number!r}"
+        if not 0 <= t.head <= n or t.head == t.index:
+            return f"doc {doc.doc_id!r}.tokens[{i}].head: head {t.head} out of range or self-referential"
+    return None
 
 
 MAKERS = {cls: record_maker(cls) for cls in (Token, Mention, BridgingLink, Document)}

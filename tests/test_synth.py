@@ -311,6 +311,20 @@ class TestMakeSyntheticCorpusScript:
         out = tmp_path / "ok.jsonl"
         assert script.main(["--kind", only_for, "--n-docs", "2", *flag, "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("kind", ["planted", "random"])
+    def test_a_corpus_the_bracket_dialect_cannot_carry_is_a_usage_error(self, script, tmp_path,
+                                                                        capsys, kind):
+        # planted without --single-link gives an anaphor two links; random
+        # gives split antecedents and discontinuous mentions
+        out = tmp_path / "sub" / "c.brk"
+        with pytest.raises(SystemExit) as exc:
+            script.main(["--kind", kind, "--dialect", "bracket", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "error:" in line] == err[-1:]
+        assert ": error: --dialect bracket: doc " in err[-1]
+        assert not out.exists() and not out.parent.exists()
+
     def test_one_document_is_written(self, script, tmp_path):
         out = tmp_path / "c.jsonl"
         assert script.main(["--kind", "random", "--n-docs", "1", "--out", str(out)]) == 0
