@@ -442,36 +442,35 @@ def cmd_importance(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    """Reads every input, then computes every table, and prints only when
+    all of them are made, so a failure prints nothing but its error."""
     dataset = _read_pairs(args.pairs)
-    payload: dict = {}
+    docs = _read_many(args.docs, args.dialect) if args.docs else None
+    model = _load("model", args.model, load_model) if args.model else None
 
     table = definiteness_contingency(dataset)
     residuals = chi_square_residuals(table, adjusted=args.adjusted)
-    payload["residuals"] = residuals.to_dict()
-    print("definiteness residuals:")
-    print(residuals.to_text())
+    payload: dict = {"residuals": residuals.to_dict()}
+    text = ["definiteness residuals:", residuals.to_text()]
 
-    if args.docs:
-        docs = _read_many(args.docs, args.dialect)
+    if docs is not None:
         pair_types = entity_pair_distribution(docs, threshold=args.threshold)
         anaphor_types = anaphor_entity_distribution(docs)
         subtypes = subtype_distribution(docs)
         payload["pair_type_distribution"] = _records(pair_types.rows(), PAIR_TYPE_KEYS)
         payload["anaphor_entity_distribution"] = _records(anaphor_types.rows(), LABEL_KEYS)
         payload["subtype_distribution"] = _records(subtypes.rows(), LABEL_KEYS)
-        print("\nanaphor entity types:")
-        print(anaphor_types.to_text())
-        print("\nbridging subtypes:")
-        print(subtypes.to_text())
+        text += ["\nanaphor entity types:", anaphor_types.to_text(),
+                 "\nbridging subtypes:", subtypes.to_text()]
 
-    if args.model:
-        model = _load("model", args.model, load_model)
+    if model is not None:
         errors = confident_errors(model, dataset, tau=args.tau)
         payload["confident_errors"] = [asdict(e) for e in errors]
-        print(f"\n{len(errors)} gold bridging pairs under probability {args.tau}")
+        text.append(f"\n{len(errors)} gold bridging pairs under probability {args.tau}")
 
     if args.out:
         _write(args.out, payload)
+    print("\n".join(text))
     return EXIT_OK
 
 

@@ -19,11 +19,12 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
-import numpy as np
-
 from ..errors import ConfigError, DegenerateTrainingError, SchemaMismatchError, ValidationError
 from ..records import is_int, is_number, json_value, read_text, record_reader
+from . import lazy_numpy
 from .encoding import EncoderSchema, FeatureBlock
+
+np = lazy_numpy()
 
 FORMAT_VERSION = 1
 

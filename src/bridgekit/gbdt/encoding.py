@@ -12,10 +12,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import ConfigError, EmptyDatasetError, ValidationError
 from ..pairgen import FEATURE_NAMES, NUMERIC_FEATURES, PairDataset, PairExample
+from . import lazy_numpy
+
+np = lazy_numpy()
 
 LEMMA_FEATURES = ("t_head_lemma", "n_head_lemma")
 DEFAULT_LEMMA_TOP_K = 200

@@ -5,12 +5,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from ..errors import ConfigError, EmptyDatasetError
 from ..pairgen import PairDataset, PairExample
+from . import lazy_numpy
 from .boosting import GbdtModel, HyperParams, predict_proba, sigmoid, staged_margins, train
 from .encoding import DEFAULT_LEMMA_TOP_K, encode, fit_schema
+
+np = lazy_numpy()
 
 # Probabilities at or above this threshold count as a positive prediction.
 DECISION_THRESHOLD = 0.5

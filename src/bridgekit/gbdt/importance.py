@@ -5,15 +5,16 @@ one-hot columns of a block back into their source feature.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ConfigError
 from ..pairgen import PairDataset, PairExample
+from . import lazy_numpy
 from .boosting import (
     GbdtModel, add_in_order, predict_proba, sigmoid, splits, tree_contributions, tree_values,
 )
 from .encoding import encode
 from .evaluation import DECISION_THRESHOLD
+
+np = lazy_numpy()
 
 
 def column_gain_totals(model: GbdtModel) -> tuple[dict[int, float], dict[int, int]]:

@@ -578,11 +578,13 @@ def read_documents(path: str | Path, dialect: str | None = None) -> list[Documen
     """Parse one corpus file. Any malformed content, including bytes that
     are not UTF-8 and documents that break a model invariant, raises
     ParseError or DialectViolationError. A ParseError names the file
-    first, then the line when it is known, which it keeps as `.line`."""
+    first, then the line when it is known, which it keeps as `.line`. The
+    file is read before its dialect is guessed, so a path that cannot be
+    read raises OSError whatever its suffix."""
+    data = Path(path).read_bytes()
     dialect = dialect or guess_dialect(path)
     if dialect not in DIALECT_PARSERS:
         raise ValidationError(f"unknown dialect {dialect!r}")
-    data = Path(path).read_bytes()
     try:
         return DIALECT_PARSERS[dialect](data)
     except (ParseError, ValidationError) as exc:

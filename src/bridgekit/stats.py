@@ -9,12 +9,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, DegenerateTableError, EmptyDatasetError
-from .gbdt import GbdtModel, encode, predict_proba
+from .gbdt import GbdtModel, encode, lazy_numpy, predict_proba
 from .model import Document
 from .pairgen import PairDataset, derive_definiteness
+
+np = lazy_numpy()
 
 ROW_LABELS = ("def", "ind")
 COL_LABELS = ("bridge", "non-bridge")

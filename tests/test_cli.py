@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, exit codes, and the full run."""
 from __future__ import annotations
 
+import ast
 import gc
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import types
@@ -184,6 +186,27 @@ class TestConvert:
         assert main(["convert", "--in", str(missing), "--out", str(tmp_path / "o.jsonl")]) == EXIT_CONFIG
         assert "missing.brk" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["nope", "nope.brk", "."])
+    def test_an_unreadable_input_exits_1_whatever_its_suffix(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        out = tmp_path / "x.jsonl"
+        assert main(["convert", "--in", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read corpus file {path}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_a_readable_input_with_an_unknown_suffix_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "corpus.txt"
+        path.write_text("x\n")
+        out = tmp_path / "x.jsonl"
+        assert main(["convert", "--in", str(path), "--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: malformed corpus file {path}: ValidationError: "
+            f"cannot infer dialect from suffix '.txt' of {path}\n"
+        )
+        assert not out.exists()
+
     def test_explicit_dialect_overrides_suffix(self, tmp_path):
         docs = planted_rule_corpus(1, n_docs=1, label_pool=ARRAU_POOL, schema="arrau_like")
         data = tmp_path / "corpus.data"
@@ -342,6 +365,30 @@ class TestPairsTrainEvalChain:
         printed = capsys.readouterr().out
         assert "definiteness residuals:" in printed
         assert "bridging subtypes:" in printed
+
+    def test_analyze_prints_nothing_when_its_docs_are_missing(self, chain, tmp_path, capsys):
+        missing = tmp_path / "nope.brk"
+        code = main(["analyze", "--pairs", str(chain["pairs"]), "--docs", str(missing)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read corpus file {missing}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_analyze_prints_nothing_when_its_model_is_malformed(self, chain, tmp_path, capsys):
+        bad = tmp_path / "model.json"
+        bad.write_text("not a model\n")
+        out = tmp_path / "analysis.json"
+        code = main([
+            "analyze", "--pairs", str(chain["pairs"]),
+            "--docs", str(chain["tmp"] / "corpus.brk"), "--model", str(bad), "--out", str(out),
+        ])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: malformed model {bad}: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_pairs_line_without_a_key_exits_2(self, chain, tmp_path, capsys):
         lines = chain["pairs"].read_text().splitlines()
@@ -1127,3 +1174,98 @@ class TestCollectorPause:
             assert not paused
             # with the collector back on, main collected once on the way out
             assert (cycle() is None) == caller_enabled
+
+
+def _import_time_imports(node):
+    """The absolute module names that importing the module of `node`
+    imports: every import statement outside a function body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, ast.Import):
+            yield from (alias.name for alias in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            if not child.level:
+                yield child.module
+        else:
+            yield from _import_time_imports(child)
+
+
+def _fresh_python(code: str, *args: str) -> str:
+    """The standard output of `code` run with `args` by a new interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# Runs `main` on each JSON argument list given, and after each prints a
+# line "numpy: " and the numpy submodules loaded so far as a JSON list.
+_COMMANDS_THEN_NUMPY = """
+import json, sys
+from bridgekit.cli import main
+for argv in sys.argv[1:]:
+    assert main(json.loads(argv)) == 0, argv
+    print("numpy:", json.dumps(sorted(name for name in sys.modules if name.startswith("numpy."))))
+"""
+
+
+class TestNumpyLoadsOnFirstUse:
+    def test_corpus_commands_never_load_numpy_and_train_does(self, tmp_path):
+        corpus = str(tmp_path / "c.brk")
+        write_bracket(Path(corpus), planted_rule_corpus(7, n_docs=6, single_link_per_anaphor=True))
+        out = {name: str(tmp_path / name) for name in ("c.jsonl", "h.jsonl", "p.jsonl", "m.json")}
+        commands = [
+            ["convert", "--in", corpus, "--out", out["c.jsonl"]],
+            ["harmonize", "--in", corpus, "--out", out["h.jsonl"]],
+            ["pairs", "--in", corpus, "--seed", "5", "--harmonize", "--out", out["p.jsonl"]],
+            ["analyze", "--pairs", out["p.jsonl"], "--docs", corpus],
+            ["train", "--pairs", out["p.jsonl"], "--seed", "5", "--n-rounds", "5",
+             "--out", out["m.json"]],
+        ]
+        printed = _fresh_python(_COMMANDS_THEN_NUMPY, *map(json.dumps, commands))
+        loaded = [json.loads(line.removeprefix("numpy: "))
+                  for line in printed.splitlines() if line.startswith("numpy: ")]
+        assert loaded[:4] == [[], [], [], []]
+        assert "numpy.linalg" in loaded[4]
+
+    def test_a_fresh_train_writes_the_bytes_of_one_with_numpy_imported(self, chain, tmp_path):
+        argv = ["train", "--pairs", str(chain["pairs"]), "--seed", "5", "--grid", "small",
+                "--folds", "3"]
+        _fresh_python(_COMMANDS_THEN_NUMPY, json.dumps(argv + ["--out", str(tmp_path / "a.json")]))
+        assert main(argv + ["--out", str(tmp_path / "b.json")]) == EXIT_OK
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_the_helper_returns_an_imported_numpy_unchanged(self):
+        from bridgekit.gbdt import boosting, lazy_numpy
+
+        assert lazy_numpy() is np
+        assert boosting.np is np
+        assert type(np) is types.ModuleType
+
+    def test_the_helper_defers_numpy_and_fails_as_an_import_without_it(self):
+        code = """
+import sys
+from bridgekit.gbdt import lazy_numpy
+np = lazy_numpy()
+print(lazy_numpy() is np, [n for n in sys.modules if n.startswith("numpy.")])
+print(np.float64(2.5) * 2, lazy_numpy() is np is sys.modules["numpy"])
+sys.modules["numpy"] = None
+try:
+    lazy_numpy()
+except ModuleNotFoundError as exc:
+    print(exc.name)
+"""
+        assert _fresh_python(code) == "True []\n5.0 True\nnumpy\n"
+
+    def test_no_module_of_the_package_imports_numpy_when_it_is_imported(self):
+        package = Path(bridgekit.cli.__file__).parent
+        eager = [
+            (str(path.relative_to(package)), name)
+            for path in sorted(package.rglob("*.py"))
+            for name in _import_time_imports(ast.parse(path.read_text(encoding="utf-8")))
+            if name.split(".")[0] == "numpy"
+        ]
+        assert eager == []
