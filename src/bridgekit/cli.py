@@ -206,7 +206,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         raise ConfigError(f"config is not valid JSON: {reason}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    raw.update(overrides or {})
+    overrides = overrides or {}
+    raw.update(overrides)
     _reject_unknown_keys(raw, PipelineConfig, "config")
 
     if not is_int(raw.get("seed")):
@@ -255,7 +256,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     }
     if scalars["residual_source"] not in ("dataset", "corpus"):
         raise ConfigError("residual_source must be dataset or corpus")
-    scalars["output_dir"] = os.environ.get(OUTPUT_DIR_ENV) or scalars["output_dir"]
+    if "output_dir" not in overrides:
+        scalars["output_dir"] = os.environ.get(OUTPUT_DIR_ENV) or scalars["output_dir"]
     config = PipelineConfig(seed=raw["seed"], corpora=tuple(corpora), grid=grid, **scalars)
     _check_paths(config, base=Path(path).parent)
     return config

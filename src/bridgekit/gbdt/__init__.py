@@ -1,11 +1,11 @@
 """Boosted-tree classification stack: encoding, training, evaluation,
 cross-validation, and feature importance.
 
-numpy is loaded on first use. Every module that computes with it, here and
-in `bridgekit.stats`, binds `np = lazy_numpy()` instead of `import numpy as
-np`, so that importing `bridgekit.cli` does not load it: `convert`,
-`harmonize`, `pairs` and `analyze` without `--model` never touch an array,
-and numpy would be most of their start-up time and memory. The helper is
+numpy is loaded on first use. Every module that computes with it binds
+`np = lazy_numpy()` instead of `import numpy as np`, so that importing
+`bridgekit.cli` does not load it: `convert`, `harmonize`, `pairs` and
+`analyze` without `--model` never touch an array, and numpy would be most
+of their start-up time and memory. The helper is
 defined before the submodule imports below, which need it. An import
 statement cannot bind the lazy module, because the import system reads its
 `__spec__` and that loads it. On Python 3.10 and 3.11, `LazyLoader` does not

@@ -58,22 +58,8 @@ class HyperParams:
 
 
 def default_grid() -> list[HyperParams]:
-    grid = []
-    for n_rounds in (50, 100, 200):
-        for max_depth in (3, 4, 6):
-            for learning_rate in (0.1, 0.3):
-                for min_child_hessian in (1.0, 5.0):
-                    grid.append(
-                        HyperParams(
-                            n_rounds=n_rounds,
-                            max_depth=max_depth,
-                            learning_rate=learning_rate,
-                            l2_leaf_penalty=1.0,
-                            split_gain_threshold=0.0,
-                            min_child_hessian=min_child_hessian,
-                        )
-                    )
-    return grid
+    return [HyperParams(n_rounds=r, max_depth=d, learning_rate=lr, min_child_hessian=mh)
+            for r in (50, 100, 200) for d in (3, 4, 6) for lr in (0.1, 0.3) for mh in (1.0, 5.0)]
 
 
 @dataclass(frozen=True)
@@ -104,15 +90,13 @@ class GbdtModel:
     training_loss: tuple[float, ...] = field(default=())
 
 
-def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+def sigmoid(x: np.ndarray | float) -> np.ndarray:
+    arr = np.asarray(x, dtype=np.float64)
     out = np.empty_like(arr)
     pos = arr >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
     ex = np.exp(arr[~pos])
     out[~pos] = ex / (1.0 + ex)
-    if np.ndim(x) == 0:
-        return float(out[0])
     return out
 
 
@@ -261,11 +245,10 @@ def _build_tree(
     )
 
 
-def tree_values(node: Node, X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """The weight of the leaf each row of X reaches; with `rows`, the row
-    indices to route, only those rows' weights, in the order of `rows`."""
+def tree_values(node: Node, X: np.ndarray) -> np.ndarray:
+    """The weight of the leaf each row of X reaches."""
     out = np.empty(X.shape[0], dtype=np.float64)
-    stack: list[tuple[Node, np.ndarray]] = [(node, np.arange(X.shape[0]) if rows is None else rows)]
+    stack: list[tuple[Node, np.ndarray]] = [(node, np.arange(X.shape[0]))]
     while stack:
         nd, idx = stack.pop()
         if isinstance(nd, Leaf):
@@ -274,7 +257,7 @@ def tree_values(node: Node, X: np.ndarray, rows: np.ndarray | None = None) -> np
             mask = X[idx, nd.column] < nd.threshold
             stack.append((nd.left, idx[mask]))
             stack.append((nd.right, idx[~mask]))
-    return out if rows is None else out[rows]
+    return out
 
 
 def splits(nodes: Iterable[Node]) -> Iterator[Split]:
@@ -376,28 +359,23 @@ def staged_margins(model: GbdtModel, X: np.ndarray) -> Iterator[np.ndarray]:
     """The margins of the first 0, 1, ..., len(model.trees) trees on the
     rows of a matrix: one vector, updated in place between the yields."""
     X = np.asarray(X, dtype=np.float64)
-    if X.shape[1] != model.n_features:
+    if X.ndim != 2 or X.shape[1] != model.n_features:
         raise SchemaMismatchError(
-            f"row has {X.shape[1]} columns, model expects {model.n_features}"
+            f"matrix of shape {X.shape}, model expects {model.n_features} columns"
         )
     margins = np.full(X.shape[0], model.base_score, dtype=np.float64)
     return add_in_order(margins, tree_contributions(model, X))
 
 
 def predict_margin(model: GbdtModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X.reshape(1, -1)
+    """The margin of each row of the 2-D matrix X."""
     *_, margins = staged_margins(model, X)
-    return margins[0] if single else margins
+    return margins
 
 
-def predict_proba(model: GbdtModel, X: np.ndarray) -> np.ndarray | float:
-    margins = predict_margin(model, X)
-    if np.ndim(margins) == 0:
-        return float(sigmoid(float(margins)))
-    return sigmoid(margins)
+def predict_proba(model: GbdtModel, X: np.ndarray) -> np.ndarray:
+    """The positive-class probability of each row of the 2-D matrix X."""
+    return sigmoid(predict_margin(model, X))
 
 
 # ---------------------------------------------------------------------------

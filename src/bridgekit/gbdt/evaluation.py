@@ -3,7 +3,7 @@ search, and the chance baseline."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from ..errors import ConfigError, EmptyDatasetError
 from ..pairgen import PairDataset, PairExample
@@ -44,8 +44,7 @@ def metrics_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:
 
 
 def evaluate_matrix(model: GbdtModel, X: np.ndarray, y: np.ndarray) -> Metrics:
-    proba = np.atleast_1d(predict_proba(model, X))
-    return metrics_from_predictions(y, proba >= DECISION_THRESHOLD)
+    return metrics_from_predictions(y, predict_proba(model, X) >= DECISION_THRESHOLD)
 
 
 def evaluate(model: GbdtModel, dataset: PairDataset | list[PairExample]) -> Metrics:
@@ -81,16 +80,7 @@ def random_baseline(
     for _ in range(runs):
         preds = np.array([rng.random() < p for _ in range(len(y))], dtype=bool)
         per_run.append(metrics_from_predictions(y, preds))
-    n = float(runs)
-    return Metrics(
-        precision=sum(m.precision for m in per_run) / n,
-        recall=sum(m.recall for m in per_run) / n,
-        f1=sum(m.f1 for m in per_run) / n,
-        tp=sum(m.tp for m in per_run) / n,
-        fp=sum(m.fp for m in per_run) / n,
-        fn=sum(m.fn for m in per_run) / n,
-        tn=sum(m.tn for m in per_run) / n,
-    )
+    return Metrics(*(sum(getattr(m, f.name) for m in per_run) / runs for f in fields(Metrics)))
 
 
 def stratified_folds(labels: list[str] | np.ndarray, k: int, seed: int) -> list[list[int]]:

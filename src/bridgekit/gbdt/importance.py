@@ -62,12 +62,11 @@ def mda_importance(
 
     A permutation changes the margin only of the rows whose block values
     it moves, and only through the trees that split on the block. Those
-    trees are evaluated again on those rows alone; every other tree's
-    contribution is taken from a cache made once. The moved rows start from
-    their staged margin just before the first tree that splits on the
-    block, and the later trees are added to it in tree order as in
-    prediction, so the result is that of predicting each permuted matrix in
-    full.
+    rows are copied into a small matrix of moved rows, and the trees that
+    split on the block are evaluated again on it; every other tree's
+    contribution is taken from a cache made once. The moved rows are summed
+    from the base score over every tree, in tree order as in prediction, so
+    the result is that of predicting each permuted matrix in full.
     """
     if model.schema is None:
         raise ConfigError("model carries no encoder schema")
@@ -75,7 +74,7 @@ def mda_importance(
         raise ConfigError("repeats must be >= 1")
     X, y, _ = encode(dataset, schema=model.schema)
     y = y.astype(bool)
-    correct = (np.atleast_1d(predict_proba(model, X)) >= DECISION_THRESHOLD) == y
+    correct = (predict_proba(model, X) >= DECISION_THRESHOLD) == y
     baseline = float(np.mean(correct))
     rng = np.random.default_rng(seed)
     slices = model.schema.block_slices()
@@ -87,12 +86,7 @@ def mda_importance(
                   if any(block.start <= c < block.stop for c in columns)]
         for feature, block in slices.items()
     }
-    # the margins of the trees before each tree that is first to split on a block
-    firsts = {trees[0] for trees in splitting.values() if trees}
-    staged = {t: margins.copy() for t, margins in enumerate(
-        add_in_order(np.full(X.shape[0], model.base_score), contributions)) if t in firsts}
     rate = model.params.learning_rate
-    Xp = X.copy()
     out: dict[str, float] = {}
     for feature in sorted(slices):
         block, trees = slices[feature], splitting[feature]
@@ -105,15 +99,14 @@ def mda_importance(
             if not len(rows):
                 drops.append(0.0)
                 continue
-            Xp[:, block] = shuffled
-            first = trees[0]
-            part = contributions[first:, rows]
+            moved = X[rows]
+            moved[:, block] = shuffled[rows]
+            part = contributions[:, rows]
             for t in trees:
-                part[t - first] = rate * tree_values(model.trees[t], Xp, rows)
-            *_, margins = add_in_order(staged[first][rows], part)
+                part[t] = rate * tree_values(model.trees[t], moved)
+            *_, margins = add_in_order(np.full(len(rows), model.base_score), part)
             permuted = correct.copy()
             permuted[rows] = (sigmoid(margins) >= DECISION_THRESHOLD) == y[rows]
             drops.append(baseline - float(np.mean(permuted)))
-        Xp[:, block] = values
         out[feature] = float(np.mean(drops))
     return out

@@ -10,11 +10,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ConfigError, DegenerateTableError, EmptyDatasetError
-from .gbdt import GbdtModel, encode, lazy_numpy, predict_proba
+from .gbdt import GbdtModel, encode, predict_proba
 from .model import Document
 from .pairgen import PairDataset, derive_definiteness
-
-np = lazy_numpy()
 
 ROW_LABELS = ("def", "ind")
 COL_LABELS = ("bridge", "non-bridge")
@@ -226,10 +224,9 @@ def confident_errors(
     if not gold:
         return []
     X, _, _ = encode(gold, schema=model.schema)
-    proba = np.atleast_1d(predict_proba(model, X))
     found = [
         ConfidentError(ex.doc_id, ex.antecedent_id, ex.anaphor_id, float(p))
-        for ex, p in zip(gold, proba)
+        for ex, p in zip(gold, predict_proba(model, X))
         if p < tau
     ]
     found.sort(key=lambda e: e.probability)

@@ -890,6 +890,18 @@ class TestRun:
         runs = list((pipeline_run["tmp"] / "runs").iterdir())
         assert len(runs) == 2
 
+    def test_out_dir_flag_beats_the_environment_variable(self, tmp_path, monkeypatch):
+        config = base_config(tmp_path)
+        config["grid"] = [{"n_rounds": 5, "max_depth": 2}]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "env_out"))
+        flag_out = tmp_path / "flag_out"
+        assert main(["run", "--config", str(path), "--out-dir", str(flag_out)]) == EXIT_OK
+        assert len(list(flag_out.glob("run-*/report.json"))) == 1
+        assert not (tmp_path / "env_out").exists()
+        assert not (tmp_path / "runs").exists()
+
     def test_parse_failure_leaves_a_partial_report_and_exits_2(self, tmp_path, capsys):
         config = base_config(tmp_path)
         (tmp_path / "a_train.brk").write_text("1\tbroken\n")

@@ -62,6 +62,7 @@ from bridgekit.pairgen import (
     PairExample,
     Provenance,
 )
+from bridgekit.stats import ConfidentError, confident_errors
 
 
 def make_example(i: int, label: str, **over) -> PairExample:
@@ -419,12 +420,34 @@ class TestTraining:
 
 
 class TestPrediction:
-    def test_single_row_input_returns_scalars(self):
+    @pytest.mark.parametrize("predict", [predict_margin, predict_proba, staged_margins])
+    def test_a_one_dimensional_input_is_rejected(self, predict):
         model = TestTraining().hand_model()
-        margin = predict_margin(model, np.array([1.0]))
-        proba = predict_proba(model, np.array([1.0]))
-        assert np.ndim(margin) == 0 and isinstance(proba, float)
-        assert proba == pytest.approx(sigmoid(0.1 * 2 / 3))
+        with pytest.raises(SchemaMismatchError, match="expects 1"):
+            predict(model, np.array([1.0]))
+
+    def test_a_one_example_dataset_scores_through_every_caller(
+        self, planted_model, planted_eval_dataset
+    ):
+        X, _, _ = encode(planted_eval_dataset, schema=planted_model.schema)
+        full = predict_proba(planted_model, X)
+        i = next(i for i, ex in enumerate(planted_eval_dataset.examples) if ex.label == "bridging")
+        ex = planted_eval_dataset.examples[i]
+        one = predict_proba(planted_model, X[i:i + 1])
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        assert one.tobytes() == full[i:i + 1].tobytes()
+        dataset = replace(planted_eval_dataset, examples=(ex,))
+        assert evaluate(planted_model, dataset) == metrics_from_predictions(
+            np.array([True]), one >= DECISION_THRESHOLD
+        )
+        assert confident_errors(planted_model, dataset, tau=1.0) == [
+            ConfidentError(ex.doc_id, ex.antecedent_id, ex.anaphor_id, float(full[i]))
+        ]
+        assert confident_errors(planted_model, dataset, tau=0.0) == []
+        # a permutation of one row moves nothing
+        assert mda_importance(planted_model, dataset, repeats=2, seed=0) == dict.fromkeys(
+            planted_model.schema.block_slices(), 0.0
+        )
 
     def test_wrong_column_count_is_rejected(self):
         model = TestTraining().hand_model()
