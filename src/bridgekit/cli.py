@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .errors import BridgekitError, ConfigError, ParseError
 from .gbdt import (
+    DEFAULT_LEMMA_TOP_K,
     HyperParams,
     cross_validate,
     default_grid,
@@ -53,7 +54,7 @@ from .pairgen import (
     dataset_to_csv,
     dataset_to_jsonl,
 )
-from .records import is_int, is_number
+from .records import is_finite, is_int, is_number
 from .stats import (
     anaphor_entity_distribution,
     chi_square_residuals,
@@ -136,7 +137,7 @@ class PipelineConfig:
     output_dir: str = "runs"
     exclusion_list: str | None = None
     pronoun_tags: tuple[str, ...] = tuple(sorted(DEFAULT_PRONOUN_TAGS))
-    lemma_top_k: int = 200
+    lemma_top_k: int = DEFAULT_LEMMA_TOP_K
     cv_folds: int = 5
     grid: tuple[HyperParams, ...] = field(default_factory=lambda: tuple(default_grid()))
     baseline_p: float = 1.0 / 3.0
@@ -182,6 +183,8 @@ def _config_value(value, f: Field):
     check, expected, convert = _CONFIG_TYPES[f.type.removesuffix(" | None")]
     if not check(value):
         raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
+    if is_number(value) and not is_finite(value):
+        raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
     return convert(value)
 
 
@@ -663,16 +666,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", default="")
     p.add_argument("--harmonize", action="store_true",
                    help="harmonize documents before pairing")
-    p.add_argument("--pronoun-tags", nargs="+", default=sorted(DEFAULT_PRONOUN_TAGS))
+    p.add_argument("--pronoun-tags", nargs="+", default=PipelineConfig.pronoun_tags)
     p.set_defaults(func=cmd_pairs)
 
     p = sub.add_parser("train", help="cross-validate and train a model")
     p.add_argument("--pairs", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=int, default=PipelineConfig.cv_folds)
     p.add_argument("--grid", choices=("default", "small"), default="default")
-    p.add_argument("--lemma-top-k", type=int, default=200)
+    p.add_argument("--lemma-top-k", type=int, default=PipelineConfig.lemma_top_k)
     for f in fields(HyperParams):
         p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
     p.set_defaults(func=cmd_train)
@@ -681,15 +684,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--baseline-p", type=float, default=1.0 / 3.0)
-    p.add_argument("--baseline-runs", type=int, default=5)
+    p.add_argument("--baseline-p", type=float, default=PipelineConfig.baseline_p)
+    p.add_argument("--baseline-runs", type=int, default=PipelineConfig.baseline_runs)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("importance", help="gain and permutation importance")
     p.add_argument("--model", required=True)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=int, default=PipelineConfig.baseline_runs)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_importance)
@@ -699,8 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--docs", nargs="*", default=None)
     p.add_argument("--dialect", choices=sorted(DIALECT_PARSERS), default=None)
     p.add_argument("--model", default=None)
-    p.add_argument("--tau", type=float, default=0.10)
-    p.add_argument("--threshold", type=float, default=0.01)
+    p.add_argument("--tau", type=float, default=PipelineConfig.tau)
+    p.add_argument("--threshold", type=float, default=PipelineConfig.distribution_threshold)
     p.add_argument("--adjusted", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_analyze)

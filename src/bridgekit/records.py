@@ -34,6 +34,7 @@ ParseError naming its line (`json_value`, `json_lines`).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields
 from functools import cache
 from json.encoder import encode_basestring
@@ -92,6 +93,12 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def is_finite(value) -> bool:
+    """Whether `value` is an integer or a float other than NaN and
+    ±Infinity, which Python's `json` reads from non-standard literals."""
+    return isinstance(value, float) and math.isfinite(value) or is_int(value)
+
+
 _OPTIONAL = "str | None"
 _JSON_VALUES = {
     "int": "{%s}",
@@ -113,13 +120,16 @@ def _span(span, path: str, name: str, j: int) -> tuple[int, int]:
 
 _JSON_READS = {
     "int": "%(v)s if is_int(%(v)s) else _fail(path, %(name)r, 'expected an integer')",
-    "float": "%(v)s if is_number(%(v)s) else _fail(path, %(name)r, 'expected a number')",
+    "float": "%(v)s if is_finite(%(v)s) else _fail(path, %(name)r,"
+             " 'expected a finite number' if is_number(%(v)s) else 'expected a number')",
     "str": "%(v)s if isinstance(%(v)s, str) else _fail(path, %(name)r, 'expected a string')",
     "tuple[str, ...]": "tuple(%(v)s) if isinstance(%(v)s, (list, tuple))"
                        " and all([isinstance(a, str) for a in %(v)s])"
                        " else _fail(path, %(name)r, 'expected a list of strings')",
-    "tuple[float, ...]": "tuple(%(v)s) if isinstance(%(v)s, (list, tuple)) and all(map(is_number, %(v)s))"
-                         " else _fail(path, %(name)r, 'expected a list of numbers')",
+    "tuple[float, ...]": "tuple(%(v)s) if isinstance(%(v)s, (list, tuple)) and all(map(is_finite, %(v)s))"
+                         " else _fail(path, %(name)r, 'expected a list of finite numbers'"
+                         " if isinstance(%(v)s, (list, tuple)) and all(map(is_number, %(v)s))"
+                         " else 'expected a list of numbers')",
     "tuple[tuple[int, int], ...]": "tuple([_span(s, path, %(name)r, j) for j, s in enumerate(%(v)s)])"
                                    " if isinstance(%(v)s, list) and %(v)s"
                                    " else _fail(path, %(name)r, 'expected a non-empty list')",

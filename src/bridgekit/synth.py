@@ -13,7 +13,9 @@ Three families:
   exercising the balanced sampler's filters.
 
 All generators are pure functions of their seed, and their output is
-pinned byte for byte (tests/test_synth.py). Generation is linear in
+pinned byte for byte (tests/test_synth.py). They share one document tail,
+which builds the `Document` and validates it, and every record is built by
+its maker (`records.record_maker`). Generation is linear in
 document length: a token's head is drawn by index, without a list of the
 other tokens, and an anaphor's antecedents are looked for only among the
 mentions that start within the distance limit before it.
@@ -22,8 +24,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from typing import NoReturn
 
-from .harmonize import GUM_ENTITY_MAP
+from .errors import DialectViolationError
+from .harmonize import ENTITY_MAPS, GUM_ENTITY_MAP
 from .ingest import find_head
 from .model import BridgingLink, Document, Mention, Token, UNRESOLVED, validate_document
 from .records import record_maker
@@ -49,6 +53,9 @@ _PLANT_LABELS = ("person", "object", "plant", "place", "abstract")
 ARRAU_POOL = ("person", "concrete", "space", "abstract", "plan")
 
 _make_token = record_maker(Token)
+_make_mention = record_maker(Mention)
+_make_link = record_maker(BridgingLink)
+_make_document = record_maker(Document)
 
 
 def _token(rng: random.Random, index: int, xpos: str, head: int) -> Token:
@@ -69,6 +76,32 @@ def _random_tokens(rng: random.Random, n: int) -> tuple[Token, ...]:
             head = k + (k >= i)
         tokens.append(_token(rng, i, rng.choice(_RANDOM_XPOS), head))
     return tuple(tokens)
+
+
+def _slot_tokens(rng: random.Random, positions: list[int],
+                 pronoun_slots: frozenset[int] = frozenset()) -> list[Token]:
+    """Random tokens up to one past the last mention slot, with a noun head,
+    or a pronoun at the k-th slot for k in pronoun_slots, headed by token 1
+    at each slot."""
+    tokens = list(_random_tokens(rng, positions[-1] + 1))
+    for k, pos in enumerate(positions):
+        xpos = "PRP" if k in pronoun_slots else "NN"
+        tokens[pos - 1] = _token(rng, pos, xpos, 0 if pos == 1 else 1)
+    return tokens
+
+
+def _slot_mention(k: int, pos: int, label: str, infstat: str, definiteness: str,
+                  chain_id: str | None) -> Mention:
+    """The k-th mention, one token long, at token pos."""
+    return _make_mention(f"m{k + 1}", ((pos, pos),), pos, label, UNRESOLVED,
+                         infstat, definiteness, chain_id)
+
+
+def _document(doc_id: str, genre: str, schema: str, tokens, mentions, links) -> Document:
+    """The document of these fields, validated."""
+    doc = _make_document(doc_id, genre, schema, tuple(tokens), tuple(mentions), tuple(links))
+    validate_document(doc)
+    return doc
 
 
 def _nested_or_disjoint(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -112,49 +145,28 @@ def random_document(rng: random.Random, index: int, flavor: str = "canonical") -
     mentions = []
     for i, spans in enumerate(spans_list, start=1):
         etype = rng.choice(list(GUM_ENTITY_MAP) + ["undersp-onto"])
-        mentions.append(
-            Mention(
-                id=f"m{i}",
-                spans=spans,
-                head_index=find_head(tokens, spans),
-                entity_type_original=etype,
-                entity_type_unified=UNRESOLVED,
-                infstat=rng.choice(("new", "giv", "acc")) if gum else "none",
-                definiteness=rng.choice(("def", "ind")) if gum else "none",
-                chain_id=rng.choice(chain_pool) if rng.random() < 0.3 else None,
-            )
-        )
+        mentions.append(_make_mention(
+            f"m{i}", spans, find_head(tokens, spans), etype, UNRESOLVED,
+            rng.choice(("new", "giv", "acc")) if gum else "none",
+            rng.choice(("def", "ind")) if gum else "none",
+            rng.choice(chain_pool) if rng.random() < 0.3 else None,
+        ))
 
     links = []
     if len(mentions) >= 2:
-        used_anaphors = set()
         for m in mentions:
-            if rng.random() > 0.4 or m.id in used_anaphors:
+            if rng.random() > 0.4:
                 continue
             others = [x.id for x in mentions if x.id != m.id]
             if gum or rng.random() < 0.7:
                 antecedents = (rng.choice(others),)
             else:
                 antecedents = tuple(rng.sample(others, min(len(others), rng.randint(2, 3))))
-            links.append(
-                BridgingLink(
-                    anaphor_id=m.id,
-                    antecedent_ids=antecedents,
-                    subtype=rng.choice((None, "element", "poss", "subset-inv")),
-                )
-            )
-            used_anaphors.add(m.id)
+            subtype = rng.choice((None, "element", "poss", "subset-inv"))
+            links.append(_make_link(m.id, antecedents, subtype))
 
-    doc = Document(
-        doc_id=f"rand_{flavor}_{index}",
-        genre=rng.choice(("news", "fiction", "")),
-        schema=flavor,
-        tokens=tokens,
-        mentions=tuple(mentions),
-        bridging=tuple(links),
-    )
-    validate_document(doc)
-    return doc
+    return _document(f"rand_{flavor}_{index}", rng.choice(("news", "fiction", "")), flavor,
+                     tokens, mentions, links)
 
 
 def random_corpus(seed: int, n_docs: int, flavor: str = "canonical") -> list[Document]:
@@ -201,20 +213,15 @@ def planted_rule_corpus(
     Head lemmas, deprels, and numbers are drawn independently of the rule,
     giving known-noise features.
     """
-    from .harmonize import ENTITY_MAPS
-
     entity_map = ENTITY_MAPS[schema]
     if label_pool is None:
         label_pool = ARRAU_POOL if schema == "arrau_like" else _PLANT_LABELS
     rng = random.Random(seed)
     docs = []
     n_mentions = n_chains * chain_size + n_free
+    positions = [1 + stride * k for k in range(n_mentions)]
     for d in range(1, n_docs + 1):
-        positions = [1 + stride * k for k in range(n_mentions)]
-        n_tokens = positions[-1] + 1
-        tokens = list(_random_tokens(rng, n_tokens))
-        for pos in positions:
-            tokens[pos - 1] = _token(rng, pos, "NN", 0 if pos == 1 else 1)
+        tokens = _slot_tokens(rng, positions)
 
         # chains occupy blocks of consecutive mention slots so coreference
         # pairs stay within the attested distance cap
@@ -231,9 +238,8 @@ def planted_rule_corpus(
                 assignment[slot] = (None, rng.choice(label_pool))
 
         mentions = []
-        for k in range(n_mentions):
+        for k, pos in enumerate(positions):
             chain_id, label = assignment[k]
-            pos = positions[k]
             if chain_id is not None:
                 definite = "ind"
                 infstat = "none"
@@ -244,23 +250,10 @@ def planted_rule_corpus(
                 old = tokens[pos - 1]
                 tokens[pos - 1] = _make_token(old.index, "the", "the", old.xpos,
                                               old.number, old.deprel, old.head)
-            mentions.append(
-                Mention(
-                    id=f"m{k + 1}",
-                    spans=((pos, pos),),
-                    head_index=pos,
-                    entity_type_original=label,
-                    entity_type_unified=UNRESOLVED,
-                    infstat=infstat,
-                    definiteness=definite,
-                    chain_id=chain_id,
-                )
-            )
-        tokens = tuple(tokens)
+            mentions.append(_slot_mention(k, pos, label, infstat, definite, chain_id))
 
         unified = {m.id: entity_map[m.entity_type_original] for m in mentions}
         links = []
-        subtype_i = 0
         for j, ana in enumerate(mentions):
             if ana.definiteness != "def" or ana.chain_id is not None:
                 continue
@@ -275,25 +268,10 @@ def planted_rule_corpus(
             if single_link_per_anaphor and antes:
                 antes = antes[-1:]
             for ante in antes:
-                links.append(
-                    BridgingLink(
-                        anaphor_id=ana.id,
-                        antecedent_ids=(ante.id,),
-                        subtype=_SUBTYPE_CYCLE[subtype_i % len(_SUBTYPE_CYCLE)],
-                    )
-                )
-                subtype_i += 1
+                subtype = _SUBTYPE_CYCLE[len(links) % len(_SUBTYPE_CYCLE)]
+                links.append(_make_link(ana.id, (ante.id,), subtype))
 
-        doc = Document(
-            doc_id=f"plant_{d}",
-            genre="synth",
-            schema=schema,
-            tokens=tokens,
-            mentions=tuple(mentions),
-            bridging=tuple(links),
-        )
-        validate_document(doc)
-        docs.append(doc)
+        docs.append(_document(f"plant_{d}", "synth", schema, tokens, mentions, links))
     return docs
 
 
@@ -314,62 +292,29 @@ def balanced_sampling_corpus(seed: int, n_docs: int = 10, links_per_doc: int = 5
     rng = random.Random(seed)
     labels = list(GUM_ENTITY_MAP)
     docs = []
-    n_mentions = 30
+    positions = [1 + 2 * k for k in range(30)]
+    pronoun_slots = frozenset({12, 13, 14})
     for d in range(1, n_docs + 1):
-        positions = [1 + 2 * k for k in range(n_mentions)]
-        n_tokens = positions[-1] + 1
-        tokens = list(_random_tokens(rng, n_tokens))
-        pronoun_slots = {12, 13, 14}
-        for k, pos in enumerate(positions):
-            xpos = "PRP" if k in pronoun_slots else "NN"
-            tokens[pos - 1] = _token(rng, pos, xpos, 0 if pos == 1 else 1)
-        tokens = tuple(tokens)
-
-        def chain_for(slot: int) -> str | None:
-            if slot <= 11:
-                return f"c{d}_{slot // 3 + 1}"
-            if slot in pronoun_slots:
-                return f"c{d}_5"
-            return None
+        tokens = _slot_tokens(rng, positions, pronoun_slots)
 
         mentions = []
-        for k in range(n_mentions):
-            pos = positions[k]
-            mentions.append(
-                Mention(
-                    id=f"m{k + 1}",
-                    spans=((pos, pos),),
-                    head_index=pos,
-                    entity_type_original=labels[(d + k) % len(labels)],
-                    entity_type_unified=UNRESOLVED,
-                    infstat="new" if chain_for(k) is None else "none",
-                    definiteness="def",
-                    chain_id=chain_for(k),
-                )
-            )
+        for k, pos in enumerate(positions):
+            if k <= 11:
+                chain_id = f"c{d}_{k // 3 + 1}"
+            elif k in pronoun_slots:
+                chain_id = f"c{d}_5"
+            else:
+                chain_id = None
+            label = labels[(d + k) % len(labels)]
+            infstat = "new" if chain_id is None else "none"
+            mentions.append(_slot_mention(k, pos, label, infstat, "def", chain_id))
 
         # anaphor slots 20,22,24,26,28 bridge back 5 slots (distance 10)
-        links = []
-        for i in range(links_per_doc):
-            ana_slot = 20 + 2 * i
-            links.append(
-                BridgingLink(
-                    anaphor_id=f"m{ana_slot + 1}",
-                    antecedent_ids=(f"m{ana_slot - 5 + 1}",),
-                    subtype=None,
-                )
-            )
-
-        doc = Document(
-            doc_id=f"bal_{d}",
-            genre="synth",
-            schema="gum_like",
-            tokens=tokens,
-            mentions=tuple(mentions),
-            bridging=tuple(links),
-        )
-        validate_document(doc)
-        docs.append(doc)
+        links = [
+            _make_link(f"m{ana_slot + 1}", (f"m{ana_slot - 5 + 1}",), None)
+            for ana_slot in range(20, 20 + 2 * links_per_doc, 2)
+        ]
+        docs.append(_document(f"bal_{d}", "synth", "gum_like", tokens, mentions, links))
     return docs
 
 
@@ -377,24 +322,40 @@ def balanced_sampling_corpus(seed: int, n_docs: int = 10, links_per_doc: int = 5
 # standoff fixture writing
 
 
+def _reads_back_absent(doc: Document, field: str) -> NoReturn:
+    raise DialectViolationError(
+        f"doc {doc.doc_id!r}: {field} '_' is not representable in the standoff dialect,"
+        " which reads it as absent"
+    )
+
+
 def standoff_text(docs: list[Document]) -> str:
     """Render documents as standoff-dialect text (for building fixtures).
 
     Token fields are space-separated in the payload, so forms and lemmas
     must not contain spaces; infstat and definiteness are not representable
-    in this dialect and are dropped.
+    in this dialect and are dropped. An empty genre, or a chain id or
+    subtype of None, is written as "_", which the reader takes for absent;
+    so a genre, chain id or subtype that is "_" itself raises
+    DialectViolationError naming its document and field.
     """
     lines = []
     for doc in docs:
+        if doc.genre == "_":
+            _reads_back_absent(doc, "genre")
         genre = doc.genre if doc.genre else "_"
         lines.append(f"DOC\t{doc.doc_id} {genre}")
         for t in doc.tokens:
             lines.append(f"TOK\t{t.index} {t.form} {t.lemma} {t.xpos} {t.number} {t.deprel} {t.head}")
         for m in doc.mentions:
+            if m.chain_id == "_":
+                _reads_back_absent(doc, f"mention {m.id!r} chain id")
             spans = ",".join(f"{s}-{e}" for s, e in m.spans)
             chain = m.chain_id if m.chain_id is not None else "_"
             lines.append(f"MEN\t{m.id} {spans} {m.entity_type_original} {chain}")
         for link in doc.bridging:
+            if link.subtype == "_":
+                _reads_back_absent(doc, f"link from {link.anaphor_id!r} subtype")
             antes = "+".join(link.antecedent_ids)
             subtype = link.subtype if link.subtype is not None else "_"
             lines.append(f"BRG\t{link.anaphor_id} {antes} {subtype}")

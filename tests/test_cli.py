@@ -29,6 +29,7 @@ from bridgekit.cli import (
     main,
 )
 from bridgekit.errors import ConfigError
+from bridgekit.gbdt import DEFAULT_LEMMA_TOP_K
 from bridgekit.ingest import emit_bracket, emit_canonical, parse_canonical, read_documents
 from bridgekit.synth import planted_rule_corpus, standoff_text
 
@@ -483,6 +484,33 @@ class TestPairsTrainEvalChain:
         )
 
     @pytest.mark.parametrize(
+        ("edit", "message"),
+        [
+            (lambda obj, i: obj.update(base_score=float("nan")),
+             "model.base_score: expected a finite number"),
+            (lambda obj, i: obj["trees"][i].update(threshold=float("-inf")),
+             "model.trees[{i}].threshold: expected a finite number"),
+            (lambda obj, i: obj["training_loss"].append(float("inf")),
+             "model.training_loss: expected a list of finite numbers"),
+            (lambda obj, i: obj["params"].update(learning_rate=float("nan")),
+             "model.params.learning_rate: expected a finite number"),
+        ],
+    )
+    def test_non_finite_model_number_exits_2_naming_file_and_field(
+        self, chain, tmp_path, capsys, edit, message
+    ):
+        # json reads the literals NaN, Infinity and -Infinity as floats
+        obj = json.loads(chain["model"].read_text())
+        i = next(i for i, tree in enumerate(obj["trees"]) if "column" in tree)
+        edit(obj, i)
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["eval", "--model", str(bad), "--pairs", str(chain["pairs"])]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: malformed model {bad}: ValidationError: {message.format(i=i)}\n"
+        )
+
+    @pytest.mark.parametrize(
         ("line", "edit", "message"),
         [
             (2, lambda text: json.dumps({**json.loads(text), "doc_id": 5}),
@@ -659,6 +687,31 @@ class TestConfig:
         assert main(["run", "--config", str(self.write(tmp_path, payload))]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", ["baseline_p", "tau", "distribution_threshold"])
+    def test_a_non_finite_number_exits_1_naming_the_key(self, tmp_path, capsys, key, value):
+        # json reads the literals NaN, Infinity and -Infinity as floats
+        path = self.write(tmp_path, {**self.minimal(tmp_path), key: value})
+        assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "runs")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {key} must be a finite number, got {value!r}\n"
+        assert not (tmp_path / "runs").exists()
+
+    def test_subcommand_flag_defaults_are_the_config_defaults(self):
+        parser = bridgekit.cli.build_parser()
+        for argv, flag, key in [
+            (["pairs", "--in", "c", "--seed", "1", "--out", "o"], "pronoun_tags", "pronoun_tags"),
+            (["train", "--pairs", "p", "--seed", "1", "--out", "o"], "folds", "cv_folds"),
+            (["train", "--pairs", "p", "--seed", "1", "--out", "o"], "lemma_top_k", "lemma_top_k"),
+            (["eval", "--model", "m", "--pairs", "p"], "baseline_p", "baseline_p"),
+            (["eval", "--model", "m", "--pairs", "p"], "baseline_runs", "baseline_runs"),
+            (["importance", "--model", "m", "--pairs", "p"], "repeats", "baseline_runs"),
+            (["analyze", "--pairs", "p"], "tau", "tau"),
+            (["analyze", "--pairs", "p"], "threshold", "distribution_threshold"),
+        ]:
+            default = getattr(parser.parse_args(argv), flag)
+            assert default == getattr(PipelineConfig, key), (argv[0], flag)
+        assert PipelineConfig.lemma_top_k == DEFAULT_LEMMA_TOP_K
 
     def test_null_values_load_as_the_field_defaults(self, tmp_path):
         payload = self.minimal(tmp_path)

@@ -832,9 +832,9 @@ class TestSplitSearch:
         searched = []
         search = boosting._find_best_split
 
-        def recording(cols, rows, g, h, hp):
+        def recording(cols, rows, g, h, hp, *args, **kwargs):
             searched.append(float(h.sum()))
-            return search(cols, rows, g, h, hp)
+            return search(cols, rows, g, h, hp, *args, **kwargs)
 
         monkeypatch.setattr(boosting, "_find_best_split", recording)
         model = train(X, y, hp)

@@ -9,11 +9,13 @@ import hashlib
 import importlib.util
 import random
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bridgekit.errors import DialectViolationError
 from bridgekit.harmonize import ENTITY_MAPS, harmonize_corpus
 from bridgekit.ingest import emit_canonical
 from bridgekit.model import BridgingLink, Token, mention_start, validate_document
@@ -80,6 +82,15 @@ LONG_PLANTED_SHA256 = {
     (2, "arrau_like"): "85bc81eb5a54bdf0abf740470563ce585a0b9eab4ebd9028fa6f2bfafabf385b",
 }
 
+# sha256 of emit_canonical for the default-sized sampling and single-link
+# planted corpora, the inputs of the pair-dataset and experiment tests
+DEFAULT_CORPUS_SHA256 = {
+    ("balanced", 9): "289ae5fdf99489740439f2ac7c0fcc3eedc1da537f0176e2fe292b3f6f1c2b6b",
+    ("balanced", 10): "237ff69123626fbb830c960938285fbb6b76d912362d5f5fb36faee8cc6d0e14",
+    ("planted", 42): "d1986fb4d54715009540c02fbaa7ca09c6a9f828dc3f3feea6ea39d4856a85f0",
+    ("planted", 100): "32ed56e232ba66c3c06f5945aebd6ec31d48c8d15ba5a4a842ba55473cf5c6da",
+}
+
 
 class TestRandomStream:
     @settings(max_examples=60, deadline=None)
@@ -118,6 +129,15 @@ class TestRandomStream:
         assert [len(doc.tokens) for doc in docs] == [1277, 1277]
         digest = hashlib.sha256(emit_canonical(docs)).hexdigest()
         assert digest == LONG_PLANTED_SHA256[seed, schema]
+
+    @pytest.mark.parametrize("kind, seed", sorted(DEFAULT_CORPUS_SHA256))
+    def test_default_corpora_keep_their_bytes(self, kind, seed):
+        if kind == "balanced":
+            docs = balanced_sampling_corpus(seed)
+        else:
+            docs = planted_rule_corpus(seed, single_link_per_anaphor=True)
+        digest = hashlib.sha256(emit_canonical(docs)).hexdigest()
+        assert digest == DEFAULT_CORPUS_SHA256[kind, seed]
 
 
 class TestRandomCorpus:
@@ -245,6 +265,25 @@ class TestPlantedRuleCorpus:
             assert all(m.definiteness == "none" for m in parsed.mentions)
             for m_orig, m_new in zip(original.mentions, parsed.mentions):
                 assert derive_definiteness(parsed, m_new) == m_orig.definiteness
+
+
+class TestStandoffText:
+    @pytest.mark.parametrize(
+        ("edit", "field"),
+        [
+            (lambda doc: replace(doc, genre="_"), "genre"),
+            (lambda doc: replace(doc, mentions=(replace(doc.mentions[0], chain_id="_"),)
+                                 + doc.mentions[1:]), "mention 'm1' chain id"),
+            (lambda doc: replace(doc, bridging=(replace(doc.bridging[0], subtype="_"),)
+                                 + doc.bridging[1:]), "link from"),
+        ],
+    )
+    def test_a_value_the_reader_takes_for_absent_is_refused(self, edit, field):
+        # the standoff reader reads "_" as an absent genre, chain id or subtype
+        doc = edit(planted_rule_corpus(5, n_docs=1)[0])
+        message = f"doc 'plant_1': {field}.* '_' is not representable"
+        with pytest.raises(DialectViolationError, match=message):
+            standoff_text([doc])
 
 
 class TestBalancedSamplingCorpus:
