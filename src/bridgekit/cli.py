@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from pathlib import Path
@@ -88,10 +89,29 @@ def _output(path: str | Path):
 
 
 def _write(path: str | Path, payload) -> None:
-    if not isinstance(payload, (str, bytes)):
+    """Write `payload` to `path`. It is `bytes`, a `str` (written as UTF-8),
+    an iterator of `bytes` chunks (each written as it is made, so the whole
+    output is never held), or anything else, written as JSON. A failure
+    while writing, an interrupt too, removes the file; a failure to open it
+    removes nothing."""
+    if not isinstance(payload, (str, bytes, Iterator)):
         payload = _dump_json(payload)
+    if isinstance(payload, str):
+        payload = payload.encode("utf-8")
     with _output(path):
-        Path(path).write_bytes(payload.encode("utf-8") if isinstance(payload, str) else payload)
+        out = open(path, "wb")
+        try:
+            with out:
+                for chunk in (payload,) if isinstance(payload, bytes) else payload:
+                    out.write(chunk)
+        except BaseException:
+            Path(path).unlink(missing_ok=True)
+            raise
+
+
+def _canonical_lines(docs) -> Iterator[bytes]:
+    """Each document's canonical JSONL line, made when `_write` takes it."""
+    return (emit_canonical((doc,)) for doc in docs)
 
 
 def _write_all(outputs: list[tuple[str | Path, object]]) -> None:
@@ -186,6 +206,11 @@ def _config_value(value, f: Field):
     if is_number(value) and not is_finite(value):
         raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
     return convert(value)
+
+
+def _flag_value(value, key: str):
+    """A flag's value, checked as the config field `key` it mirrors is."""
+    return _config_value(value, next(f for f in fields(PipelineConfig) if f.name == key))
 
 
 def _reject_unknown_keys(obj: dict, cls: type, where: str) -> None:
@@ -368,7 +393,7 @@ def _records(rows, keys: tuple[str, ...]) -> list[dict]:
 
 def cmd_convert(args) -> int:
     docs = _read_many([args.input], args.dialect)
-    _write(args.out, emit_canonical(docs))
+    _write(args.out, _canonical_lines(docs))
     print(f"wrote {len(docs)} documents to {args.out}")
     return EXIT_OK
 
@@ -379,7 +404,7 @@ def cmd_harmonize(args) -> int:
     # The report goes to text first, so that its dict, large when many
     # mentions were flattened, is freed before the documents are serialized.
     outputs = [(args.report, _dump_json(report.to_dict()))] if args.report else []
-    outputs.append((args.out, emit_canonical(harmonized)))
+    outputs.append((args.out, _canonical_lines(harmonized)))
     _write_all(outputs)
     print(format_report(report))
     if report.unresolved_entity_types:
@@ -424,11 +449,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    baseline_p = _flag_value(args.baseline_p, "baseline_p")
     model = _load("model", args.model, load_model)
     dataset = _read_pairs(args.pairs)
     metrics = evaluate(model, dataset)
-    baseline = random_baseline(dataset, p=args.baseline_p, runs=args.baseline_runs,
-                               seed=args.seed)
+    baseline = random_baseline(dataset, p=baseline_p, runs=args.baseline_runs, seed=args.seed)
     payload = {"model": asdict(metrics), "random_baseline": asdict(baseline)}
     if args.out:
         _write(args.out, payload)
@@ -449,6 +474,8 @@ def cmd_importance(args) -> int:
 def cmd_analyze(args) -> int:
     """Reads every input, then computes every table, and prints only when
     all of them are made, so a failure prints nothing but its error."""
+    tau = _flag_value(args.tau, "tau")
+    threshold = _flag_value(args.threshold, "distribution_threshold")
     dataset = _read_pairs(args.pairs)
     docs = _read_many(args.docs, args.dialect) if args.docs else None
     model = _load("model", args.model, load_model) if args.model else None
@@ -459,7 +486,7 @@ def cmd_analyze(args) -> int:
     text = ["definiteness residuals:", residuals.to_text()]
 
     if docs is not None:
-        pair_types = entity_pair_distribution(docs, threshold=args.threshold)
+        pair_types = entity_pair_distribution(docs, threshold=threshold)
         anaphor_types = anaphor_entity_distribution(docs)
         subtypes = subtype_distribution(docs)
         payload["pair_type_distribution"] = _records(pair_types.rows(), PAIR_TYPE_KEYS)
@@ -469,9 +496,9 @@ def cmd_analyze(args) -> int:
                  "\nbridging subtypes:", subtypes.to_text()]
 
     if model is not None:
-        errors = confident_errors(model, dataset, tau=args.tau)
+        errors = confident_errors(model, dataset, tau=tau)
         payload["confident_errors"] = [asdict(e) for e in errors]
-        text.append(f"\n{len(errors)} gold bridging pairs under probability {args.tau}")
+        text.append(f"\n{len(errors)} gold bridging pairs under probability {tau}")
 
     if args.out:
         _write(args.out, payload)
@@ -502,7 +529,7 @@ def _pipeline(config: PipelineConfig, base: Path, run_dir: Path, report: dict):
         harmonize_report.merge(eval_report)
         splits[name] = {"train": train_docs, "eval": eval_docs}
         for role, docs in splits[name].items():
-            _write(run_dir / f"harmonized/{name}_{role}.jsonl", emit_canonical(docs))
+            _write(run_dir / f"harmonized/{name}_{role}.jsonl", _canonical_lines(docs))
         harmonize_summary = harmonize_report.to_dict()
         _write(run_dir / f"harmonize_report_{name}.json", harmonize_summary)
         report["corpora"][name] = {

@@ -30,6 +30,7 @@ from bridgekit.cli import (
 )
 from bridgekit.errors import ConfigError
 from bridgekit.gbdt import DEFAULT_LEMMA_TOP_K
+from bridgekit.harmonize import harmonize_corpus
 from bridgekit.ingest import emit_bracket, emit_canonical, parse_canonical, read_documents
 from bridgekit.synth import planted_rule_corpus, standoff_text
 
@@ -281,6 +282,119 @@ class TestHarmonize:
         assert all(not doc.bridging for doc in docs)
 
 
+def write_dialect(path_stem: Path, dialect: str, docs) -> Path:
+    """`docs` in `dialect`, at `path_stem` with that dialect's suffix."""
+    suffix, write = {
+        "bracket": (".brk", lambda p: write_bracket(p, docs)),
+        "standoff": (".sff", lambda p: p.write_text(standoff_text(docs))),
+        "canonical": (".jsonl", lambda p: p.write_bytes(emit_canonical(docs))),
+    }[dialect]
+    path = path_stem.with_suffix(suffix)
+    write(path)
+    return path
+
+
+def dialect_corpus(dialect: str, n_docs: int = 4):
+    if dialect == "bracket":
+        return planted_rule_corpus(1, n_docs=n_docs, single_link_per_anaphor=True)
+    return planted_rule_corpus(1, n_docs=n_docs, label_pool=ARRAU_POOL, schema="arrau_like",
+                               surface_definiteness=True)
+
+
+class TestCorpusOutputs:
+    """`convert`, `harmonize` and `run` write canonical documents one at a
+    time, and a failure leaves no partial file."""
+
+    @staticmethod
+    def argv(command: str, path: Path, out_dir: Path) -> list[str]:
+        """`convert` or `harmonize --report` of `path`, writing `x.jsonl`
+        (and `r.json`) in `out_dir`."""
+        argv = [command.split()[0], "--in", str(path), "--out", str(out_dir / "x.jsonl")]
+        if command.endswith("--report"):
+            argv += ["--report", str(out_dir / "r.json")]
+        return argv
+
+    @pytest.mark.parametrize("command", ["convert", "harmonize"])
+    @pytest.mark.parametrize("dialect", ["bracket", "standoff", "canonical"])
+    def test_output_is_emit_canonical_of_the_documents(self, tmp_path, command, dialect):
+        path = write_dialect(tmp_path / "in", dialect, dialect_corpus(dialect))
+        docs = read_documents(path)
+        if command == "harmonize":
+            docs, _ = harmonize_corpus(docs)
+        out = tmp_path / "out.jsonl"
+        assert main([command, "--in", str(path), "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == emit_canonical(docs)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("command", ["convert", "harmonize --report"])
+    def test_a_failure_on_the_second_document_leaves_no_file(
+        self, tmp_path, monkeypatch, command, error
+    ):
+        path = write_dialect(tmp_path / "in", "standoff", dialect_corpus("standoff"))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        calls = []
+        emit = bridgekit.cli.emit_canonical
+
+        def failing(docs):
+            calls.append(docs)
+            if len(calls) == 2:
+                raise error("second document")
+            return emit(docs)
+
+        monkeypatch.setattr(bridgekit.cli, "emit_canonical", failing)
+        with pytest.raises(error):
+            main(self.argv(command, path, out_dir))
+        assert len(calls) == 2
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["convert", "harmonize --report"])
+    def test_a_parse_error_in_the_last_document_leaves_no_file(self, tmp_path, capsys, command):
+        path = write_dialect(tmp_path / "in", "standoff", dialect_corpus("standoff"))
+        path.write_text(path.read_text() + "DOC\tlast g\nTOK\t1 a a NN sing dep 7\n")
+        out_dir = tmp_path / "out"
+        assert main(self.argv(command, path, out_dir)) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: {path}: doc 'last'.")
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+    def test_each_emit_call_gets_one_document(self, tmp_path, monkeypatch):
+        """What keeps the output from being held whole."""
+        sizes = []
+        emit = bridgekit.cli.emit_canonical
+
+        def spy(docs):
+            sizes.append(len(docs))
+            return emit(docs)
+
+        monkeypatch.setattr(bridgekit.cli, "emit_canonical", spy)
+        path = write_dialect(tmp_path / "in", "standoff", dialect_corpus("standoff", n_docs=5))
+        for command in ("convert", "harmonize"):
+            assert main([command, "--in", str(path), "--out", str(tmp_path / "o.jsonl")]) == EXIT_OK
+            assert sizes == [1] * 5, command
+            sizes.clear()
+        config = base_config(tmp_path)
+        config["grid"] = [{"n_rounds": 2, "max_depth": 2}]
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == EXIT_OK
+        # two corpora of 8 documents each, each written once as harmonized
+        # train and eval splits
+        assert sizes == [1] * 16
+
+    @pytest.mark.parametrize("command", ["convert", "harmonize --report"])
+    def test_output_mode_is_that_of_a_plain_write(self, tmp_path, command):
+        path = write_dialect(tmp_path / "in", "bracket", dialect_corpus("bracket"))
+        previous = os.umask(0o022)
+        try:
+            (tmp_path / "plain").write_bytes(b"")
+            assert main(self.argv(command, path, tmp_path)) == EXIT_OK
+        finally:
+            os.umask(previous)
+        mode = (tmp_path / "plain").stat().st_mode
+        assert (tmp_path / "x.jsonl").stat().st_mode == mode
+        if command.endswith("--report"):
+            assert (tmp_path / "r.json").stat().st_mode == mode
+
+
 @pytest.fixture(scope="session")
 def chain(tmp_path_factory):
     """pairs -> train artifacts shared by the single-subcommand tests."""
@@ -407,6 +521,28 @@ class TestPairsTrainEvalChain:
         ])
         assert code == EXIT_CONFIG
         assert "error: runs must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["eval", "--baseline-p", "nan"], "baseline_p must be a finite number, got nan"),
+            (["eval", "--baseline-p=-inf"], "baseline_p must be a finite number, got -inf"),
+            (["analyze", "--tau", "nan", "--threshold", "inf"],
+             "tau must be a finite number, got nan"),
+            (["analyze", "--threshold", "inf"],
+             "distribution_threshold must be a finite number, got inf"),
+            (["analyze", "--tau=-inf"], "tau must be a finite number, got -inf"),
+        ],
+    )
+    def test_a_non_finite_float_flag_exits_1_with_the_config_message(
+        self, chain, tmp_path, capsys, argv, message
+    ):
+        out = tmp_path / "out.json"
+        code = main([*argv, "--model", str(chain["model"]), "--pairs", str(chain["pairs"]),
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
     def test_train_without_any_leaf_regularizer_exits_1(self, chain, tmp_path, capsys):
         code = main([
@@ -545,8 +681,8 @@ class TestPairsTrainEvalChain:
 class TestUnwritableOutputs:
     @pytest.mark.parametrize(
         "command",
-        ["convert", "harmonize", "harmonize --report", "pairs", "pairs --csv", "train", "eval",
-         "importance", "analyze"],
+        ["convert", "harmonize", "harmonize --report", "harmonize --report --out", "pairs",
+         "pairs --csv", "train", "eval", "importance", "analyze"],
     )
     def test_an_output_that_is_a_directory_exits_1_naming_it(
         self, chain, tmp_path, capsys, command
@@ -559,6 +695,8 @@ class TestUnwritableOutputs:
             "harmonize": ["harmonize", "--in", corpus, "--out", out],
             "harmonize --report": ["harmonize", "--in", corpus, "--out", tmp_path / "h.jsonl",
                                    "--report", out],
+            "harmonize --report --out": ["harmonize", "--in", corpus, "--out", out,
+                                         "--report", tmp_path / "r.json"],
             "pairs": ["pairs", "--in", corpus, "--seed", "5", "--out", out],
             "pairs --csv": ["pairs", "--in", corpus, "--seed", "5", "--out", tmp_path / "p.jsonl",
                             "--csv", out],
@@ -570,7 +708,8 @@ class TestUnwritableOutputs:
         }[command]
         assert main([str(arg) for arg in argv]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
-        # an earlier output of the same command (h.jsonl, p.jsonl) is removed
+        # an earlier output of the same command (h.jsonl, r.json, p.jsonl) is
+        # removed, and the directory is left as it was
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert not any(out.iterdir())
 
