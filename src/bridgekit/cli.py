@@ -17,7 +17,7 @@ import os
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import MISSING, Field, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import BridgekitError, ConfigError, ParseError
@@ -35,16 +35,8 @@ from .gbdt import (
     save_model,
     train,
 )
-from .harmonize import (
-    format_report,
-    harmonize_corpus,
-    read_exclusion_list,
-)
-from .ingest import (
-    DIALECT_PARSERS,
-    emit_canonical,
-    read_documents,
-)
+from .harmonize import format_report, harmonize_corpus, read_exclusion_list
+from .ingest import DIALECT_PARSERS, emit_canonical, read_documents
 from .model import Document
 from .pairgen import (
     DEFAULT_PRONOUN_TAGS,
@@ -132,14 +124,69 @@ def _write_all(outputs: list[tuple[str | Path, object]]) -> None:
 # configuration
 
 
+# JSON check and expected-type wording for each type a config key may take;
+# a tuple is a list of strings.
+_KINDS = {
+    int: (is_int, "an integer"),
+    float: (is_number, "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    tuple: (lambda v: isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v),
+            "a list of strings"),
+}
+
+
+@dataclass(frozen=True)
+class Setting:
+    """The one declaration of a config key: its type and its range or
+    choices. The config file, the dataclass that holds the key and the
+    flags that mirror it all check the key's value with `check`."""
+
+    kind: type
+    low: int | None = None
+    high: int | None = None
+    choices: tuple[str, ...] = ()
+
+    def check(self, key: str, value):
+        """`value` as the key's type, or a ConfigError naming `key`."""
+        check, expected = _KINDS[self.kind]
+        if not check(value):
+            raise ConfigError(f"{key} must be {expected}, got {value!r}")
+        if is_number(value) and not is_finite(value):
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
+        if self.high is not None and not self.low <= value <= self.high:
+            raise ConfigError(f"{key} must be between {self.low} and {self.high}")
+        if self.low is not None and value < self.low:
+            raise ConfigError(f"{key} must be >= {self.low}")
+        if self.choices and value not in self.choices:
+            raise ConfigError(f"{key} must be {' or '.join(self.choices)}")
+        return self.kind(value)
+
+
+def _key(default, kind: type, **bounds):
+    """A dataclass field with `default`, declared a config key of `kind`."""
+    return field(default=default, metadata={"setting": Setting(kind, **bounds)})
+
+
+def _check_keys(obj) -> None:
+    """Check and convert each declared key of dataclass `obj`. None, a null
+    in the config file, gives the key's default."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if "setting" in f.metadata:
+            value = f.default if value is None else f.metadata["setting"].check(f.name, value)
+            object.__setattr__(obj, f.name, value)
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
     name: str
     dialect: str
-    train: tuple[str, ...] = ()
-    dev: tuple[str, ...] = ()
-    test: tuple[str, ...] = ()
-    extra_test: tuple[str, ...] = ()
+    train: tuple[str, ...] = _key((), tuple)
+    dev: tuple[str, ...] = _key((), tuple)
+    test: tuple[str, ...] = _key((), tuple)
+    extra_test: tuple[str, ...] = _key((), tuple)
+
+    __post_init__ = _check_keys
 
     @property
     def train_files(self) -> tuple[str, ...]:
@@ -154,22 +201,19 @@ class CorpusSpec:
 class PipelineConfig:
     seed: int
     corpora: tuple[CorpusSpec, ...]
-    output_dir: str = "runs"
-    exclusion_list: str | None = None
-    pronoun_tags: tuple[str, ...] = tuple(sorted(DEFAULT_PRONOUN_TAGS))
-    lemma_top_k: int = DEFAULT_LEMMA_TOP_K
-    cv_folds: int = 5
+    output_dir: str = _key("runs", str)
+    exclusion_list: str | None = _key(None, str)
+    pronoun_tags: tuple[str, ...] = _key(tuple(sorted(DEFAULT_PRONOUN_TAGS)), tuple)
+    lemma_top_k: int = _key(DEFAULT_LEMMA_TOP_K, int, low=0)
+    cv_folds: int = _key(5, int, low=2)
     grid: tuple[HyperParams, ...] = field(default_factory=lambda: tuple(default_grid()))
-    baseline_p: float = 1.0 / 3.0
-    baseline_runs: int = 5
-    tau: float = 0.10
-    residual_source: str = "dataset"
-    distribution_threshold: float = 0.01
+    baseline_p: float = _key(1.0 / 3.0, float, low=0, high=1)
+    baseline_runs: int = _key(5, int, low=1)
+    tau: float = _key(0.10, float, low=0, high=1)
+    residual_source: str = _key("dataset", str, choices=("dataset", "corpus"))
+    distribution_threshold: float = _key(0.01, float, low=0, high=1)
 
-    def __post_init__(self) -> None:
-        for key, low in (("lemma_top_k", 0), ("cv_folds", 2), ("baseline_runs", 1)):
-            if getattr(self, key) < low:
-                raise ConfigError(f"{key} must be >= {low}")
+    __post_init__ = _check_keys
 
     def run_id(self) -> str:
         payload = asdict(self)
@@ -178,39 +222,6 @@ class PipelineConfig:
             json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
         ).hexdigest()
         return f"run-{digest[:12]}"
-
-
-# JSON check, expected-type wording and conversion for each annotation of a
-# PipelineConfig or CorpusSpec field that has a plain default; an `X | None`
-# field is checked as an X.
-_CONFIG_TYPES = {
-    "int": (is_int, "an integer", int),
-    "float": (is_number, "a number", float),
-    "str": (lambda v: isinstance(v, str), "a string", str),
-    "tuple[str, ...]": (
-        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-        "a list of strings",
-        tuple,
-    ),
-}
-
-
-def _config_value(value, f: Field):
-    """`value` from the config JSON for field `f`; absent or null means the
-    field default."""
-    if value is None:
-        return f.default
-    check, expected, convert = _CONFIG_TYPES[f.type.removesuffix(" | None")]
-    if not check(value):
-        raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
-    if is_number(value) and not is_finite(value):
-        raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
-    return convert(value)
-
-
-def _flag_value(value, key: str):
-    """A flag's value, checked as the config field `key` it mirrors is."""
-    return _config_value(value, next(f for f in fields(PipelineConfig) if f.name == key))
 
 
 def _reject_unknown_keys(obj: dict, cls: type, where: str) -> None:
@@ -229,8 +240,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}")
     except UnicodeDecodeError:
         raise ConfigError("config is not valid UTF-8")
-    except (json.JSONDecodeError, RecursionError) as exc:
-        reason = exc.msg if isinstance(exc, json.JSONDecodeError) else "nested too deeply"
+    except (ValueError, RecursionError) as exc:
+        # json raises a plain ValueError only for an integer of over 4,300 digits
+        reason = ("nested too deeply" if isinstance(exc, RecursionError)
+                  else getattr(exc, "msg", "an integer has too many digits"))
         raise ConfigError(f"config is not valid JSON: {reason}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
@@ -252,12 +265,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         _reject_unknown_keys(entry, CorpusSpec, f"corpus {entry['name']!r}")
         if entry["dialect"] not in DIALECT_PARSERS:
             raise ConfigError(f"unknown dialect {entry['dialect']!r}")
-        spec = CorpusSpec(
-            name=entry["name"],
-            dialect=entry["dialect"],
-            **{f.name: _config_value(entry.get(f.name), f)
-               for f in fields(CorpusSpec) if f.default is not MISSING},
-        )
+        spec = CorpusSpec(**entry)
         if not spec.train_files:
             raise ConfigError(f"corpus {spec.name!r} has no training files")
         if not spec.eval_files:
@@ -277,16 +285,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     else:
         raise ConfigError("grid must be \"default\" or a non-empty list of objects")
 
-    scalars = {
-        f.name: _config_value(raw.get(f.name), f)
-        for f in fields(PipelineConfig)
-        if f.default is not MISSING
-    }
-    if scalars["residual_source"] not in ("dataset", "corpus"):
-        raise ConfigError("residual_source must be dataset or corpus")
-    if "output_dir" not in overrides:
-        scalars["output_dir"] = os.environ.get(OUTPUT_DIR_ENV) or scalars["output_dir"]
-    config = PipelineConfig(seed=raw["seed"], corpora=tuple(corpora), grid=grid, **scalars)
+    if "output_dir" not in overrides and os.environ.get(OUTPUT_DIR_ENV):
+        raw["output_dir"] = os.environ[OUTPUT_DIR_ENV]
+    raw.update(corpora=tuple(corpora), grid=grid)
+    config = PipelineConfig(**raw)
     _check_paths(config, base=Path(path).parent)
     return config
 
@@ -330,11 +332,8 @@ def _load(what: str, path, loader):
 
 
 def _read_many(paths, dialect: str | None) -> list[Document]:
-    return [
-        doc
-        for path in paths
-        for doc in _load("corpus file", path, lambda p: read_documents(p, dialect))
-    ]
+    return [doc for path in paths
+            for doc in _load("corpus file", path, lambda p: read_documents(p, dialect))]
 
 
 def _read_pairs(path) -> PairDataset:
@@ -346,13 +345,8 @@ def _exclusions(path) -> frozenset[tuple[str, str]]:
 
 
 def _pair_dataset(docs, seed, corpus, partition, pronoun_tags, out, csv) -> PairDataset:
-    dataset = build_balanced_dataset(
-        docs,
-        seed=seed,
-        corpus=corpus,
-        partition=partition,
-        pronoun_tags=frozenset(pronoun_tags),
-    )
+    dataset = build_balanced_dataset(docs, seed=seed, corpus=corpus, partition=partition,
+                                     pronoun_tags=frozenset(pronoun_tags))
     outputs = [(out, dataset_to_jsonl(dataset))]
     if csv:
         outputs.append((csv, dataset_to_csv(dataset)))
@@ -449,11 +443,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    baseline_p = _flag_value(args.baseline_p, "baseline_p")
     model = _load("model", args.model, load_model)
     dataset = _read_pairs(args.pairs)
     metrics = evaluate(model, dataset)
-    baseline = random_baseline(dataset, p=baseline_p, runs=args.baseline_runs, seed=args.seed)
+    baseline = random_baseline(dataset, p=args.baseline_p, runs=args.baseline_runs, seed=args.seed)
     payload = {"model": asdict(metrics), "random_baseline": asdict(baseline)}
     if args.out:
         _write(args.out, payload)
@@ -474,8 +467,6 @@ def cmd_importance(args) -> int:
 def cmd_analyze(args) -> int:
     """Reads every input, then computes every table, and prints only when
     all of them are made, so a failure prints nothing but its error."""
-    tau = _flag_value(args.tau, "tau")
-    threshold = _flag_value(args.threshold, "distribution_threshold")
     dataset = _read_pairs(args.pairs)
     docs = _read_many(args.docs, args.dialect) if args.docs else None
     model = _load("model", args.model, load_model) if args.model else None
@@ -486,7 +477,7 @@ def cmd_analyze(args) -> int:
     text = ["definiteness residuals:", residuals.to_text()]
 
     if docs is not None:
-        pair_types = entity_pair_distribution(docs, threshold=threshold)
+        pair_types = entity_pair_distribution(docs, threshold=args.threshold)
         anaphor_types = anaphor_entity_distribution(docs)
         subtypes = subtype_distribution(docs)
         payload["pair_type_distribution"] = _records(pair_types.rows(), PAIR_TYPE_KEYS)
@@ -496,9 +487,9 @@ def cmd_analyze(args) -> int:
                  "\nbridging subtypes:", subtypes.to_text()]
 
     if model is not None:
-        errors = confident_errors(model, dataset, tau=tau)
+        errors = confident_errors(model, dataset, tau=args.tau)
         payload["confident_errors"] = [asdict(e) for e in errors]
-        text.append(f"\n{len(errors)} gold bridging pairs under probability {tau}")
+        text.append(f"\n{len(errors)} gold bridging pairs under probability {args.tau}")
 
     if args.out:
         _write(args.out, payload)
@@ -621,26 +612,14 @@ def _pipeline(config: PipelineConfig, base: Path, run_dir: Path, report: dict):
 
 
 def cmd_run(args) -> int:
-    overrides = {
-        key: value
-        for key, value in (("seed", args.seed), ("output_dir", args.out_dir))
-        if value is not None
-    }
-    config = load_config(args.config, overrides)
+    overrides = {"seed": args.seed, "output_dir": args.out_dir}
+    config = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
     run_id = config.run_id()
     run_dir = Path(config.output_dir) / run_id
-    report: dict = {
-        "run_id": run_id,
-        "config": asdict(config),
-        "corpora": {},
-        "metrics": {},
-        "baselines": {},
-        "importance": {},
-        "residuals": {},
-        "distributions": {},
-        "confident_errors": {},
-        "warnings": [],
-    }
+    report: dict = {"run_id": run_id, "config": asdict(config), "warnings": []}
+    for section in ("corpora", "metrics", "baselines", "importance", "residuals",
+                    "distributions", "confident_errors"):
+        report[section] = {}
     _write(run_dir / "resolved_config.json", report["config"])
     try:
         for stage in _pipeline(config, Path(args.config).parent, run_dir, report):
@@ -660,6 +639,26 @@ def cmd_run(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def _read_as(kind: type):
+    """argparse `type` that reads a flag's text as `kind`; text that does not
+    read is passed on as it is, for the check of the flag's key to refuse."""
+    def read(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            return text
+    return read
+
+
+def _mirror(key: str) -> dict:
+    """add_argument keywords for a flag that mirrors config key `key`: its
+    value is checked as the key's is, and its default is the key's."""
+    f = next(f for f in fields(PipelineConfig) if f.name == key)
+    read = _read_as(f.metadata["setting"].kind)
+    return {"type": lambda text: f.metadata["setting"].check(key, read(text)),
+            "default": f.default}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -700,26 +699,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--folds", type=int, default=PipelineConfig.cv_folds)
+    p.add_argument("--folds", **_mirror("cv_folds"))
     p.add_argument("--grid", choices=("default", "small"), default="default")
-    p.add_argument("--lemma-top-k", type=int, default=PipelineConfig.lemma_top_k)
+    p.add_argument("--lemma-top-k", **_mirror("lemma_top_k"))
     for f in fields(HyperParams):
-        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
+        p.add_argument("--" + f.name.replace("_", "-"), type=_read_as(type(f.default)))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on a pair dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--baseline-p", type=float, default=PipelineConfig.baseline_p)
-    p.add_argument("--baseline-runs", type=int, default=PipelineConfig.baseline_runs)
+    p.add_argument("--baseline-p", **_mirror("baseline_p"))
+    p.add_argument("--baseline-runs", **_mirror("baseline_runs"))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("importance", help="gain and permutation importance")
     p.add_argument("--model", required=True)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--repeats", type=int, default=PipelineConfig.baseline_runs)
+    p.add_argument("--repeats", **_mirror("baseline_runs"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_importance)
@@ -729,8 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--docs", nargs="*", default=None)
     p.add_argument("--dialect", choices=sorted(DIALECT_PARSERS), default=None)
     p.add_argument("--model", default=None)
-    p.add_argument("--tau", type=float, default=PipelineConfig.tau)
-    p.add_argument("--threshold", type=float, default=PipelineConfig.distribution_threshold)
+    p.add_argument("--tau", **_mirror("tau"))
+    p.add_argument("--threshold", **_mirror("distribution_threshold"))
     p.add_argument("--adjusted", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_analyze)

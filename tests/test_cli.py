@@ -4,17 +4,22 @@ from __future__ import annotations
 import ast
 import gc
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import types
 import weakref
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import bridgekit.cli
 import bridgekit.ingest
@@ -514,14 +519,6 @@ class TestPairsTrainEvalChain:
         assert main(["analyze", "--pairs", str(bad)]) == EXIT_PARSE
         assert "bad.jsonl" in capsys.readouterr().err
 
-    def test_eval_without_baseline_runs_exits_1(self, chain, capsys):
-        code = main([
-            "eval", "--model", str(chain["model"]), "--pairs", str(chain["pairs"]),
-            "--baseline-runs", "0",
-        ])
-        assert code == EXIT_CONFIG
-        assert "error: runs must be >= 1" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         ("argv", "message"),
         [
@@ -532,14 +529,22 @@ class TestPairsTrainEvalChain:
             (["analyze", "--threshold", "inf"],
              "distribution_threshold must be a finite number, got inf"),
             (["analyze", "--tau=-inf"], "tau must be a finite number, got -inf"),
+            (["train", "--seed", "1", "--folds", "1"], "cv_folds must be >= 2"),
+            (["eval", "--baseline-runs", "0"], "baseline_runs must be >= 1"),
+            (["importance", "--repeats", "0"], "baseline_runs must be >= 1"),
+            (["eval", "--baseline-p", "2"], "baseline_p must be between 0 and 1"),
+            (["analyze", "--tau", "-3"], "tau must be between 0 and 1"),
+            (["analyze", "--threshold", "5"], "distribution_threshold must be between 0 and 1"),
         ],
     )
-    def test_a_non_finite_float_flag_exits_1_with_the_config_message(
+    def test_a_flag_outside_its_config_key_exits_1_with_the_key_message(
         self, chain, tmp_path, capsys, argv, message
     ):
         out = tmp_path / "out.json"
-        code = main([*argv, "--model", str(chain["model"]), "--pairs", str(chain["pairs"]),
-                     "--out", str(out)])
+        inputs = ["--pairs", str(chain["pairs"])]
+        if argv[0] != "train":
+            inputs += ["--model", str(chain["model"])]
+        code = main([*argv, *inputs, "--out", str(out)])
         assert code == EXIT_CONFIG
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
@@ -676,6 +681,83 @@ class TestPairsTrainEvalChain:
         code = main(["analyze", "--pairs", str(chain["pairs"]), "--model", str(schemaless)])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == "error: model carries no encoder schema\n"
+
+
+# The range of each config key that a flag mirrors, written out here and not
+# read from the code: (flag, key, type, low, high), where a high of None is
+# no upper bound.
+MIRRORED_FLAGS = {
+    "train": [("--folds", "cv_folds", int, 2, None),
+              ("--lemma-top-k", "lemma_top_k", int, 0, None)],
+    "eval": [("--baseline-p", "baseline_p", float, 0, 1),
+             ("--baseline-runs", "baseline_runs", int, 1, None)],
+    "importance": [("--repeats", "baseline_runs", int, 1, None)],
+    "analyze": [("--tau", "tau", float, 0, 1),
+                ("--threshold", "distribution_threshold", float, 0, 1)],
+}
+FLOAT_TEXTS = ("nan", "inf", "-inf", "-1", "0", "0.5", "1", "2", "1e308")
+INT_TEXTS = ("-1", "0", "1", "2", str(10**400))
+# Each subcommand's input flags and the chain file that a valid one names.
+INPUT_FLAGS = {
+    "train": {"--pairs": "pairs.jsonl"},
+    "eval": {"--model": "model.json", "--pairs": "pairs.jsonl"},
+    "importance": {"--model": "model.json", "--pairs": "pairs.jsonl"},
+    "analyze": {"--pairs": "pairs.jsonl", "--model": "model.json", "--docs": "corpus.brk"},
+}
+PATH_KINDS = ("valid", "missing", "directory", "empty", "not_utf8")
+
+
+def _in_range(kind: type, low, high, text: str) -> bool:
+    try:
+        value = kind(text)
+    except ValueError:
+        return False
+    finite = kind is int or math.isfinite(value)
+    return finite and low <= value and (high is None or value <= high)
+
+
+class TestFlagSurface:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_any_mirrored_flag_value_and_input_path_ends_in_an_exit_code(self, chain, data):
+        command = data.draw(st.sampled_from(sorted(MIRRORED_FLAGS)))
+        flag, key, kind, low, high = data.draw(st.sampled_from(MIRRORED_FLAGS[command]))
+        # 10**400 is in range for baseline_runs, but random_baseline and
+        # mda_importance loop range(runs), so a run would never end
+        texts = FLOAT_TEXTS + INT_TEXTS[:-1] if key == "baseline_runs" else FLOAT_TEXTS + INT_TEXTS
+        text = data.draw(st.sampled_from(texts))
+        # about half of the paths drawn are valid, so that commands also run
+        path_kinds = st.one_of(st.just("valid"), st.sampled_from(PATH_KINDS))
+        kinds = {name: data.draw(path_kinds) for name in INPUT_FLAGS[command]}
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            out = tmp / "out.json"
+            argv = [command, f"{flag}={text}", "--out", str(out)]
+            if command == "train":
+                argv += ["--seed", "1", "--grid", "small"]
+            for name, path_kind in kinds.items():
+                valid = chain["tmp"] / INPUT_FLAGS[command][name]
+                path = valid if path_kind == "valid" else tmp / (path_kind + valid.suffix)
+                if path_kind == "directory":
+                    path.mkdir()
+                elif path_kind in ("empty", "not_utf8"):
+                    path.write_bytes(b"" if path_kind == "empty" else b"\xff\xfe\n")
+                argv += [name, str(path)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            err = stderr.getvalue()
+            event(f"{command} exits {code}")
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PARSE, EXIT_PIPELINE), err
+            assert "Traceback" not in err
+            if code != EXIT_OK:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+                assert not out.exists()
+            if not _in_range(kind, low, high, text):
+                assert code == EXIT_CONFIG and err.startswith(f"error: {key} must be "), err
 
 
 class TestUnwritableOutputs:
@@ -953,15 +1035,19 @@ class TestConfig:
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["directory", "nested too deeply"])
+    @pytest.mark.parametrize("kind", ["directory", "nested too deeply", "too many digits"])
     def test_an_unreadable_config_exits_1_with_one_error_line(self, tmp_path, capsys, kind):
         path = tmp_path / "config.json"
         if kind == "directory":
             path.mkdir()
             message = f"cannot read config {path}: Is a directory"
-        else:
+        elif kind == "nested too deeply":
             path.write_text("[" * 100_000)
             message = "config is not valid JSON: nested too deeply"
+        else:
+            # Python refuses to read an integer of more than 4,300 digits
+            path.write_text('{"seed": 1' + "0" * 5000 + "}")
+            message = "config is not valid JSON: an integer has too many digits"
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -1164,6 +1250,11 @@ class TestRun:
             ("lemma_top_k", -1, "lemma_top_k must be >= 0"),
             ("cv_folds", 1, "cv_folds must be >= 2"),
             ("baseline_runs", 0, "baseline_runs must be >= 1"),
+            ("baseline_p", 2.0, "baseline_p must be between 0 and 1"),
+            pytest.param("baseline_p", 10**400, "baseline_p must be between 0 and 1",
+                         id="baseline_p-10**400"),
+            ("tau", -3, "tau must be between 0 and 1"),
+            ("distribution_threshold", 5, "distribution_threshold must be between 0 and 1"),
         ],
     )
     def test_out_of_range_settings_exit_1_before_any_stage(
