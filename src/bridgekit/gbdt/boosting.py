@@ -181,7 +181,13 @@ def _find_best_split(
     lam, min_h = hp.l2_leaf_penalty, hp.min_child_hessian
     G, H = g.sum(), h.sum()
     parent = G * G / (H + lam)
-    zero, codes = cols.zero[rows], cols.codes[:, rows]
+    # `rows` is increasing, so a node of every row is the root: read its
+    # coded matrix in place. The F-ordered `zero` takes another BLAS routine
+    # than a gathered C-ordered copy, with the same bits: every sum is exact.
+    if len(rows) == cols.X.shape[0]:
+        zero, codes = cols.zero, cols.codes
+    else:
+        zero, codes = cols.zero[rows], cols.codes[:, rows]
 
     def left_sums(w: np.ndarray) -> np.ndarray:
         other = (np.cumsum(np.bincount(c, weights=w, minlength=n))[:-1]
@@ -282,11 +288,11 @@ def train(
 
     Each round's gradients and hessians are rounded to multiples of
     `_GRID`, so every sum of them is exact and the model does not depend on
-    the order of the rows. A value of X that is not finite raises
-    ValidationError, and more than `_MAX_TRAINING_ROWS` rows raise
-    ConfigError. The split search is exact and deterministic, so the seed
-    only enters provenance; it is kept in the signature so callers record
-    it uniformly.
+    the order of the rows. A value of X that is not finite, or a label
+    other than 0 and 1, raises ValidationError, and more than
+    `_MAX_TRAINING_ROWS` rows raise ConfigError. The split search is exact
+    and deterministic, so the seed only enters provenance; it is kept in
+    the signature so callers record it uniformly.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -301,7 +307,10 @@ def train(
             f"{X.shape[0]} training rows; sums of gradients are exact for at most "
             f"{_MAX_TRAINING_ROWS}"
         )
-    if len(np.unique(y)) < 2:
+    if not ((y == 0) | (y == 1)).all():
+        raise ValidationError("training labels must be 0 or 1")
+    # np.unique would load numpy.ma, which nothing else uses
+    if not (y != y[:1]).any():
         raise DegenerateTrainingError("training labels contain a single class")
     positive_rate = float(y.mean())
     base_score = float(np.log(positive_rate / (1.0 - positive_rate)))

@@ -16,6 +16,47 @@ from .evaluation import DECISION_THRESHOLD
 
 np = lazy_numpy()
 
+_MASK = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment: 2^64 over the golden ratio
+
+
+def _mix(z):
+    """SplitMix64's finalizer, a bijection of the 64-bit integers, on a
+    Python int below 2^64 or in place on a uint64 array."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z &= _MASK
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z &= _MASK
+    z ^= z >> 31
+    return z
+
+
+def permutation(seed: int, stream: tuple[int, ...], n: int) -> np.ndarray:
+    """A permutation of range(n) that is a pure function of the integers
+    `seed` and `stream` and of n.
+
+    The seed and then each part of the stream are mixed into one 64-bit key
+    in Python ints. Every integer enters modulo 2^64: a negative seed is
+    taken in two's complement, so -1 and 2**64 - 1 give the same
+    permutations, and a seed wider than 64 bits keeps its low 64 bits. Row
+    i's sort key is output i of a SplitMix64 generator (Steele, Lea & Flood,
+    OOPSLA 2014) started at that key, computed in a uint64 array, whose
+    arithmetic wraps around without a warning. The generator's states
+    `key + i * _GAMMA` are distinct for i < 2^64 and its finalizer is a
+    bijection, so no two row keys are equal: the order that sorts them is
+    unique, whatever the sort, and the same on every host and numpy
+    release.
+    """
+    key = _mix(seed & _MASK)
+    for part in stream:
+        key = _mix((key ^ part & _MASK) + _GAMMA & _MASK)
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += key
+    return np.argsort(_mix(z))
+
 
 def column_gain_totals(model: GbdtModel) -> tuple[dict[int, float], dict[int, int]]:
     """Per-column summed split gain and split counts over all trees."""
@@ -56,9 +97,11 @@ def mda_importance(
 
     All columns of a feature's block are permuted jointly (same row
     shuffle), holding the rest of the matrix fixed; the drop from baseline
-    accuracy is averaged over the repeats. Features are processed in sorted
-    name order with one RNG stream, so results are reproducible for a fixed
-    (model, dataset, repeats, seed).
+    accuracy is averaged over the repeats. Repeat r of the feature at
+    place i in sorted name order permutes the n rows by
+    `permutation(seed, (i, r), n)`, so a feature's result depends on no
+    other feature. A feature that no tree splits on scores 0 and draws
+    nothing.
 
     A permutation changes the margin only of the rows whose block values
     it moves, and only through the trees that split on the block. Those
@@ -76,7 +119,6 @@ def mda_importance(
     y = y.astype(bool)
     correct = (predict_proba(model, X) >= DECISION_THRESHOLD) == y
     baseline = float(np.mean(correct))
-    rng = np.random.default_rng(seed)
     slices = model.schema.block_slices()
     # row t the learning-rate-scaled values of tree t
     contributions = np.array(list(tree_contributions(model, X)))
@@ -88,14 +130,16 @@ def mda_importance(
     }
     rate = model.params.learning_rate
     out: dict[str, float] = {}
-    for feature in sorted(slices):
+    for index, feature in enumerate(sorted(slices)):
         block, trees = slices[feature], splitting[feature]
+        if not trees:
+            out[feature] = 0.0
+            continue
         values = X[:, block]
         drops = []
-        for _ in range(repeats):
-            # drawn for every feature, so that the stream does not depend on the trees
-            shuffled = values[rng.permutation(X.shape[0])]
-            rows = np.flatnonzero((shuffled != values).any(axis=1)) if trees else []
+        for repeat in range(repeats):
+            shuffled = values[permutation(seed, (index, repeat), X.shape[0])]
+            rows = np.flatnonzero((shuffled != values).any(axis=1))
             if not len(rows):
                 drops.append(0.0)
                 continue

@@ -29,6 +29,7 @@ from bridgekit.gbdt import (
     random_baseline,
     train,
 )
+from bridgekit.gbdt import importance
 from bridgekit.harmonize import (
     ARRAU_ENTITY_MAP,
     GUM_ENTITY_MAP,
@@ -207,6 +208,44 @@ def test_criterion_6_feature_importance_sanity(planted_train_dataset, planted_ev
     mda = mda_importance(model, eval_ds, repeats=5, seed=0)
     assert mda["n_definite"] >= 0.15
     assert abs(mda["n_phrase_len"]) <= 0.02
+
+
+def test_criterion_6_mda_agrees_with_numpy_permutations_within_the_tolerance(
+    planted_train_dataset, planted_eval_dataset, monkeypatch
+):
+    # MDA draws its permutations from SplitMix64 keys (importance.permutation).
+    # Earlier releases drew them from one np.random.default_rng(seed) stream,
+    # repeats after repeats in sorted feature order. Both are uniform row
+    # shuffles, so on criterion 6's model the two 200-repeat means estimate
+    # the same drop. Predicting each permuted matrix in full, the per-repeat
+    # drop has a standard deviation of 0.016 to 0.025 on the features a tree
+    # uses; the difference of two means then has one of at most
+    # 0.025 * sqrt(2 / 200) = 0.0025, and the bound is four of those. A
+    # feature that no tree uses scores exactly 0 either way.
+    rng = random.Random(0)
+    train_ds = _overwrite_with_noise(planted_train_dataset, rng)
+    eval_ds = _overwrite_with_noise(planted_eval_dataset, rng)
+    X, y, schema = encode(train_ds)
+    model = train(X, y, HyperParams(n_rounds=100, max_depth=4, learning_rate=0.3),
+                  seed=1, schema=schema)
+    repeats, bound = 200, 0.01
+
+    keyed = mda_importance(model, eval_ds, repeats=repeats, seed=0)
+    stream = np.random.default_rng(0)
+    n_rows = len(eval_ds.examples)
+    drawn = {(i, r): stream.permutation(n_rows)
+             for i in range(len(schema.blocks)) for r in range(repeats)}
+    monkeypatch.setattr(importance, "permutation", lambda seed, key, n: drawn[key])
+    numpy_drawn = mda_importance(model, eval_ds, repeats=repeats, seed=0)
+
+    assert keyed.keys() == numpy_drawn.keys()
+    used = {f for f, gain in gain_importance(model).items() if gain > 0.0}
+    assert "n_definite" in used
+    for feature in keyed:
+        if feature in used:
+            assert abs(keyed[feature] - numpy_drawn[feature]) <= bound, feature
+        else:
+            assert keyed[feature] == numpy_drawn[feature] == 0.0, feature
 
 
 def test_criterion_7_gbdt_numeric_properties(planted_train_dataset):

@@ -468,6 +468,16 @@ class TestPairsTrainEvalChain:
         assert payload["gain"]["n_definite"] > 0
         assert payload["mda"]["n_definite"] > 0.05
 
+    def test_importance_takes_a_negative_seed(self, chain, tmp_path, capsys):
+        out = tmp_path / "imp.json"
+        code = main([
+            "importance", "--model", str(chain["model"]), "--pairs", str(chain["pairs"]),
+            "--repeats", "2", "--seed", "-1", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["mda"]["n_definite"] > 0.05
+
     def test_analyze_covers_residuals_distributions_and_errors(self, chain, capsys):
         out = chain["tmp"] / "analysis.json"
         code = main([
@@ -1268,6 +1278,22 @@ class TestRun:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_a_negative_seed_runs_to_the_end(self, tmp_path, capsys, where):
+        config = base_config(tmp_path)
+        config["grid"] = [{"n_rounds": 5, "max_depth": 2}]
+        flags = ["--seed", "-1"] if where == "flag" else []
+        if where == "config":
+            config["seed"] = -1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), *flags]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert json.loads((run_dir / "resolved_config.json").read_text())["seed"] == -1
+        assert (run_dir / "report.json").is_file()
+        assert not (run_dir / "report.partial.json").exists()
+
     @pytest.mark.parametrize(
         ("binding", "stage", "code", "message"),
         [
@@ -1525,6 +1551,28 @@ class TestNumpyLoadsOnFirstUse:
                   for line in printed.splitlines() if line.startswith("numpy: ")]
         assert loaded[:4] == [[], [], [], []]
         assert "numpy.linalg" in loaded[4]
+
+    def test_train_importance_and_run_load_neither_numpy_random_nor_numpy_ma(
+        self, chain, tmp_path
+    ):
+        config = base_config(tmp_path)
+        config["grid"] = [{"n_rounds": 5, "max_depth": 2}]
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        model = str(tmp_path / "m.json")
+        commands = [
+            ["train", "--pairs", str(chain["pairs"]), "--seed", "5", "--n-rounds", "5",
+             "--out", model],
+            ["importance", "--model", model, "--pairs", str(chain["pairs"]), "--repeats", "2",
+             "--out", str(tmp_path / "imp.json")],
+            ["run", "--config", str(tmp_path / "config.json")],
+        ]
+        printed = _fresh_python(_COMMANDS_THEN_NUMPY, *map(json.dumps, commands))
+        loaded = [json.loads(line.removeprefix("numpy: "))
+                  for line in printed.splitlines() if line.startswith("numpy: ")]
+        assert len(loaded) == 3
+        assert "numpy.linalg" in loaded[-1]
+        assert [name for name in loaded[-1]
+                if name.split(".")[1] in ("random", "ma")] == []
 
     def test_a_fresh_train_writes_the_bytes_of_one_with_numpy_imported(self, chain, tmp_path):
         argv = ["train", "--pairs", str(chain["pairs"]), "--seed", "5", "--grid", "small",

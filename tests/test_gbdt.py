@@ -322,6 +322,12 @@ class TestTraining:
         with pytest.raises(DegenerateTrainingError):
             train(np.zeros((4, 1)), np.ones(4), HyperParams())
 
+    @pytest.mark.parametrize("label", [math.nan, 0.5, 2.0, -1.0])
+    def test_labels_other_than_0_and_1_are_rejected(self, label):
+        for y in ([0.0, 1.0, label], [label] * 3):
+            with pytest.raises(ValidationError, match="labels must be 0 or 1"):
+                train(np.zeros((3, 1)), np.array(y), HyperParams())
+
     def test_saturating_without_any_leaf_regularizer_ends_in_a_typed_error(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
@@ -1251,14 +1257,13 @@ def reference_mda_importance(model, dataset, repeats, seed):
     X, y, _ = encode(dataset, schema=model.schema)
     y = y.astype(bool)
     baseline = float(np.mean((reference_predict_proba(model, X) >= DECISION_THRESHOLD) == y))
-    rng = np.random.default_rng(seed)
     slices = model.schema.block_slices()
     out = {}
-    for feature in sorted(slices):
+    for index, feature in enumerate(sorted(slices)):
         block = slices[feature]
         drops = []
-        for _ in range(repeats):
-            perm = rng.permutation(X.shape[0])
+        for repeat in range(repeats):
+            perm = importance.permutation(seed, (index, repeat), X.shape[0])
             Xp = X.copy()
             Xp[:, block] = X[perm, block]
             acc = float(np.mean((reference_predict_proba(model, Xp) >= DECISION_THRESHOLD) == y))
@@ -1450,6 +1455,53 @@ class TestCrossValidate:
         assert _beats(CvResult(big, (0.95, 0.95)), CvResult(small, tie))
 
 
+# distinct parts are distinct modulo 2^64, as the helper takes them
+streams = st.lists(st.integers(-2**63, 2**63 - 1), max_size=3).map(tuple)
+
+
+class TestPermutation:
+    """`importance.permutation`, the row shuffles of MDA."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(), streams, st.integers(0, 300))
+    def test_every_output_is_a_permutation_of_range_n(self, seed, stream, n):
+        perm = importance.permutation(seed, stream, n)
+        assert perm.shape == (n,)
+        assert sorted(perm.tolist()) == list(range(n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(), streams, st.integers(0, 300), st.integers(-3, 3))
+    def test_equal_arguments_give_equal_outputs(self, seed, stream, n, wraps):
+        perm = importance.permutation(seed, stream, n)
+        assert np.array_equal(perm, importance.permutation(seed, tuple(list(stream)), n))
+        # a seed enters modulo 2^64, as the docstring says
+        assert np.array_equal(perm, importance.permutation(seed + wraps * 2**64, stream, n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(), streams, streams, st.integers(21, 300))
+    def test_different_streams_give_different_outputs(self, seed, a, b, n):
+        # Two distinct streams share their 64-bit key with a chance of 2^-64,
+        # and two distinct keys order 21 rows or more alike with one of about
+        # 1/21! < 2^-64
+        assume(a != b)
+        assert not np.array_equal(importance.permutation(seed, a, n),
+                                  importance.permutation(seed, b, n))
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(0, 2**64 - 1))
+    def test_the_six_orders_of_three_rows_are_equally_likely(self, seed):
+        # Over 6,000 streams each order's count is Binomial(6000, 1/6): mean
+        # 1000, standard deviation sqrt(6000 * 1/6 * 5/6) = 28.9. The bound
+        # is 6 standard deviations, which a uniform shuffle exceeds with a
+        # chance below 1e-8 per order.
+        counts: dict[tuple[int, ...], int] = {}
+        for r in range(6000):
+            order = tuple(importance.permutation(seed, (r,), 3).tolist())
+            counts[order] = counts.get(order, 0) + 1
+        assert len(counts) == 6
+        assert all(abs(c - 1000) <= 6 * 28.9 for c in counts.values()), counts
+
+
 class TestImportance:
     def test_column_totals_match_an_independent_tree_walk(self, planted_model):
         totals, counts = column_gain_totals(planted_model)
@@ -1541,12 +1593,11 @@ class TestImportance:
         X, _, schema = encode(planted_eval_dataset, schema=planted_model.schema)
         by_column = schema.column_features()
         used = {by_column[c] for c in column_gain_totals(planted_model)[0]}
-        rng = np.random.default_rng(4)
         expected = []
-        for feature, block in sorted(schema.block_slices().items()):
-            for _ in range(2):
+        for index, (feature, block) in enumerate(sorted(schema.block_slices().items())):
+            for repeat in range(2):
                 Xp = X.copy()
-                Xp[:, block] = X[rng.permutation(X.shape[0]), block]
+                Xp[:, block] = X[importance.permutation(4, (index, repeat), X.shape[0]), block]
                 rows = np.flatnonzero((Xp[:, block] != X[:, block]).any(axis=1))
                 if feature in used and len(rows):
                     expected.append(predict_margin(planted_model, Xp)[rows])
