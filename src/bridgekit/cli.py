@@ -17,7 +17,7 @@ import os
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import BridgekitError, ConfigError, ParseError
@@ -47,7 +47,7 @@ from .pairgen import (
     dataset_to_csv,
     dataset_to_jsonl,
 )
-from .records import is_finite, is_int, is_number
+from .records import check_settings, setting, write_file
 from .stats import (
     anaphor_entity_distribution,
     chi_square_residuals,
@@ -81,24 +81,15 @@ def _output(path: str | Path):
 
 
 def _write(path: str | Path, payload) -> None:
-    """Write `payload` to `path`. It is `bytes`, a `str` (written as UTF-8),
-    an iterator of `bytes` chunks (each written as it is made, so the whole
-    output is never held), or anything else, written as JSON. A failure
-    while writing, an interrupt too, removes the file; a failure to open it
-    removes nothing."""
+    """Write `payload` to `path` through `write_file`. It is `bytes`, a `str`
+    (written as UTF-8), an iterator of `bytes` chunks (each written as it is
+    made, so the whole output is never held), or anything else, as JSON."""
     if not isinstance(payload, (str, bytes, Iterator)):
         payload = _dump_json(payload)
     if isinstance(payload, str):
         payload = payload.encode("utf-8")
     with _output(path):
-        out = open(path, "wb")
-        try:
-            with out:
-                for chunk in (payload,) if isinstance(payload, bytes) else payload:
-                    out.write(chunk)
-        except BaseException:
-            Path(path).unlink(missing_ok=True)
-            raise
+        write_file(path, (payload,) if isinstance(payload, bytes) else payload)
 
 
 def _canonical_lines(docs) -> Iterator[bytes]:
@@ -124,69 +115,16 @@ def _write_all(outputs: list[tuple[str | Path, object]]) -> None:
 # configuration
 
 
-# JSON check and expected-type wording for each type a config key may take;
-# a tuple is a list of strings.
-_KINDS = {
-    int: (is_int, "an integer"),
-    float: (is_number, "a number"),
-    str: (lambda v: isinstance(v, str), "a string"),
-    tuple: (lambda v: isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v),
-            "a list of strings"),
-}
-
-
-@dataclass(frozen=True)
-class Setting:
-    """The one declaration of a config key: its type and its range or
-    choices. The config file, the dataclass that holds the key and the
-    flags that mirror it all check the key's value with `check`."""
-
-    kind: type
-    low: int | None = None
-    high: int | None = None
-    choices: tuple[str, ...] = ()
-
-    def check(self, key: str, value):
-        """`value` as the key's type, or a ConfigError naming `key`."""
-        check, expected = _KINDS[self.kind]
-        if not check(value):
-            raise ConfigError(f"{key} must be {expected}, got {value!r}")
-        if is_number(value) and not is_finite(value):
-            raise ConfigError(f"{key} must be a finite number, got {value!r}")
-        if self.high is not None and not self.low <= value <= self.high:
-            raise ConfigError(f"{key} must be between {self.low} and {self.high}")
-        if self.low is not None and value < self.low:
-            raise ConfigError(f"{key} must be >= {self.low}")
-        if self.choices and value not in self.choices:
-            raise ConfigError(f"{key} must be {' or '.join(self.choices)}")
-        return self.kind(value)
-
-
-def _key(default, kind: type, **bounds):
-    """A dataclass field with `default`, declared a config key of `kind`."""
-    return field(default=default, metadata={"setting": Setting(kind, **bounds)})
-
-
-def _check_keys(obj) -> None:
-    """Check and convert each declared key of dataclass `obj`. None, a null
-    in the config file, gives the key's default."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if "setting" in f.metadata:
-            value = f.default if value is None else f.metadata["setting"].check(f.name, value)
-            object.__setattr__(obj, f.name, value)
-
-
 @dataclass(frozen=True)
 class CorpusSpec:
     name: str
     dialect: str
-    train: tuple[str, ...] = _key((), tuple)
-    dev: tuple[str, ...] = _key((), tuple)
-    test: tuple[str, ...] = _key((), tuple)
-    extra_test: tuple[str, ...] = _key((), tuple)
+    train: tuple[str, ...] = setting((), tuple)
+    dev: tuple[str, ...] = setting((), tuple)
+    test: tuple[str, ...] = setting((), tuple)
+    extra_test: tuple[str, ...] = setting((), tuple)
 
-    __post_init__ = _check_keys
+    __post_init__ = check_settings
 
     @property
     def train_files(self) -> tuple[str, ...]:
@@ -199,21 +137,21 @@ class CorpusSpec:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    seed: int
+    seed: int = setting(MISSING, int)
     corpora: tuple[CorpusSpec, ...]
-    output_dir: str = _key("runs", str)
-    exclusion_list: str | None = _key(None, str)
-    pronoun_tags: tuple[str, ...] = _key(tuple(sorted(DEFAULT_PRONOUN_TAGS)), tuple)
-    lemma_top_k: int = _key(DEFAULT_LEMMA_TOP_K, int, low=0)
-    cv_folds: int = _key(5, int, low=2)
+    output_dir: str = setting("runs", str)
+    exclusion_list: str | None = setting(None, str)
+    pronoun_tags: tuple[str, ...] = setting(tuple(sorted(DEFAULT_PRONOUN_TAGS)), tuple)
+    lemma_top_k: int = setting(DEFAULT_LEMMA_TOP_K, int, low=0)
+    cv_folds: int = setting(5, int, low=2)
     grid: tuple[HyperParams, ...] = field(default_factory=lambda: tuple(default_grid()))
-    baseline_p: float = _key(1.0 / 3.0, float, low=0, high=1)
-    baseline_runs: int = _key(5, int, low=1)
-    tau: float = _key(0.10, float, low=0, high=1)
-    residual_source: str = _key("dataset", str, choices=("dataset", "corpus"))
-    distribution_threshold: float = _key(0.01, float, low=0, high=1)
+    baseline_p: float = setting(1.0 / 3.0, float, low=0, high=1)
+    baseline_runs: int = setting(5, int, low=1)
+    tau: float = setting(0.10, float, low=0, high=1)
+    residual_source: str = setting("dataset", str, choices=("dataset", "corpus"))
+    distribution_threshold: float = setting(0.01, float, low=0, high=1)
 
-    __post_init__ = _check_keys
+    __post_init__ = check_settings
 
     def run_id(self) -> str:
         payload = asdict(self)
@@ -250,8 +188,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     overrides = overrides or {}
     raw.update(overrides)
     _reject_unknown_keys(raw, PipelineConfig, "config")
+    # a null key is left out, so it takes its default
+    raw = {key: value for key, value in raw.items() if value is not None}
 
-    if not is_int(raw.get("seed")):
+    if "seed" not in raw:
         raise ConfigError("config requires an integer seed; no clock-based default exists")
     corpora_raw = raw.get("corpora")
     if not isinstance(corpora_raw, list) or not corpora_raw:
@@ -265,7 +205,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         _reject_unknown_keys(entry, CorpusSpec, f"corpus {entry['name']!r}")
         if entry["dialect"] not in DIALECT_PARSERS:
             raise ConfigError(f"unknown dialect {entry['dialect']!r}")
-        spec = CorpusSpec(**entry)
+        spec = CorpusSpec(**{key: value for key, value in entry.items() if value is not None})
         if not spec.train_files:
             raise ConfigError(f"corpus {spec.name!r} has no training files")
         if not spec.eval_files:
@@ -274,13 +214,15 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     if len({c.name for c in corpora}) != len(corpora):
         raise ConfigError("corpus names must be unique")
 
-    grid_raw = raw.get("grid")
-    if grid_raw in (None, "default"):
+    grid_raw = raw.get("grid", "default")
+    if grid_raw == "default":
         grid = tuple(default_grid())
-    elif isinstance(grid_raw, list) and grid_raw:
+    elif isinstance(grid_raw, list) and grid_raw and all(isinstance(e, dict) for e in grid_raw):
+        for entry in grid_raw:
+            _reject_unknown_keys(entry, HyperParams, "grid entry")
         try:
             grid = tuple(HyperParams(**entry) for entry in grid_raw)
-        except (TypeError, OverflowError) as exc:
+        except OverflowError as exc:
             raise ConfigError(f"bad grid entry: {exc}")
     else:
         raise ConfigError("grid must be \"default\" or a non-empty list of objects")
@@ -428,11 +370,12 @@ def cmd_pairs(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset = _read_pairs(args.pairs)
     given = {k: getattr(args, k) for k in PARAM_KEYS if getattr(args, k) is not None}
-    if given:
-        best, cv_results = HyperParams(**given), []
-    else:
+    # the hyperparameters are checked before any input is read
+    best = HyperParams(**given) if given else None
+    dataset = _read_pairs(args.pairs)
+    cv_results = []
+    if best is None:
         grid = default_grid() if args.grid == "default" else list(SMALL_GRID)
         best, cv_results = cross_validate(
             dataset, grid, k=args.folds, seed=args.seed, lemma_top_k=args.lemma_top_k
@@ -641,24 +584,22 @@ def cmd_run(args) -> int:
 # argument parsing
 
 
-def _read_as(kind: type):
-    """argparse `type` that reads a flag's text as `kind`; text that does not
-    read is passed on as it is, for the check of the flag's key to refuse."""
+def _flag(key: str, cls: type = PipelineConfig, **keywords) -> dict:
+    """add_argument keywords for a flag that sets setting `key` of `cls`:
+    its text is read as the setting's type and checked as the setting's
+    value is (text that does not read is passed on, for the check to
+    refuse), and its default is the setting's unless `keywords` give one."""
+    f = next(f for f in fields(cls) if f.name == key)
+
     def read(text: str):
+        # the parser ends as cyclic garbage, so this reaches the Setting
+        # through its field and holds no bridgekit object of its own
         try:
-            return kind(text)
+            value = f.metadata["setting"].kind(text)
         except ValueError:
-            return text
-    return read
-
-
-def _mirror(key: str) -> dict:
-    """add_argument keywords for a flag that mirrors config key `key`: its
-    value is checked as the key's is, and its default is the key's."""
-    f = next(f for f in fields(PipelineConfig) if f.name == key)
-    read = _read_as(f.metadata["setting"].kind)
-    return {"type": lambda text: f.metadata["setting"].check(key, read(text)),
-            "default": f.default}
+            value = text
+        return f.metadata["setting"].check(key, value)
+    return {"type": read, "default": f.default, **keywords}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -685,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pairs", help="build a balanced mention-pair dataset")
     p.add_argument("--in", dest="input", nargs="+", required=True)
     p.add_argument("--dialect", choices=sorted(DIALECT_PARSERS), default=None)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", **_flag("seed", required=True))
     p.add_argument("--out", required=True)
     p.add_argument("--csv", default=None)
     p.add_argument("--corpus", default="")
@@ -697,29 +638,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="cross-validate and train a model")
     p.add_argument("--pairs", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", **_flag("seed", required=True))
     p.add_argument("--out", required=True)
-    p.add_argument("--folds", **_mirror("cv_folds"))
+    p.add_argument("--folds", **_flag("cv_folds"))
     p.add_argument("--grid", choices=("default", "small"), default="default")
-    p.add_argument("--lemma-top-k", **_mirror("lemma_top_k"))
+    p.add_argument("--lemma-top-k", **_flag("lemma_top_k"))
     for f in fields(HyperParams):
-        p.add_argument("--" + f.name.replace("_", "-"), type=_read_as(type(f.default)))
+        p.add_argument("--" + f.name.replace("_", "-"), **_flag(f.name, HyperParams, default=None))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on a pair dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--baseline-p", **_mirror("baseline_p"))
-    p.add_argument("--baseline-runs", **_mirror("baseline_runs"))
+    p.add_argument("--seed", **_flag("seed", default=0))
+    p.add_argument("--baseline-p", **_flag("baseline_p"))
+    p.add_argument("--baseline-runs", **_flag("baseline_runs"))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("importance", help="gain and permutation importance")
     p.add_argument("--model", required=True)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--repeats", **_mirror("baseline_runs"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--repeats", **_flag("baseline_runs"))
+    p.add_argument("--seed", **_flag("seed", default=0))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_importance)
 
@@ -728,15 +669,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--docs", nargs="*", default=None)
     p.add_argument("--dialect", choices=sorted(DIALECT_PARSERS), default=None)
     p.add_argument("--model", default=None)
-    p.add_argument("--tau", **_mirror("tau"))
-    p.add_argument("--threshold", **_mirror("distribution_threshold"))
+    p.add_argument("--tau", **_flag("tau"))
+    p.add_argument("--threshold", **_flag("distribution_threshold"))
     p.add_argument("--adjusted", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("run", help="full pipeline from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", **_flag("seed", default=None))
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_run)
 

@@ -14,13 +14,12 @@ stored leaf weights are the raw closed-form values.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from ..errors import ConfigError, DegenerateTrainingError, SchemaMismatchError, ValidationError
-from ..records import is_int, is_number, json_value, read_text, record_reader
+from ..records import check_settings, json_value, read_text, record_reader, setting, write_file
 from . import lazy_numpy
 from .encoding import EncoderSchema, FeatureBlock
 
@@ -31,28 +30,17 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class HyperParams:
-    n_rounds: int = 100
-    max_depth: int = 4
-    learning_rate: float = 0.3
-    l2_leaf_penalty: float = 1.0
-    split_gain_threshold: float = 0.0
-    min_child_hessian: float = 1.0
+    n_rounds: int = setting(100, int, low=0)
+    max_depth: int = setting(4, int, low=1)
+    learning_rate: float = setting(0.3, float)
+    l2_leaf_penalty: float = setting(1.0, float, low=0)
+    split_gain_threshold: float = setting(0.0, float, low=0)
+    min_child_hessian: float = setting(1.0, float, low=0)
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and not is_int(value):
-                raise ConfigError(f"{f.name} must be an integer")
-            if f.type == "float" and not (is_number(value) and math.isfinite(value)):
-                raise ConfigError(f"{f.name} must be a finite number")
-        if self.n_rounds < 0:
-            raise ConfigError("n_rounds must be >= 0")
-        if self.max_depth < 1:
-            raise ConfigError("max_depth must be >= 1")
+        check_settings(self)
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
-        if self.l2_leaf_penalty < 0 or self.split_gain_threshold < 0 or self.min_child_hessian < 0:
-            raise ConfigError("penalties must be non-negative")
         if self.l2_leaf_penalty == 0 and self.min_child_hessian == 0:
             raise ConfigError("l2_leaf_penalty and min_child_hessian cannot both be 0")
 
@@ -434,10 +422,9 @@ def model_from_dict(obj: dict) -> GbdtModel:
 
 
 def save_model(model: GbdtModel, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+    """Write a model file; a failed or interrupted write removes it."""
+    text = json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":")) + "\n"
+    write_file(path, (text.encode("utf-8"),))
 
 
 def load_model(path: str | Path) -> GbdtModel:

@@ -29,19 +29,22 @@ field's JSON value `%(v)s` that gives the field value or raises naming
 records may also be a tuple, as `dataclasses.asdict` gives one.
 
 Input text is UTF-8 (`read_text`), and text that is not JSON raises
-ParseError naming its line (`json_value`, `json_lines`).
+ParseError naming its line (`json_value`, `json_lines`). `write_file`
+writes a file whole or not at all. A setting (a config key, the seed, a
+hyperparameter) is a field declared by `setting`, and `Setting.check` reads
+its value alike from a config file, a flag and a model file.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import dataclass, field, fields
 from functools import cache
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterator, NoReturn
+from typing import Iterable, Iterator, NoReturn
 
-from .errors import ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError
 
 
 def _decode(data: bytes | str) -> str:
@@ -62,6 +65,20 @@ def read_text(path: str | Path) -> str:
     ParseError naming their line. No byte of a multi-byte UTF-8 character
     is a line end, so the line ends are replaced before decoding."""
     return _decode(Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
+
+
+def write_file(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write each of `chunks` to `path` as it is made. A failure while
+    writing, an interrupt too, removes the file; a failure to open it
+    removes nothing."""
+    out = open(path, "wb")
+    try:
+        with out:
+            for chunk in chunks:
+                out.write(chunk)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def json_value(text: str, first_line: int = 1):
@@ -97,6 +114,57 @@ def is_finite(value) -> bool:
     """Whether `value` is an integer or a float other than NaN and
     ±Infinity, which Python's `json` reads from non-standard literals."""
     return isinstance(value, float) and math.isfinite(value) or is_int(value)
+
+
+# check and expected-type wording of each type of setting; a tuple is a list of strings
+_KINDS = {
+    int: (is_int, "an integer"),
+    float: (is_number, "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    tuple: (lambda v: isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v),
+            "a list of strings"),
+}
+
+
+@dataclass(frozen=True)
+class Setting:
+    """The one declaration of a setting: its type and its range or choices."""
+
+    kind: type
+    low: int | None = None
+    high: int | None = None
+    choices: tuple[str, ...] = ()
+
+    def check(self, key: str, value):
+        """`value` as the setting's type, or a ConfigError naming `key`. An
+        integer too large for a float setting raises OverflowError."""
+        check, expected = _KINDS[self.kind]
+        if not check(value):
+            raise ConfigError(f"{key} must be {expected}, got {value!r}")
+        if is_number(value) and not is_finite(value):
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
+        if self.high is not None and not self.low <= value <= self.high:
+            raise ConfigError(f"{key} must be between {self.low} and {self.high}")
+        if self.low is not None and value < self.low:
+            raise ConfigError(f"{key} must be >= {self.low}")
+        if self.choices and value not in self.choices:
+            raise ConfigError(f"{key} must be {' or '.join(self.choices)}")
+        return self.kind(value)
+
+
+def setting(default, kind: type, **bounds):
+    """A dataclass field with `default` (MISSING for none), declared a
+    setting of `kind`."""
+    return field(default=default, metadata={"setting": Setting(kind, **bounds)})
+
+
+def check_settings(obj) -> None:
+    """Check and convert each declared field of dataclass `obj`. A field
+    whose default is None may also hold None."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if "setting" in f.metadata and not (value is None and f.default is None):
+            object.__setattr__(obj, f.name, f.metadata["setting"].check(f.name, value))
 
 
 _OPTIONAL = "str | None"

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import errno
 import gc
 import hashlib
 import io
@@ -23,6 +24,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import bridgekit.cli
 import bridgekit.ingest
+import bridgekit.records
 from bridgekit.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -34,7 +36,7 @@ from bridgekit.cli import (
     main,
 )
 from bridgekit.errors import ConfigError
-from bridgekit.gbdt import DEFAULT_LEMMA_TOP_K
+from bridgekit.gbdt import DEFAULT_LEMMA_TOP_K, HyperParams
 from bridgekit.harmonize import harmonize_corpus
 from bridgekit.ingest import emit_bracket, emit_canonical, parse_canonical, read_documents
 from bridgekit.synth import planted_rule_corpus, standoff_text
@@ -545,6 +547,17 @@ class TestPairsTrainEvalChain:
             (["eval", "--baseline-p", "2"], "baseline_p must be between 0 and 1"),
             (["analyze", "--tau", "-3"], "tau must be between 0 and 1"),
             (["analyze", "--threshold", "5"], "distribution_threshold must be between 0 and 1"),
+            (["train", "--seed", "1", "--learning-rate", "0"], "learning_rate must be positive"),
+            (["train", "--seed", "1", "--learning-rate", "x"],
+             "learning_rate must be a number, got 'x'"),
+            (["train", "--seed", "1", "--n-rounds", "-1"], "n_rounds must be >= 0"),
+            (["train", "--seed", "1", "--n-rounds", "2.5"], "n_rounds must be an integer, got '2.5'"),
+            (["train", "--seed", "1", "--max-depth", "0"], "max_depth must be >= 1"),
+            (["train", "--seed", "1", "--l2-leaf-penalty", "-1"], "l2_leaf_penalty must be >= 0"),
+            (["train", "--seed", "1", "--split-gain-threshold", "nan"],
+             "split_gain_threshold must be a finite number, got nan"),
+            (["train", "--seed", "1", "--min-child-hessian=-inf"],
+             "min_child_hessian must be a finite number, got -inf"),
         ],
     )
     def test_a_flag_outside_its_config_key_exits_1_with_the_key_message(
@@ -558,6 +571,31 @@ class TestPairsTrainEvalChain:
         assert code == EXIT_CONFIG
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pairs", "train", "eval", "importance", "run"])
+    def test_a_seed_that_is_not_an_integer_exits_1_with_one_line(
+        self, chain, tmp_path, capsys, command
+    ):
+        out = tmp_path / "out.json"
+        argv = {
+            "pairs": ["--in", chain["tmp"] / "corpus.brk", "--out", out],
+            "train": ["--pairs", chain["pairs"], "--out", out],
+            "eval": ["--model", chain["model"], "--pairs", chain["pairs"], "--out", out],
+            "importance": ["--model", chain["model"], "--pairs", chain["pairs"], "--out", out],
+            "run": ["--config", tmp_path / "config.json", "--out-dir", out],
+        }[command]
+        for seed in ("abc", "1.5", ""):
+            assert main([command, "--seed", seed, *map(str, argv)]) == EXIT_CONFIG
+            assert capsys.readouterr() == ("", f"error: seed must be an integer, got {seed!r}\n")
+        assert not out.exists()
+
+    def test_hyperparameters_are_checked_before_the_pairs_are_read(self, tmp_path, capsys):
+        code = main([
+            "train", "--pairs", str(tmp_path / "missing.jsonl"), "--seed", "5",
+            "--out", str(tmp_path / "model.json"), "--learning-rate", "0",
+        ])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: learning_rate must be positive\n"
 
     def test_train_without_any_leaf_regularizer_exits_1(self, chain, tmp_path, capsys):
         code = main([
@@ -619,6 +657,10 @@ class TestPairsTrainEvalChain:
              "model.trees[{i}].column: expected an integer"),
             (lambda obj, i: obj["trees"][i].update(threshold="0.5"),
              "model.trees[{i}].threshold: expected a number"),
+            (lambda obj, i: obj["params"].update(n_rounds=None),
+             "model.params.n_rounds: expected an integer"),
+            (lambda obj, i: obj["params"].update(learning_rate=None),
+             "model.params.learning_rate: expected a number"),
         ],
     )
     def test_mistyped_model_field_exits_2_naming_file_and_field(
@@ -693,15 +735,25 @@ class TestPairsTrainEvalChain:
         assert capsys.readouterr().err == "error: model carries no encoder schema\n"
 
 
-# The range of each config key that a flag mirrors, written out here and not
-# read from the code: (flag, key, type, low, high), where a high of None is
-# no upper bound.
+# The range of each setting that a flag mirrors, a config key or a
+# hyperparameter, written out here and not read from the code: (flag, key,
+# type, low, high), where a low or high of None is no bound. The low bound of
+# learning_rate is exclusive, every other bound inclusive.
+SEED_FLAG = ("--seed", "seed", int, None, None)
 MIRRORED_FLAGS = {
     "train": [("--folds", "cv_folds", int, 2, None),
-              ("--lemma-top-k", "lemma_top_k", int, 0, None)],
+              ("--lemma-top-k", "lemma_top_k", int, 0, None),
+              SEED_FLAG,
+              ("--n-rounds", "n_rounds", int, 0, None),
+              ("--max-depth", "max_depth", int, 1, None),
+              ("--learning-rate", "learning_rate", float, 0, None),
+              ("--l2-leaf-penalty", "l2_leaf_penalty", float, 0, None),
+              ("--split-gain-threshold", "split_gain_threshold", float, 0, None),
+              ("--min-child-hessian", "min_child_hessian", float, 0, None)],
     "eval": [("--baseline-p", "baseline_p", float, 0, 1),
-             ("--baseline-runs", "baseline_runs", int, 1, None)],
-    "importance": [("--repeats", "baseline_runs", int, 1, None)],
+             ("--baseline-runs", "baseline_runs", int, 1, None),
+             SEED_FLAG],
+    "importance": [("--repeats", "baseline_runs", int, 1, None), SEED_FLAG],
     "analyze": [("--tau", "tau", float, 0, 1),
                 ("--threshold", "distribution_threshold", float, 0, 1)],
 }
@@ -717,13 +769,14 @@ INPUT_FLAGS = {
 PATH_KINDS = ("valid", "missing", "directory", "empty", "not_utf8")
 
 
-def _in_range(kind: type, low, high, text: str) -> bool:
+def _in_range(key: str, kind: type, low, high, text: str) -> bool:
     try:
         value = kind(text)
     except ValueError:
         return False
     finite = kind is int or math.isfinite(value)
-    return finite and low <= value and (high is None or value <= high)
+    above = low is None or (value > low if key == "learning_rate" else value >= low)
+    return finite and above and (high is None or value <= high)
 
 
 class TestFlagSurface:
@@ -732,9 +785,12 @@ class TestFlagSurface:
     def test_any_mirrored_flag_value_and_input_path_ends_in_an_exit_code(self, chain, data):
         command = data.draw(st.sampled_from(sorted(MIRRORED_FLAGS)))
         flag, key, kind, low, high = data.draw(st.sampled_from(MIRRORED_FLAGS[command]))
-        # 10**400 is in range for baseline_runs, but random_baseline and
-        # mda_importance loop range(runs), so a run would never end
-        texts = FLOAT_TEXTS + INT_TEXTS[:-1] if key == "baseline_runs" else FLOAT_TEXTS + INT_TEXTS
+        # 10**400 is in range for baseline_runs and n_rounds, but
+        # random_baseline and mda_importance loop range(runs), and train
+        # range(n_rounds), so a run would never end
+        texts = FLOAT_TEXTS + INT_TEXTS
+        if key in ("baseline_runs", "n_rounds"):
+            texts = texts[:-1]
         text = data.draw(st.sampled_from(texts))
         # about half of the paths drawn are valid, so that commands also run
         path_kinds = st.one_of(st.just("valid"), st.sampled_from(PATH_KINDS))
@@ -744,7 +800,7 @@ class TestFlagSurface:
             out = tmp / "out.json"
             argv = [command, f"{flag}={text}", "--out", str(out)]
             if command == "train":
-                argv += ["--seed", "1", "--grid", "small"]
+                argv += ["--grid", "small"] + (["--seed", "1"] if flag != "--seed" else [])
             for name, path_kind in kinds.items():
                 valid = chain["tmp"] / INPUT_FLAGS[command][name]
                 path = valid if path_kind == "valid" else tmp / (path_kind + valid.suffix)
@@ -766,7 +822,7 @@ class TestFlagSurface:
             if code != EXIT_OK:
                 assert err.startswith("error: ") and err.count("\n") == 1, err
                 assert not out.exists()
-            if not _in_range(kind, low, high, text):
+            if not _in_range(key, kind, low, high, text):
                 assert code == EXIT_CONFIG and err.startswith(f"error: {key} must be "), err
 
 
@@ -836,6 +892,61 @@ class TestUnwritableOutputs:
         assert (partial["failed_stage"], partial["error"]) == ("report", message)
 
 
+class _StopsAfter100Bytes:
+    """A file opened for writing that writes 100 bytes, then raises `exc`."""
+
+    def __init__(self, out, exc: BaseException):
+        self.out, self.exc = out, exc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.out.close()
+
+    def write(self, chunk: bytes) -> None:
+        self.out.write(chunk[:100])
+        raise self.exc
+
+
+class TestInterruptedModelWrites:
+    @pytest.mark.parametrize(
+        "exc", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()],
+        ids=["ENOSPC", "KeyboardInterrupt"],
+    )
+    @pytest.mark.parametrize("command", ["train", "run"])
+    def test_a_model_write_that_stops_part_way_leaves_no_file(
+        self, chain, tmp_path, capsys, monkeypatch, command, exc
+    ):
+        def open_model_stopping(path, mode="r", *args, **kwargs):
+            out = open(path, mode, *args, **kwargs)
+            return _StopsAfter100Bytes(out, exc) if Path(path).parent.name == "models" else out
+
+        monkeypatch.setattr(bridgekit.records, "open", open_model_stopping, raising=False)
+        if command == "train":
+            model = tmp_path / "models" / "m.json"
+            argv = ["train", "--pairs", str(chain["pairs"]), "--seed", "5", "--n-rounds", "2",
+                    "--out", str(model)]
+        else:
+            config = base_config(tmp_path)
+            config["grid"] = [{"n_rounds": 2, "max_depth": 2}]
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            model = tmp_path / "runs" / load_config(path).run_id() / "models" / "corpusA.json"
+            argv = ["run", "--config", str(path)]
+        if isinstance(exc, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == EXIT_CONFIG
+            stage = "stage train:corpusA: " if command == "run" else ""
+            assert capsys.readouterr().err == (
+                f"error: {stage}cannot write {model}: No space left on device\n"
+            )
+        assert not model.exists()
+        assert not any(model.parent.iterdir())
+
+
 class TestConfig:
     def write(self, tmp_path, payload) -> Path:
         path = tmp_path / "config.json"
@@ -860,8 +971,13 @@ class TestConfig:
         ("payload", "message"),
         [
             ({}, "integer seed"),
-            ({"seed": "7"}, "integer seed"),
-            ({"seed": True}, "integer seed"),
+            ({"seed": None}, "integer seed"),
+            ({"seed": "7", "corpora": [{"name": "x", "dialect": "bracket", "train": ["f"],
+                                        "test": ["f"]}]},
+             "^seed must be an integer, got '7'$"),
+            ({"seed": True, "corpora": [{"name": "x", "dialect": "bracket", "train": ["f"],
+                                         "test": ["f"]}]},
+             "^seed must be an integer, got True$"),
             ({"seed": 1}, "non-empty corpora"),
             ({"seed": 1, "corpora": [{"name": "x"}]}, "name and dialect"),
             ({"seed": 1, "corpora": [{"name": "x", "dialect": ["bracket"]}]}, "name and dialect"),
@@ -951,6 +1067,9 @@ class TestConfig:
         nulls = load_config(self.write(tmp_path, {**payload, **dict.fromkeys(optional)}))
         assert nulls.cv_folds == 5
         assert nulls == plain
+        # and so do the file lists of a corpus
+        payload["corpora"][0].update(dev=None, extra_test=None)
+        assert load_config(self.write(tmp_path, payload)) == plain
 
     def test_readme_config_block_loads_as_the_defaults(self, tmp_path, monkeypatch):
         monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
@@ -965,6 +1084,20 @@ class TestConfig:
         path.write_text(block)
         config = load_config(path)
         assert config == PipelineConfig(seed=raw["seed"], corpora=config.corpora)
+
+    def test_readme_hyperparameter_table_matches_the_declarations(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| Key | Type | Range | Default | Flag that sets it |\n", 1)[1]
+        rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+                for line in table.split("\n\n", 1)[0].splitlines()[1:]]
+        declared = {f.name: f for f in fields(HyperParams)}
+        assert [row[0] for row in rows] == list(declared)
+        for key, kind, bounds, default, flag in rows:
+            setting = declared[key].metadata["setting"]
+            assert kind == {int: "integer", float: "number"}[setting.kind]
+            assert bounds == ("> 0" if key == "learning_rate" else f">= {setting.low}")
+            assert setting.check(key, json.loads(default)) == declared[key].default
+            assert flag == "train --" + key.replace("_", "-")
 
     def test_duplicate_corpus_names_are_rejected(self, tmp_path):
         (tmp_path / "f.brk").write_text("1\ta\ta\tNN\tsing\tdep\t0\t_\n")
@@ -1061,6 +1194,25 @@ class TestConfig:
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        ("grid", "message"),
+        [
+            ([{"n_round": 3}], "grid entry has unknown key 'n_round'"),
+            ([{"n_rounds": 3}, {"max_depth": 2, "rate": 0.1, "depth": 2}],
+             "grid entry has unknown key 'depth', 'rate'"),
+            ([5], 'grid must be "default" or a non-empty list of objects'),
+            ([{"n_rounds": 3}, None], 'grid must be "default" or a non-empty list of objects'),
+            ([{"n_rounds": None}], "n_rounds must be an integer, got None"),
+            ([{"learning_rate": 0}], "learning_rate must be positive"),
+            ([{"max_depth": 0}], "max_depth must be >= 1"),
+            ([{"split_gain_threshold": -0.5}], "split_gain_threshold must be >= 0"),
+        ],
+    )
+    def test_a_bad_grid_entry_exits_1_naming_the_key(self, tmp_path, capsys, grid, message):
+        payload = {**self.minimal(tmp_path), "grid": grid}
+        assert main(["run", "--config", str(self.write(tmp_path, payload))]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_a_grid_value_too_large_for_a_float_exits_1(self, tmp_path, capsys):
         payload = {**self.minimal(tmp_path), "grid": [{"learning_rate": 10**400}]}
         assert main(["run", "--config", str(self.write(tmp_path, payload))]) == EXIT_CONFIG
@@ -1078,10 +1230,26 @@ class TestConfig:
         # a boolean would otherwise be saved in a model file that cannot be read back
         payload = {**self.minimal(tmp_path), "grid": [{"n_rounds": 2, key: value}]}
         assert main(["run", "--config", str(self.write(tmp_path, payload))]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: {key} must be a finite number\n"
+        assert capsys.readouterr().err == f"error: {key} must be a number, got {value!r}\n"
 
 
 class TestRun:
+    def test_an_integer_learning_rate_gives_the_run_of_its_float(self, tmp_path):
+        config = base_config(tmp_path)
+        path = tmp_path / "config.json"
+        runs = []
+        for rate in (1, 1.0):
+            config["grid"] = [{"n_rounds": 3, "max_depth": 2, "learning_rate": rate}]
+            path.write_text(json.dumps(config))
+            assert main(["run", "--config", str(path)]) == EXIT_OK
+            (run_dir,) = (tmp_path / "runs").iterdir()
+            runs.append((run_dir.name, run_files(run_dir)))
+            run_dir.rename(tmp_path / f"run_{len(runs)}")
+        (first_id, first), (second_id, second) = runs
+        assert first_id == second_id
+        assert first == second
+        assert {"resolved_config.json", "cv/corpusA.json", "models/corpusA.json"} <= first.keys()
+
     def test_outputs_land_in_the_hashed_run_directory(self, pipeline_run):
         run_dir = pipeline_run["run_dir"]
         assert run_dir.name == pipeline_run["report"]["run_id"]

@@ -328,6 +328,15 @@ class TestTraining:
             with pytest.raises(ValidationError, match="labels must be 0 or 1"):
                 train(np.zeros((3, 1)), np.array(y), HyperParams())
 
+    def test_a_float_hyperparameter_is_stored_as_a_float(self):
+        params = HyperParams(learning_rate=1, l2_leaf_penalty=2, split_gain_threshold=0,
+                             min_child_hessian=1)
+        for name in ("learning_rate", "l2_leaf_penalty", "split_gain_threshold",
+                     "min_child_hessian"):
+            assert type(getattr(params, name)) is float, name
+        assert params == HyperParams(learning_rate=1.0, l2_leaf_penalty=2.0)
+        assert type(HyperParams(n_rounds=3).n_rounds) is int
+
     def test_saturating_without_any_leaf_regularizer_ends_in_a_typed_error(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])

@@ -842,7 +842,7 @@ def _one_site_outcomes(root, read) -> list[str]:
 _ONE_SITE_OUTCOMES_SHA256 = {
     "canonical": "b72b0e7c6c1115e8a598dbdf83fb9912ff55e4dbb99e30cf228f4671b4b47207",
     "pair dataset": "790f3644cae2f982629983d77f9941ca900615274f5dd5ac82b8657e33280aa6",
-    "model": "a77efaf12b0f93488f60a381a5c09dc1002dd9d2ada7bffb88f66667e6c0d9a5",
+    "model": "1997d6ecdeb751930fc4ed000b75949cf2a888254d0950d906d4e9b553cb6a88",
 }
 
 
