@@ -17,13 +17,8 @@ import sys
 from pathlib import Path
 
 from bridgekit.errors import DialectViolationError
-from bridgekit.ingest import emit_bracket, emit_canonical
-from bridgekit.synth import (
-    balanced_sampling_corpus,
-    planted_rule_corpus,
-    random_corpus,
-    standoff_text,
-)
+from bridgekit.ingest import DIALECTS
+from bridgekit.synth import balanced_sampling_corpus, planted_rule_corpus, random_corpus
 
 
 # The flags that apply to one --kind only; any other kind rejects them.
@@ -71,8 +66,7 @@ def main(argv=None) -> int:
     parser.add_argument("--single-link", action="store_true",
                         help="at most one bridging link per anaphor, bracket-compatible "
                              "(--kind planted)")
-    parser.add_argument("--dialect", choices=["bracket", "standoff", "canonical"],
-                        default="canonical")
+    parser.add_argument("--dialect", choices=sorted(DIALECTS), default="canonical")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     for name, kind in KIND_FLAGS.items():
@@ -82,15 +76,10 @@ def main(argv=None) -> int:
     docs = build(args)
     # render before creating anything, so a corpus the dialect cannot carry
     # leaves no file or directory behind
-    if args.dialect == "bracket":
-        try:
-            data = b"".join(emit_bracket(doc) for doc in docs)
-        except DialectViolationError as exc:
-            parser.error(f"--dialect bracket: {exc}")
-    elif args.dialect == "standoff":
-        data = standoff_text(docs).encode("utf-8")
-    else:
-        data = emit_canonical(docs)
+    try:
+        data = b"".join(map(DIALECTS[args.dialect].emit, docs))
+    except DialectViolationError as exc:
+        parser.error(f"--dialect {args.dialect}: {exc}")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(data)

@@ -17,35 +17,32 @@ import sys
 from pathlib import Path
 
 from bridgekit.cli import main as cli_main
-from bridgekit.ingest import emit_bracket
-from bridgekit.synth import planted_rule_corpus, standoff_text
+from bridgekit.ingest import DIALECTS
+from bridgekit.synth import planted_rule_corpus
 
 
-def write_corpora(workspace: Path, seed: int) -> None:
-    bracket = planted_rule_corpus(seed, n_docs=12, single_link_per_anaphor=True)
-    (workspace / "bracketland_train.brk").write_bytes(
-        b"".join(emit_bracket(doc) for doc in bracket[:9])
-    )
-    (workspace / "bracketland_test.brk").write_bytes(
-        b"".join(emit_bracket(doc) for doc in bracket[9:])
-    )
-    standoff = planted_rule_corpus(
-        seed + 1, n_docs=12, schema="arrau_like", surface_definiteness=True,
-    )
-    (workspace / "standofflandia_train.sff").write_text(standoff_text(standoff[:9]))
-    (workspace / "standofflandia_test.sff").write_text(standoff_text(standoff[9:]))
+def write_corpus(workspace: Path, name: str, dialect: str, docs: list) -> dict:
+    """Write `docs` as `name`'s training and test files; return its config entry."""
+    entry = {"name": name, "dialect": dialect}
+    for part, chunk in (("train", docs[:9]), ("test", docs[9:])):
+        file = f"{name}_{part}{DIALECTS[dialect].suffix}"
+        (workspace / file).write_bytes(b"".join(map(DIALECTS[dialect].emit, chunk)))
+        entry[part] = [file]
+    return entry
 
 
 def write_config(workspace: Path, seed: int) -> Path:
+    corpora = [
+        write_corpus(workspace, "bracketland", "bracket",
+                     planted_rule_corpus(seed, n_docs=12, single_link_per_anaphor=True)),
+        write_corpus(workspace, "standofflandia", "standoff",
+                     planted_rule_corpus(seed + 1, n_docs=12, schema="arrau_like",
+                                         surface_definiteness=True)),
+    ]
     config = {
         "seed": seed,
         "output_dir": str(workspace / "runs"),
-        "corpora": [
-            {"name": "bracketland", "dialect": "bracket",
-             "train": ["bracketland_train.brk"], "test": ["bracketland_test.brk"]},
-            {"name": "standofflandia", "dialect": "standoff",
-             "train": ["standofflandia_train.sff"], "test": ["standofflandia_test.sff"]},
-        ],
+        "corpora": corpora,
         "grid": [
             {"n_rounds": 50, "max_depth": 3, "learning_rate": 0.3},
             {"n_rounds": 100, "max_depth": 4, "learning_rate": 0.3},
@@ -90,7 +87,6 @@ def main(argv=None) -> int:
 
     workspace = Path(args.workspace)
     workspace.mkdir(parents=True, exist_ok=True)
-    write_corpora(workspace, args.seed)
     config_path = write_config(workspace, args.seed)
 
     code = cli_main(["run", "--config", str(config_path)])

@@ -36,7 +36,7 @@ from .gbdt import (
     train,
 )
 from .harmonize import format_report, harmonize_corpus, read_exclusion_list
-from .ingest import DIALECT_PARSERS, emit_canonical, read_documents
+from .ingest import DIALECTS, emit_canonical, read_documents
 from .model import Document
 from .pairgen import (
     DEFAULT_PRONOUN_TAGS,
@@ -203,7 +203,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         ):
             raise ConfigError("each corpus needs at least a string name and dialect")
         _reject_unknown_keys(entry, CorpusSpec, f"corpus {entry['name']!r}")
-        if entry["dialect"] not in DIALECT_PARSERS:
+        if entry["dialect"] not in DIALECTS:
             raise ConfigError(f"unknown dialect {entry['dialect']!r}")
         spec = CorpusSpec(**{key: value for key, value in entry.items() if value is not None})
         if not spec.train_files:
@@ -611,13 +611,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="convert a corpus file to canonical JSONL")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--dialect", choices=sorted(DIALECT_PARSERS), default=None)
+    p.add_argument("--dialect", choices=sorted(DIALECTS), default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("harmonize", help="apply harmonization rules")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--dialect", choices=sorted(DIALECT_PARSERS), default=None)
+    p.add_argument("--dialect", choices=sorted(DIALECTS), default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
     p.add_argument("--exclusions", default=None)
@@ -625,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pairs", help="build a balanced mention-pair dataset")
     p.add_argument("--in", dest="input", nargs="+", required=True)
-    p.add_argument("--dialect", choices=sorted(DIALECT_PARSERS), default=None)
+    p.add_argument("--dialect", choices=sorted(DIALECTS), default=None)
     p.add_argument("--seed", **_flag("seed", required=True))
     p.add_argument("--out", required=True)
     p.add_argument("--csv", default=None)
@@ -667,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="residuals, distributions, confident errors")
     p.add_argument("--pairs", required=True)
     p.add_argument("--docs", nargs="*", default=None)
-    p.add_argument("--dialect", choices=sorted(DIALECT_PARSERS), default=None)
+    p.add_argument("--dialect", choices=sorted(DIALECTS), default=None)
     p.add_argument("--model", default=None)
     p.add_argument("--tau", **_flag("tau"))
     p.add_argument("--threshold", **_flag("distribution_threshold"))

@@ -41,7 +41,7 @@ class UndefinedDistanceError(BridgekitError):
 
 
 class DegenerateTrainingError(BridgekitError):
-    """Training data contains a single class."""
+    """Training data contains a single class, or boosting left the finite numbers."""
 
 
 class DegenerateTableError(BridgekitError):

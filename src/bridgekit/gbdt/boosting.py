@@ -14,6 +14,7 @@ stored leaf weights are the raw closed-form values.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
@@ -278,9 +279,10 @@ def train(
     `_GRID`, so every sum of them is exact and the model does not depend on
     the order of the rows. A value of X that is not finite, or a label
     other than 0 and 1, raises ValidationError, and more than
-    `_MAX_TRAINING_ROWS` rows raise ConfigError. The split search is exact
-    and deterministic, so the seed only enters provenance; it is kept in
-    the signature so callers record it uniformly.
+    `_MAX_TRAINING_ROWS` rows raise ConfigError. A round that leaves a
+    margin that is not finite raises DegenerateTrainingError. The split
+    search is exact and deterministic, so the seed only enters provenance;
+    it is kept in the signature so callers record it uniformly.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -310,14 +312,23 @@ def train(
     cols = _Columns.of(X)
     all_rows = np.arange(X.shape[0])
     values = np.empty(X.shape[0], dtype=np.float64)
-    for _ in range(hp.n_rounds):
-        g = _quantize(p - y)
-        h = _quantize(p * (1.0 - p))
-        # the leaves partition the rows, so this fills every entry of values
-        trees.append(_build_tree(cols, g, h, all_rows, 0, hp, values))
-        margins += hp.learning_rate * values
-        p = sigmoid(margins)
-        losses.append(log_loss(y, p))
+    # A fit that stays finite makes numpy warn of no overflow or NaN. Such a
+    # warning is raised here: an errstate context slows every ufunc call.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            for round_no in range(1, hp.n_rounds + 1):
+                g = _quantize(p - y)
+                h = _quantize(p * (1.0 - p))
+                # the leaves partition the rows, so this fills every entry of values
+                trees.append(_build_tree(cols, g, h, all_rows, 0, hp, values))
+                margins += hp.learning_rate * values
+                p = sigmoid(margins)
+                losses.append(log_loss(y, p))
+        except (RuntimeWarning, FloatingPointError) as exc:
+            raise DegenerateTrainingError(
+                f"boosting round {round_no} of {hp.n_rounds} left a margin that is not finite ({exc})"
+            ) from None
     return GbdtModel(
         base_score=base_score,
         trees=tuple(trees),

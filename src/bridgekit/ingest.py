@@ -1,4 +1,5 @@
-"""Parsers and serializers for the three corpus dialects.
+"""Readers and writers of the three corpus dialects, and `DIALECTS`, the one
+table of each dialect's suffix, reader and per-document writer.
 
 Bracket dialect (``.brk``)
     One token per line, tab-separated:
@@ -43,9 +44,10 @@ span out of range or a link to no mention. A document is checked against
 the model invariants (`validate_document`) once, where it is built: by a
 reader here or by `synth`. `emit_canonical` does not check again; its
 output is a lossless dump that the canonical reader checks on the way back
-in. `emit_bracket` does, because its dialect is lossy: it writes a link on
-its anaphor's closing bracket, so a link whose anaphor is no mention would
-vanish silently.
+in, and nor does `emit_standoff`, whose reader refuses a link to no
+mention. `emit_bracket` does, because its dialect is lossy: it writes a link
+on its anaphor's closing bracket, so a link whose anaphor is no mention
+would vanish silently.
 
 The bracket and standoff readers pass every label string of the records they
 make (token form, lemma, xpos, number and deprel, mention ids, entity types,
@@ -58,8 +60,10 @@ a copy of each label per record.
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 from pathlib import Path
 from sys import intern
+from typing import Callable, NamedTuple, NoReturn
 
 from .errors import DialectViolationError, ParseError, ValidationError
 from .model import (
@@ -76,8 +80,13 @@ from .records import _decode, json_lines, record_maker, record_reader, record_wr
 
 _EMPTY_FIELD = "_"
 _SUFFIX_KEYS = ("Bridge", "Chain", "Subtype")
-# Characters with structural meaning somewhere in the bracket dialect.
-_BRACKET_RESERVED = set("();,<=\t\n ")
+_TOKEN_LABELS = ("form", "lemma", "xpos", "deprel", "number")
+_token_labels = attrgetter(*_TOKEN_LABELS)
+# A label with no character that has structural meaning somewhere in the
+# bracket dialect, and a mention id, which has no "-" either.
+_bracket_label_ok = re.compile(r"[^();,<=\t\n ]+").fullmatch
+_bracket_id_ok = re.compile(r"[^();,<=\t\n -]+").fullmatch
+_bracket_token_label_ok = re.compile(r"[^\t\n]+").fullmatch
 # A standoff span; `[0-9]`, as `\d` also matches non-ASCII digits.
 _SPAN = re.compile(r"([0-9]+)-([0-9]+)")
 
@@ -169,6 +178,11 @@ class _DocBuilder:
         )
         validate_document(doc)
         return doc
+
+
+def _refuse(doc: Document, what: str, label: str, reason: str = "not representable") -> NoReturn:
+    """Refuse `label`, the `what` of `doc`, for a writer that cannot carry it."""
+    raise DialectViolationError(f"doc {doc.doc_id!r}: {what} {label!r} {reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -335,51 +349,39 @@ def parse_bracket(data: bytes | str) -> list[Document]:
     return docs
 
 
-def _bracket_label_ok(label: str, allow_hyphen: bool) -> bool:
-    if not label:
-        return False
-    banned = _BRACKET_RESERVED if allow_hyphen else _BRACKET_RESERVED | {"-"}
-    return not any(ch in banned for ch in label)
-
-
 def _check_bracket_representable(doc: Document) -> dict[str, BridgingLink]:
     # the header reader strips its values and a newline ends the header line
     for field, value in (("doc_id", doc.doc_id), ("genre", doc.genre)):
         if "\n" in value or value != value.strip():
-            raise DialectViolationError(f"doc {doc.doc_id!r}: {field} {value!r} not representable")
+            _refuse(doc, field, value)
     for m in doc.mentions:
         if m.discontinuous:
-            raise DialectViolationError(
-                f"doc {doc.doc_id!r}: mention {m.id!r} is discontinuous; harmonize first"
-            )
-        if not _bracket_label_ok(m.id, allow_hyphen=False):
-            raise DialectViolationError(f"doc {doc.doc_id!r}: mention id {m.id!r} uses reserved characters")
-        if not _bracket_label_ok(m.entity_type, allow_hyphen=True):
-            raise DialectViolationError(
-                f"doc {doc.doc_id!r}: entity type {m.entity_type!r} uses reserved characters"
-            )
-        if m.chain_id is not None and not _bracket_label_ok(m.chain_id, allow_hyphen=True):
-            raise DialectViolationError(f"doc {doc.doc_id!r}: chain id {m.chain_id!r} uses reserved characters")
+            _refuse(doc, "mention", m.id, "is discontinuous; harmonize first")
+        if not _bracket_id_ok(m.id):
+            _refuse(doc, "mention id", m.id, "uses reserved characters")
+        if not _bracket_label_ok(m.entity_type):
+            _refuse(doc, "entity type", m.entity_type, "uses reserved characters")
+        if m.chain_id is not None and not _bracket_label_ok(m.chain_id):
+            _refuse(doc, "chain id", m.chain_id, "uses reserved characters")
     by_anaphor: dict[str, BridgingLink] = {}
     for link in doc.bridging:
         if link.split_antecedent:
-            raise DialectViolationError(
-                f"doc {doc.doc_id!r}: link from {link.anaphor_id!r} has split antecedents; harmonize first"
-            )
+            _refuse(doc, "link from", link.anaphor_id, "has split antecedents; harmonize first")
         if link.anaphor_id in by_anaphor:
             raise DialectViolationError(
                 f"doc {doc.doc_id!r}: multiple bridging links share anaphor {link.anaphor_id!r}"
             )
-        if link.subtype is not None and not _bracket_label_ok(link.subtype, allow_hyphen=True):
-            raise DialectViolationError(f"doc {doc.doc_id!r}: subtype {link.subtype!r} uses reserved characters")
+        if "+" in link.antecedent_ids[0]:  # the reader reads a list of several
+            _refuse(doc, "antecedent", link.antecedent_ids[0], "uses reserved characters")
+        if link.subtype is not None and not _bracket_label_ok(link.subtype):
+            _refuse(doc, "subtype", link.subtype, "uses reserved characters")
         by_anaphor[link.anaphor_id] = link
-    for field in ("form", "lemma", "xpos", "deprel", "number"):
-        for t in doc.tokens:
-            value = getattr(t, field)
-            if "\t" in value or "\n" in value or not value:
-                raise DialectViolationError(
-                    f"doc {doc.doc_id!r}: token {t.index} {field} {value!r} not representable"
-                )
+    # each distinct label is checked once, and only a failure looks for its token
+    if not all(map(_bracket_token_label_ok, set().union(*map(_token_labels, doc.tokens)))):
+        for field in _TOKEN_LABELS:
+            for t in doc.tokens:
+                if not _bracket_token_label_ok(getattr(t, field)):
+                    _refuse(doc, f"token {t.index} {field}", getattr(t, field))
     return by_anaphor
 
 
@@ -434,9 +436,7 @@ def emit_bracket(doc: Document) -> bytes:
             items.append(f"{m.id}){closing_suffixes(m)}")
         if any(m.spans[0][1] < tok.index for m in stack):
             bad = next(m for m in stack if m.spans[0][1] < tok.index)
-            raise DialectViolationError(
-                f"doc {doc.doc_id!r}: mention {bad.id!r} crosses another mention's span"
-            )
+            _refuse(doc, "mention", bad.id, "crosses another mention's span")
         annotation = ",".join(items) if items else _EMPTY_FIELD
         lines.append(
             f"{tok.index}\t{tok.form}\t{tok.lemma}\t{tok.xpos}\t{tok.number}\t"
@@ -525,6 +525,57 @@ def parse_standoff(data: bytes | str) -> list[Document]:
     return docs
 
 
+_READS_AS_ABSENT = "is not representable in the standoff dialect, which reads it as absent"
+# A label the standoff reader reads back as one field: it splits a record at
+# spaces and strips the trailing "\r" of a line.
+_standoff_label_ok = re.compile(r"[^ \t\n]*[^ \t\n\r]").fullmatch
+
+
+def emit_standoff(doc: Document) -> bytes:
+    """Serialize one document to standoff-dialect bytes, dropping infstat,
+    definiteness and unified entity types, and writing an absent genre,
+    chain id or subtype as "_". A label that would not read back as written
+    raises DialectViolationError naming the document and the field."""
+    if doc.genre == _EMPTY_FIELD:
+        _refuse(doc, "genre", doc.genre, _READS_AS_ABSENT)
+    lines = [f"DOC\t{doc.doc_id} {doc.genre or _EMPTY_FIELD}"]
+    lines += [f"TOK\t{t.index} {t.form} {t.lemma} {t.xpos} {t.number} {t.deprel} {t.head}"
+              for t in doc.tokens]
+    for m in doc.mentions:
+        if m.chain_id == _EMPTY_FIELD:
+            _refuse(doc, f"mention {m.id!r} chain id", m.chain_id, _READS_AS_ABSENT)
+        chain = m.chain_id if m.chain_id is not None else _EMPTY_FIELD
+        spans = ",".join([f"{s}-{e}" for s, e in m.spans])
+        lines.append(f"MEN\t{m.id} {spans} {m.entity_type_original} {chain}")
+    for link in doc.bridging:
+        if link.subtype == _EMPTY_FIELD:
+            _refuse(doc, f"link from {link.anaphor_id!r} subtype", link.subtype, _READS_AS_ABSENT)
+        for ante in link.antecedent_ids:
+            # the reader splits the antecedent list at "+"
+            if "+" in ante or not _standoff_label_ok(ante):
+                _refuse(doc, "antecedent", ante)
+        subtype = link.subtype if link.subtype is not None else _EMPTY_FIELD
+        lines.append(f"BRG\t{link.anaphor_id} {'+'.join(link.antecedent_ids)} {subtype}")
+    text = "\n".join(lines) + "\n"
+    # Text with no tab, newline or space but those between fields, no "\r"
+    # and no empty field reads back; only other text has its labels checked.
+    spaces = 1 + 6 * len(doc.tokens) + 3 * len(doc.mentions) + 2 * len(doc.bridging)
+    if (text.count("\t") != len(lines) or text.count("\n") != len(lines)
+            or text.count(" ") != spaces or "\r" in text
+            or "\t " in text or "  " in text or " \n" in text):
+        labels = [("doc_id", doc.doc_id), ("genre", doc.genre or _EMPTY_FIELD)]
+        labels += [(f"token {t.index} {field}", getattr(t, field))
+                   for t in doc.tokens for field in _TOKEN_LABELS]
+        for m in doc.mentions:
+            chain = m.chain_id if m.chain_id is not None else _EMPTY_FIELD
+            labels += (("mention id", m.id), ("entity type", m.entity_type_original), ("chain id", chain))
+        labels += [("subtype", link.subtype) for link in doc.bridging if link.subtype is not None]
+        for what, label in labels:
+            if not _standoff_label_ok(label):
+                _refuse(doc, what, label)
+    return text.encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # canonical JSONL
 
@@ -558,20 +609,27 @@ def parse_canonical(data: bytes | str) -> list[Document]:
 # ---------------------------------------------------------------------------
 # file helpers
 
-DIALECT_PARSERS = {
-    "bracket": parse_bracket,
-    "standoff": parse_standoff,
-    "canonical": parse_canonical,
-}
+class Dialect(NamedTuple):
+    """A corpus dialect: its file suffix, reader and per-document writer."""
 
-SUFFIX_DIALECTS = {".brk": "bracket", ".sff": "standoff", ".jsonl": "canonical"}
+    suffix: str
+    read: Callable[[bytes | str], list[Document]]
+    emit: Callable[[Document], bytes]
+
+
+DIALECTS = {
+    "bracket": Dialect(".brk", parse_bracket, emit_bracket),
+    "standoff": Dialect(".sff", parse_standoff, emit_standoff),
+    "canonical": Dialect(".jsonl", parse_canonical, lambda doc: emit_canonical((doc,))),
+}
 
 
 def guess_dialect(path: str | Path) -> str:
     suffix = Path(path).suffix
-    if suffix not in SUFFIX_DIALECTS:
-        raise ValidationError(f"cannot infer dialect from suffix {suffix!r} of {path}")
-    return SUFFIX_DIALECTS[suffix]
+    for name, dialect in DIALECTS.items():
+        if dialect.suffix == suffix:
+            return name
+    raise ValidationError(f"cannot infer dialect from suffix {suffix!r} of {path}")
 
 
 def read_documents(path: str | Path, dialect: str | None = None) -> list[Document]:
@@ -583,10 +641,10 @@ def read_documents(path: str | Path, dialect: str | None = None) -> list[Documen
     read raises OSError whatever its suffix."""
     data = Path(path).read_bytes()
     dialect = dialect or guess_dialect(path)
-    if dialect not in DIALECT_PARSERS:
+    if dialect not in DIALECTS:
         raise ValidationError(f"unknown dialect {dialect!r}")
     try:
-        return DIALECT_PARSERS[dialect](data)
+        return DIALECTS[dialect].read(data)
     except (ParseError, ValidationError) as exc:
         located = ParseError(f"{path}: {exc}")
         located.line = getattr(exc, "line", None)

@@ -18,17 +18,16 @@ which builds the `Document` and validates it, and every record is built by
 its maker (`records.record_maker`). Generation is linear in
 document length: a token's head is drawn by index, without a list of the
 other tokens, and an anaphor's antecedents are looked for only among the
-mentions that start within the distance limit before it.
+mentions that start within the distance limit before it. Every dialect
+writer is in `ingest`; `standoff_text` stays because the benchmark uses it.
 """
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from typing import NoReturn
 
-from .errors import DialectViolationError
 from .harmonize import ENTITY_MAPS, GUM_ENTITY_MAP
-from .ingest import find_head
+from .ingest import emit_standoff, find_head
 from .model import BridgingLink, Document, Mention, Token, UNRESOLVED, validate_document
 from .records import record_maker
 
@@ -318,45 +317,6 @@ def balanced_sampling_corpus(seed: int, n_docs: int = 10, links_per_doc: int = 5
     return docs
 
 
-# ---------------------------------------------------------------------------
-# standoff fixture writing
-
-
-def _reads_back_absent(doc: Document, field: str) -> NoReturn:
-    raise DialectViolationError(
-        f"doc {doc.doc_id!r}: {field} '_' is not representable in the standoff dialect,"
-        " which reads it as absent"
-    )
-
-
 def standoff_text(docs: list[Document]) -> str:
-    """Render documents as standoff-dialect text (for building fixtures).
-
-    Token fields are space-separated in the payload, so forms and lemmas
-    must not contain spaces; infstat and definiteness are not representable
-    in this dialect and are dropped. An empty genre, or a chain id or
-    subtype of None, is written as "_", which the reader takes for absent;
-    so a genre, chain id or subtype that is "_" itself raises
-    DialectViolationError naming its document and field.
-    """
-    lines = []
-    for doc in docs:
-        if doc.genre == "_":
-            _reads_back_absent(doc, "genre")
-        genre = doc.genre if doc.genre else "_"
-        lines.append(f"DOC\t{doc.doc_id} {genre}")
-        for t in doc.tokens:
-            lines.append(f"TOK\t{t.index} {t.form} {t.lemma} {t.xpos} {t.number} {t.deprel} {t.head}")
-        for m in doc.mentions:
-            if m.chain_id == "_":
-                _reads_back_absent(doc, f"mention {m.id!r} chain id")
-            spans = ",".join(f"{s}-{e}" for s, e in m.spans)
-            chain = m.chain_id if m.chain_id is not None else "_"
-            lines.append(f"MEN\t{m.id} {spans} {m.entity_type_original} {chain}")
-        for link in doc.bridging:
-            if link.subtype == "_":
-                _reads_back_absent(doc, f"link from {link.anaphor_id!r} subtype")
-            antes = "+".join(link.antecedent_ids)
-            subtype = link.subtype if link.subtype is not None else "_"
-            lines.append(f"BRG\t{link.anaphor_id} {antes} {subtype}")
-    return "".join(line + "\n" for line in lines)
+    """Documents as standoff-dialect text: `ingest.emit_standoff` of each."""
+    return b"".join(map(emit_standoff, docs)).decode("utf-8")

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import types
+import warnings
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -38,8 +39,8 @@ from bridgekit.cli import (
 from bridgekit.errors import ConfigError
 from bridgekit.gbdt import DEFAULT_LEMMA_TOP_K, HyperParams
 from bridgekit.harmonize import harmonize_corpus
-from bridgekit.ingest import emit_bracket, emit_canonical, parse_canonical, read_documents
-from bridgekit.synth import planted_rule_corpus, standoff_text
+from bridgekit.ingest import DIALECTS, emit_bracket, emit_canonical, parse_canonical, read_documents
+from bridgekit.synth import planted_rule_corpus
 
 ARRAU_POOL = ("person", "concrete", "space", "abstract", "plan")
 
@@ -56,8 +57,8 @@ def base_config(tmp: Path) -> dict:
     b = planted_rule_corpus(
         200, n_docs=8, label_pool=ARRAU_POOL, schema="arrau_like", surface_definiteness=True
     )
-    (tmp / "b_train.sff").write_text(standoff_text(b[:6]))
-    (tmp / "b_test.sff").write_text(standoff_text(b[6:]))
+    write_dialect(tmp / "b_train", "standoff", b[:6])
+    write_dialect(tmp / "b_test", "standoff", b[6:])
     return {
         "seed": 13,
         "output_dir": str(tmp / "runs"),
@@ -172,12 +173,9 @@ class TestConvert:
     def test_each_document_is_validated_once(self, tmp_path, monkeypatch, command, dialect):
         if dialect == "bracket":
             docs = planted_rule_corpus(1, n_docs=3, single_link_per_anaphor=True)
-            path = tmp_path / "in.brk"
-            write_bracket(path, docs)
         else:
             docs = planted_rule_corpus(1, n_docs=3, label_pool=ARRAU_POOL, schema="arrau_like")
-            path = tmp_path / "in.sff"
-            path.write_text(standoff_text(docs))
+        path = write_dialect(tmp_path / "in", dialect, docs)
         checked = []
         validate = bridgekit.ingest.validate_document
 
@@ -219,7 +217,7 @@ class TestConvert:
     def test_explicit_dialect_overrides_suffix(self, tmp_path):
         docs = planted_rule_corpus(1, n_docs=1, label_pool=ARRAU_POOL, schema="arrau_like")
         data = tmp_path / "corpus.data"
-        data.write_text(standoff_text(docs))
+        data.write_bytes(b"".join(map(DIALECTS["standoff"].emit, docs)))
         out = tmp_path / "out.jsonl"
         code = main(["convert", "--in", str(data), "--dialect", "standoff", "--out", str(out)])
         assert code == EXIT_OK
@@ -291,13 +289,8 @@ class TestHarmonize:
 
 def write_dialect(path_stem: Path, dialect: str, docs) -> Path:
     """`docs` in `dialect`, at `path_stem` with that dialect's suffix."""
-    suffix, write = {
-        "bracket": (".brk", lambda p: write_bracket(p, docs)),
-        "standoff": (".sff", lambda p: p.write_text(standoff_text(docs))),
-        "canonical": (".jsonl", lambda p: p.write_bytes(emit_canonical(docs))),
-    }[dialect]
-    path = path_stem.with_suffix(suffix)
-    write(path)
+    path = path_stem.with_suffix(DIALECTS[dialect].suffix)
+    path.write_bytes(b"".join(map(DIALECTS[dialect].emit, docs)))
     return path
 
 
@@ -606,6 +599,18 @@ class TestPairsTrainEvalChain:
         assert code == EXIT_CONFIG
         assert "cannot both be 0" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
+
+    def test_train_whose_margins_leave_the_finite_numbers_exits_3(self, chain, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", "--pairs", str(chain["pairs"]), "--seed", "1",
+                         "--n-rounds", "3", "--learning-rate", "1e308", "--out", str(out)])
+        assert code == EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert err.startswith("error: boosting round 1 of 3 left a margin that is not finite")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_model_that_is_not_json_exits_2(self, chain, tmp_path, capsys):
         bad = tmp_path / "model.json"
@@ -1585,7 +1590,7 @@ class TestCollectorPause:
             4, n_docs=6, label_pool=ARRAU_POOL, schema="arrau_like", surface_definiteness=True
         )
         write_bracket(tmp_path / "c.brk", gum)
-        (tmp_path / "c.sff").write_text(standoff_text(arrau))
+        write_dialect(tmp_path / "c", "standoff", arrau)
         (tmp_path / "c.jsonl").write_bytes(emit_canonical(gum))
         gc.collect()
         # nothing is collected until the end, and what that collection finds

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -348,6 +349,18 @@ class TestTraining:
                                  l2_leaf_penalty=0.0, min_child_hessian=0.1)
         with pytest.raises(DegenerateTrainingError, match="hessian sum is 0"):
             train(X, y, saturating)
+
+    def test_a_round_whose_margins_leave_the_finite_numbers_is_a_typed_error(self):
+        # 50 rows to a leaf give weights of magnitude 25 / 13.5, so the first
+        # round's step overflows; no numpy warning is issued on the way
+        X = np.repeat([0.0, 1.0], 50)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateTrainingError, match=(
+                r"^boosting round 1 of 3 left a margin that is not finite \(overflow "
+            )):
+                train(X, X[:, 0], HyperParams(n_rounds=3, learning_rate=1e308))
+        assert train(X, X[:, 0], HyperParams(n_rounds=3, learning_rate=1e10)).training_loss
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_a_value_that_is_not_finite_is_rejected(self, value):

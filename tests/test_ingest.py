@@ -8,22 +8,24 @@ import hashlib
 import inspect
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import bridgekit.records
 from bridgekit.errors import BridgekitError, DialectViolationError, ParseError, ValidationError
 from bridgekit.gbdt import HyperParams, encode, model_from_dict, model_to_dict, train
 from bridgekit.harmonize import harmonize_corpus
 from bridgekit.ingest import (
-    DIALECT_PARSERS,
+    DIALECTS,
     document_from_dict,
     emit_bracket,
     emit_canonical,
+    emit_standoff,
     find_head,
     guess_dialect,
     parse_bracket,
@@ -31,14 +33,14 @@ from bridgekit.ingest import (
     parse_standoff,
     read_documents,
 )
-from bridgekit.model import BridgingLink, Document, Mention, Token, validate_document
+from bridgekit.model import UNRESOLVED, BridgingLink, Document, Mention, Token, validate_document
 from bridgekit.pairgen import (
     PairDataset,
     build_balanced_dataset,
     dataset_from_jsonl,
     dataset_to_jsonl,
 )
-from bridgekit.synth import planted_rule_corpus, random_corpus, standoff_text
+from bridgekit.synth import planted_rule_corpus, random_corpus, random_document
 
 BRACKET_DOC = """\
 # doc_id = demo
@@ -321,6 +323,15 @@ class TestBracketEmission:
         with pytest.raises(DialectViolationError, match="reserved characters"):
             emit_bracket(bad)
 
+    def test_an_antecedent_id_with_a_plus_is_refused(self):
+        # the reader refuses "a+b" as two antecedents, so the writer does
+        doc = planted_rule_corpus(5, n_docs=1, single_link_per_anaphor=True)[0]
+        link = doc.bridging[0]
+        bad = _renamed_mention(doc, link.antecedent_ids[0], "a+b")
+        message = "doc 'plant_1': antecedent 'a+b' uses reserved characters"
+        with pytest.raises(DialectViolationError, match=re.escape(message)):
+            emit_bracket(bad)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
     def test_random_documents_round_trip_byte_stably(self, seed):
@@ -465,7 +476,170 @@ class TestStandoffParsing:
     @given(st.integers(min_value=0, max_value=10**6))
     def test_fixture_emitter_round_trips(self, seed):
         docs = random_corpus(seed, n_docs=2, flavor="arrau_like")
-        assert parse_standoff(standoff_text(docs)) == docs
+        assert parse_standoff(b"".join(map(emit_standoff, docs))) == docs
+
+
+def _renamed_mention(doc: Document, old: str, new: str) -> Document:
+    """`doc` with mention `old` renamed `new`, in its links too."""
+    name = lambda i: new if i == old else i
+    return dataclasses.replace(
+        doc,
+        mentions=tuple(dataclasses.replace(m, id=name(m.id)) for m in doc.mentions),
+        bridging=tuple(dataclasses.replace(link, anaphor_id=name(link.anaphor_id),
+                                           antecedent_ids=tuple(map(name, link.antecedent_ids)))
+                       for link in doc.bridging),
+    )
+
+
+def _with_token(doc: Document, **fields) -> Document:
+    return dataclasses.replace(doc, tokens=(dataclasses.replace(doc.tokens[0], **fields),)
+                               + doc.tokens[1:])
+
+
+def _with_mention(doc: Document, **fields) -> Document:
+    return dataclasses.replace(doc, mentions=(dataclasses.replace(doc.mentions[0], **fields),)
+                               + doc.mentions[1:])
+
+
+def _with_link(doc: Document, **fields) -> Document:
+    return dataclasses.replace(doc, bridging=(dataclasses.replace(doc.bridging[0], **fields),)
+                               + doc.bridging[1:])
+
+
+class TestStandoffEmission:
+    @pytest.mark.parametrize(
+        ("edit", "field"),
+        [
+            (lambda doc: dataclasses.replace(doc, genre="_"), "genre"),
+            (lambda doc: _with_mention(doc, chain_id="_"), "mention 'm1' chain id"),
+            (lambda doc: _with_link(doc, subtype="_"), "link from"),
+        ],
+    )
+    def test_a_value_the_reader_takes_for_absent_is_refused(self, edit, field):
+        # the standoff reader reads "_" as an absent genre, chain id or subtype
+        doc = edit(planted_rule_corpus(5, n_docs=1)[0])
+        message = f"doc 'plant_1': {field}.* '_' is not representable"
+        with pytest.raises(DialectViolationError, match=message):
+            emit_standoff(doc)
+
+    @pytest.mark.parametrize(
+        ("edit", "message"),
+        [
+            (lambda doc: _with_token(doc, form="New York"), "token 1 form 'New York'"),
+            (lambda doc: _with_token(doc, lemma="a\tb"), "token 1 lemma 'a\\tb'"),
+            (lambda doc: _with_token(doc, deprel=""), "token 1 deprel ''"),
+            (lambda doc: dataclasses.replace(doc, genre="news wire"), "genre 'news wire'"),
+            (lambda doc: dataclasses.replace(doc, genre="synth\r"), "genre 'synth\\r'"),
+            (lambda doc: _renamed_mention(doc, "m1", "m 1"), "mention id 'm 1'"),
+            (lambda doc: _with_mention(doc, entity_type_original="a\nb"), "entity type 'a\\nb'"),
+            (lambda doc: _with_mention(doc, chain_id=""), "chain id ''"),
+            (lambda doc: _with_mention(doc, chain_id="c\r"), "chain id 'c\\r'"),
+            (lambda doc: _with_link(doc, subtype="sub type"), "subtype 'sub type'"),
+        ],
+    )
+    def test_a_label_the_reader_would_not_read_back_is_refused(self, edit, message):
+        doc = edit(planted_rule_corpus(5, n_docs=1)[0])
+        with pytest.raises(DialectViolationError,
+                           match=re.escape(f"doc 'plant_1': {message} not representable")):
+            emit_standoff(doc)
+
+    @pytest.mark.parametrize("doc_id", ["plant 1", "", "p\n1", "p\r"])
+    def test_a_doc_id_the_reader_would_not_read_back_is_refused(self, doc_id):
+        doc = dataclasses.replace(planted_rule_corpus(5, n_docs=1)[0], doc_id=doc_id)
+        with pytest.raises(DialectViolationError,
+                           match=re.escape(f"doc {doc_id!r}: doc_id {doc_id!r} not representable")):
+            emit_standoff(doc)
+
+    def test_an_antecedent_id_with_a_plus_is_refused(self):
+        # the reader would take "m+1" for the two antecedents m and 1
+        doc = planted_rule_corpus(5, n_docs=1)[0]
+        ante = doc.bridging[0].antecedent_ids[0]
+        with pytest.raises(DialectViolationError, match="antecedent 'm\\+1' not representable"):
+            emit_standoff(_renamed_mention(doc, ante, "m+1"))
+        # the id of a mention that is no antecedent may hold a "+"
+        free = next(m.id for m in doc.mentions
+                    if all(m.id not in link.antecedent_ids for link in doc.bridging))
+        assert "x+y" in parse_standoff(emit_standoff(_renamed_mention(doc, free, "x+y")))[0].mention_by_id
+
+    def test_an_empty_antecedent_id_is_refused(self):
+        # the document is not validated, and the reader would drop the
+        # empty id from "m1+" without a word
+        doc = planted_rule_corpus(5, n_docs=1)[0]
+        link = doc.bridging[0]
+        doc = _with_link(doc, antecedent_ids=link.antecedent_ids + ("",))
+        with pytest.raises(DialectViolationError, match="antecedent '' not representable"):
+            emit_standoff(doc)
+
+
+# Characters that split a field of some dialect, or that one reads as absent
+# or as a list: the round trip swaps labels for text drawn from them.
+_AWKWARD = st.text(alphabet="ab_+ \t\n\r();,<=-", max_size=3)
+
+
+def _swapped(doc: Document, swap: dict[str, str], resolve: bool) -> Document:
+    """`doc` with each label in `swap` replaced, and with every mention's
+    entity type unified as "person" when `resolve`."""
+    s = lambda label: swap.get(label, label)
+    optional = lambda label: None if label is None else s(label)
+    return dataclasses.replace(
+        doc,
+        doc_id=s(doc.doc_id),
+        genre=s(doc.genre),
+        tokens=tuple(dataclasses.replace(t, form=s(t.form), lemma=s(t.lemma), xpos=s(t.xpos),
+                                         deprel=s(t.deprel)) for t in doc.tokens),
+        mentions=tuple(dataclasses.replace(
+            m, id=s(m.id), entity_type_original=s(m.entity_type_original),
+            entity_type_unified="person" if resolve else m.entity_type_unified,
+            chain_id=optional(m.chain_id)) for m in doc.mentions),
+        bridging=tuple(dataclasses.replace(
+            link, anaphor_id=s(link.anaphor_id), antecedent_ids=tuple(map(s, link.antecedent_ids)),
+            subtype=optional(link.subtype)) for link in doc.bridging),
+    )
+
+
+def _in_id_order(doc: Document) -> Document:
+    return dataclasses.replace(doc, mentions=tuple(sorted(doc.mentions, key=lambda m: m.id)),
+                               bridging=tuple(sorted(doc.bridging, key=lambda l: l.anaphor_id)))
+
+
+# What each dialect's reader gives back for a document its writer accepted:
+# standoff drops infstat, definiteness and unified types; bracket writes the
+# entity type, unified when resolved, and lists mentions as their brackets
+# open and links as their mentions close.
+READS_BACK = {
+    "bracket": lambda doc: _in_id_order(dataclasses.replace(doc, schema="gum_like", mentions=tuple(
+        dataclasses.replace(m, entity_type_original=m.entity_type, entity_type_unified=UNRESOLVED)
+        for m in doc.mentions))),
+    "standoff": lambda doc: dataclasses.replace(doc, schema="arrau_like", mentions=tuple(
+        dataclasses.replace(m, entity_type_unified=UNRESOLVED, infstat="none", definiteness="none")
+        for m in doc.mentions)),
+    "canonical": lambda doc: doc,
+}
+
+
+class TestDialectRoundTrip:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(flavor=st.sampled_from(["canonical", "gum_like", "arrau_like"]),
+           seed=st.integers(0, 10**6), data=st.data())
+    def test_each_writer_refuses_or_its_reader_gives_the_document_back(self, flavor, seed, data):
+        doc = random_document(random.Random(seed), 1, flavor)
+        labels = sorted({doc.doc_id, doc.genre}
+                        | {label for t in doc.tokens for label in (t.form, t.xpos, t.deprel)}
+                        | {label for m in doc.mentions
+                           for label in (m.id, m.entity_type_original, m.chain_id) if label}
+                        | {link.subtype for link in doc.bridging if link.subtype})
+        swap = data.draw(st.dictionaries(st.sampled_from(labels), _AWKWARD, max_size=3))
+        doc = _swapped(doc, swap, data.draw(st.booleans()))
+        assume(len({m.id for m in doc.mentions}) == len(doc.mentions))
+        for name, dialect in DIALECTS.items():
+            try:
+                text = dialect.emit(doc)
+            except DialectViolationError:
+                continue
+            read_back = dialect.read(text)
+            if name == "bracket":
+                read_back = [_in_id_order(d) for d in read_back]
+            assert read_back == [READS_BACK[name](doc)], name
 
 
 # sha256 of emit_canonical(random_corpus(3, 40, flavor)); between them the
@@ -865,6 +1039,9 @@ class TestReaderMessages:
 # sha256 of emit_canonical(planted_rule_corpus(1, n_docs=4,
 # single_link_per_anaphor=True)), which the bracket dialect carries whole
 PLANTED_BRACKET_SHA256 = "8d8d3d589036f4a812cb7b99f171a8d8d5763f3f6b7c4ff8871359107ffd8763"
+# sha256 of the standoff bytes of random_corpus(3, 40, "arrau_like"), as
+# written before the writer moved from synth to ingest
+STANDOFF_SHA256 = "80505fae3186b6e30cdfd785b8702653b351982a725c6cad2155d2758c8c386e"
 
 
 def _labels(docs: list[Document]) -> dict[str, list[str]]:
@@ -886,7 +1063,9 @@ class TestInternedLabels:
     def test_equal_labels_are_one_object_and_the_bytes_are_kept(self, dialect):
         if dialect == "standoff":
             source = random_corpus(3, 40, flavor="arrau_like")
-            docs, golden = parse_standoff(standoff_text(source)), CANONICAL_SHA256["arrau_like"]
+            data = b"".join(map(emit_standoff, source))
+            assert hashlib.sha256(data).hexdigest() == STANDOFF_SHA256
+            docs, golden = parse_standoff(data), CANONICAL_SHA256["arrau_like"]
         else:
             source = planted_rule_corpus(1, n_docs=4, single_link_per_anaphor=True)
             docs = parse_bracket(b"".join(emit_bracket(doc) for doc in source))
@@ -1000,7 +1179,7 @@ class TestFileHelpers:
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(dialect=st.sampled_from(sorted(DIALECT_PARSERS)), data=st.data())
+    @given(dialect=st.sampled_from(sorted(DIALECTS)), data=st.data())
     def test_any_bytes_yield_documents_or_a_typed_input_error(self, tmp_path, dialect, data):
         valid = VALID_INPUT[dialect]
         edits = st.lists(
@@ -1018,14 +1197,10 @@ class TestFileHelpers:
             return
         assert all(isinstance(doc, Document) for doc in docs)
 
-    @pytest.mark.parametrize("dialect", sorted(DIALECT_PARSERS))
+    @pytest.mark.parametrize("dialect", sorted(DIALECTS))
     def test_crlf_line_ends_parse_as_lf(self, tmp_path, dialect):
         docs = planted_rule_corpus(5, n_docs=3, single_link_per_anaphor=True)
-        text = {
-            "bracket": b"".join(map(emit_bracket, docs)),
-            "standoff": standoff_text(docs).encode("utf-8"),
-            "canonical": emit_canonical(docs),
-        }[dialect]
+        text = b"".join(map(DIALECTS[dialect].emit, docs))
         lf, crlf = tmp_path / "lf", tmp_path / "crlf"
         lf.write_bytes(text)
         crlf.write_bytes(text.replace(b"\n", b"\r\n"))

@@ -15,9 +15,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bridgekit.errors import DialectViolationError
 from bridgekit.harmonize import ENTITY_MAPS, harmonize_corpus
-from bridgekit.ingest import emit_canonical
+from bridgekit.ingest import emit_canonical, emit_standoff, parse_standoff
 from bridgekit.model import BridgingLink, Token, mention_start, validate_document
 from bridgekit.pairgen import derive_definiteness, is_pronoun
 from bridgekit.synth import (
@@ -30,7 +29,6 @@ from bridgekit.synth import (
     balanced_sampling_corpus,
     planted_rule_corpus,
     random_corpus,
-    standoff_text,
 )
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "make_synthetic_corpus.py"
@@ -254,36 +252,15 @@ class TestPlantedRuleCorpus:
         assert found_def
 
     def test_surface_definiteness_survives_the_standoff_dialect(self):
-        from bridgekit.ingest import parse_standoff
-
         docs = planted_rule_corpus(
             3, n_docs=2, surface_definiteness=True,
             label_pool=("person", "concrete", "space"), schema="arrau_like",
         )
-        reread = parse_standoff(standoff_text(docs))
+        reread = parse_standoff(b"".join(map(emit_standoff, docs)))
         for original, parsed in zip(docs, reread):
             assert all(m.definiteness == "none" for m in parsed.mentions)
             for m_orig, m_new in zip(original.mentions, parsed.mentions):
                 assert derive_definiteness(parsed, m_new) == m_orig.definiteness
-
-
-class TestStandoffText:
-    @pytest.mark.parametrize(
-        ("edit", "field"),
-        [
-            (lambda doc: replace(doc, genre="_"), "genre"),
-            (lambda doc: replace(doc, mentions=(replace(doc.mentions[0], chain_id="_"),)
-                                 + doc.mentions[1:]), "mention 'm1' chain id"),
-            (lambda doc: replace(doc, bridging=(replace(doc.bridging[0], subtype="_"),)
-                                 + doc.bridging[1:]), "link from"),
-        ],
-    )
-    def test_a_value_the_reader_takes_for_absent_is_refused(self, edit, field):
-        # the standoff reader reads "_" as an absent genre, chain id or subtype
-        doc = edit(planted_rule_corpus(5, n_docs=1)[0])
-        message = f"doc 'plant_1': {field}.* '_' is not representable"
-        with pytest.raises(DialectViolationError, match=message):
-            standoff_text([doc])
 
 
 class TestBalancedSamplingCorpus:
@@ -362,6 +339,23 @@ class TestMakeSyntheticCorpusScript:
         err = capsys.readouterr().err.splitlines()
         assert [line for line in err if "error:" in line] == err[-1:]
         assert ": error: --dialect bracket: doc " in err[-1]
+        assert not out.exists() and not out.parent.exists()
+
+    def test_a_corpus_the_standoff_dialect_cannot_carry_is_a_usage_error(self, script, tmp_path,
+                                                                         capsys, monkeypatch):
+        doc = random_corpus(42, 1)[0]
+        spaced = replace(doc, tokens=(replace(doc.tokens[0], form="New York"),) + doc.tokens[1:])
+        monkeypatch.setattr(script, "build", lambda args: [spaced])
+        out = tmp_path / "sub" / "c.sff"
+        with pytest.raises(SystemExit) as exc:
+            script.main(["--kind", "random", "--dialect", "standoff", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "error:" in line] == err[-1:]
+        assert err[-1].endswith(
+            ": error: --dialect standoff: doc 'rand_canonical_1': token 1 form 'New York' "
+            "not representable"
+        )
         assert not out.exists() and not out.parent.exists()
 
     def test_one_document_is_written(self, script, tmp_path):
