@@ -19,7 +19,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from ..errors import ConfigError, DegenerateTrainingError, SchemaMismatchError, ValidationError
+from ..errors import (
+    ConfigError, DegenerateTrainingError, EmptyDatasetError, SchemaMismatchError, ValidationError,
+)
 from ..records import check_settings, json_value, read_text, record_reader, setting, write_file
 from . import lazy_numpy
 from .encoding import EncoderSchema, FeatureBlock
@@ -109,135 +111,210 @@ def _quantize(x: np.ndarray) -> np.ndarray:
     return np.round(x / _GRID) * _GRID
 
 
+# A column other than 0/1 with at most this many cuts is coded like the
+# 0/1 columns, by an indicator column per cut, and its left sums come from
+# the node's matrix product; a wider one keeps a histogram of its ranks. On
+# nodes of 600 to 1,100 rows the product cost about the histogram up to 32
+# cuts and 2 to 4.5 times as much from 128; on nodes of 150 rows or fewer it
+# cost a quarter to two thirds of it.
+_NARROW_CUTS = 32
+
+
 class _Columns(NamedTuple):
     """A training matrix coded once for the split search, with every cut
     of every column listed in (column, value) order.
 
-    A column whose values are all 0 or 1 has one cut, after 0; its mask of
-    zeros is all the search reads of it. Every other column is coded by the
-    rank of each of its values among the column's distinct values, and has
-    a cut after each distinct value but the last. A cut sends left the rows
-    whose value is at most the cut's value. `train` has checked that X is
-    finite: a NaN would be the last distinct value of its column, and the
-    cut before it would have no threshold.
+    A column whose values are all 0 or 1 has one cut, after 0. Every other
+    column has a cut after each of its distinct values but the last. A cut
+    sends left the rows whose value is at most the cut's value. The cuts of
+    the 0/1 columns and of the columns of at most `_NARROW_CUTS` cuts are
+    the columns of `left`, 1.0 on each row the cut sends left, in cut
+    order. A wider column is coded by the rank of each of its values among
+    the column's distinct values. `train` has checked that X is finite: a
+    NaN would be the last distinct value of its column, and the cut before
+    it would have no threshold.
     """
 
     X: np.ndarray
-    zero: np.ndarray  # X == 0 on the 0/1 columns, as 1.0 and 0.0
-    codes: np.ndarray  # the ranks, one row for each other column
-    n_values: list[int]  # the number of distinct values of each other column
+    binary: np.ndarray  # whether each column of X is 0/1
+    left: np.ndarray  # one C-ordered column for each cut of the narrow columns
+    codes: np.ndarray  # the ranks, one row for each wide column
+    n_values: list[int]  # the number of distinct values of each wide column
     column: np.ndarray  # each cut's column
     value: np.ndarray  # each cut's value
-    order: np.ndarray  # each cut's place among the 0/1 cuts followed by the other cuts
+    # each cut's place among the narrow cuts followed by the wide cuts, or
+    # None when there is no wide column
+    order: np.ndarray | None
 
     @classmethod
     def of(cls, X: np.ndarray) -> "_Columns":
-        is_binary = np.all((X == 0) | (X == 1), axis=0)
-        binary, other = np.flatnonzero(is_binary), np.flatnonzero(~is_binary)
-        codes = np.empty((len(other), X.shape[0]), dtype=np.intp)
-        values = []
-        for i, j in enumerate(other):
-            distinct, codes[i] = np.unique(X[:, j], return_inverse=True)
-            values.append(distinct)
-        column = np.concatenate([binary, *(np.full(len(v) - 1, j) for j, v in zip(other, values))])
-        value = np.concatenate([np.zeros(len(binary)), *(v[:-1] for v in values)])
-        order = np.argsort(column, kind="stable")
-        return cls(X, (X[:, binary] == 0).astype(np.float64), codes, [len(v) for v in values],
-                   column[order], value[order], order)
+        binary = np.all((X == 0) | (X == 1), axis=0)
+        n_cuts = binary.astype(np.intp)
+        narrow, wide, codes, n_values = {}, [], [], []
+        for j in np.flatnonzero(~binary):
+            distinct, ranks = np.unique(X[:, j], return_inverse=True)
+            if len(distinct) - 1 <= _NARROW_CUTS:
+                n_cuts[j] = len(distinct) - 1
+                narrow[j] = distinct[:-1]
+            else:
+                wide.append((j, distinct[:-1]))
+                codes.append(ranks)
+                n_values.append(len(distinct))
+        column = np.repeat(np.arange(X.shape[1]), n_cuts)
+        value = np.zeros(len(column))
+        for j, values in narrow.items():
+            value[column == j] = values
+        left = (X.take(column, axis=1) <= value).astype(np.float64)
+        order = None
+        if wide:
+            column = np.concatenate([column, *(np.full(len(v), j) for j, v in wide)])
+            value = np.concatenate([value, *(v for _, v in wide)])
+            order = np.argsort(column, kind="stable")
+            column, value = column[order], value[order]
+        return cls(X, binary, left, np.array(codes, dtype=np.intp).reshape(len(codes), len(X)),
+                   n_values, column, value, order)
+
+
+def _cut_sums(
+    cols: _Columns, rows: np.ndarray, g: np.ndarray, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The left sums H_L and G_L of every cut over the node of the rows
+    `rows`, whose gradients and hessians are `g` and `h`, in cut order.
+
+    The narrow cuts take two matrix products with the node's rows of
+    `left`, each wide column the cumulative sums of a histogram of the
+    node's ranks. `g` and `h` are multiples of `_GRID`, so every sum is
+    exact: it does not depend on the order of its terms, and a child's sums
+    are its parent's less its sibling's to the bit.
+    """
+    # `rows` is increasing, so a node of every row is the root: read its
+    # coded matrix in place
+    if len(rows) == cols.X.shape[0]:
+        left, codes = cols.left, cols.codes
+    else:
+        left, codes = cols.left[rows], cols.codes[:, rows]
+    H_L, G_L = h @ left, g @ left
+    if cols.order is None:
+        return H_L, G_L
+
+    def with_wide(narrow: np.ndarray, w: np.ndarray) -> np.ndarray:
+        wide = (np.cumsum(np.bincount(c, weights=w, minlength=n))[:-1]
+                for c, n in zip(codes, cols.n_values))
+        return np.concatenate([narrow, *wide])[cols.order]
+
+    return with_wide(H_L, h), with_wide(G_L, g)
 
 
 def _find_best_split(
-    cols: _Columns, rows: np.ndarray, g: np.ndarray, h: np.ndarray, hp: HyperParams
-) -> tuple[int, float, float] | None:
+    cols: _Columns, rows: np.ndarray, G: float, H: float, H_L: np.ndarray, G_L: np.ndarray,
+    hp: HyperParams,
+) -> tuple[int, float, float, int | None] | None:
     """Exact greedy search over the node of the rows `rows`, whose
-    gradients and hessians are `g` and `h`; returns (column, threshold,
-    gain) or None.
+    gradient and hessian sums are G and H and whose cuts' left sums are
+    `H_L` and `G_L` (see `_cut_sums`); returns (column, threshold, gain,
+    cut) or None.
 
-    Every cut of the matrix is scored at once. Its left sums come from one
-    matrix product with the node's mask of zeros for the 0/1 columns, and
-    from the cumulative sums of a histogram of the node's ranks for each
-    other column. `g` and `h` are multiples of `_GRID`, so every sum of
-    them is exact, and two cuts that leave the same rows on each side have
-    the same gain to the bit. The first of those in cut order lies after a
-    value of the node's own, and a cut with an empty side scores exactly
-    -gamma, so the first best cut is the lowest column, then the lowest
-    threshold, among the cuts between adjacent distinct values of the node.
-    The threshold is the midpoint of those two values. No gain is NaN,
-    because `HyperParams` rules out a zero `l2_leaf_penalty` together with
-    a zero `min_child_hessian`, and `_build_tree` a node with
-    `H + lambda == 0`.
+    Every cut of the matrix is scored at once. Every sum is exact, so two
+    cuts that leave the same rows on each side have the same gain to the
+    bit. The first of those in cut order lies after a value of the node's
+    own, and a cut with an empty side scores exactly -gamma, so the first
+    best cut is the lowest column, then the lowest threshold, among the
+    cuts between adjacent distinct values of the node. The threshold is the
+    midpoint of those two values, 0.5 on a 0/1 column. `cut` is the best
+    cut's index, or None when the threshold does not part the node's rows
+    as the cut does: the midpoint of two adjacent floats can round to the
+    lower, and that of two huge ones overflow. No gain is NaN, because
+    `HyperParams` rules out a zero `l2_leaf_penalty` together with a zero
+    `min_child_hessian`, and `_build_tree` a node with `H + lambda == 0`.
     """
     lam, min_h = hp.l2_leaf_penalty, hp.min_child_hessian
-    G, H = g.sum(), h.sum()
     parent = G * G / (H + lam)
-    # `rows` is increasing, so a node of every row is the root: read its
-    # coded matrix in place. The F-ordered `zero` takes another BLAS routine
-    # than a gathered C-ordered copy, with the same bits: every sum is exact.
-    if len(rows) == cols.X.shape[0]:
-        zero, codes = cols.zero, cols.codes
-    else:
-        zero, codes = cols.zero[rows], cols.codes[:, rows]
-
-    def left_sums(w: np.ndarray) -> np.ndarray:
-        other = (np.cumsum(np.bincount(c, weights=w, minlength=n))[:-1]
-                 for c, n in zip(codes, cols.n_values))
-        return np.concatenate([w @ zero, *other])[cols.order]
-
-    H_L = left_sums(h)
     H_R = H - H_L
-    valid = np.flatnonzero((H_L >= min_h) & (H_R >= min_h))
+    (valid,) = ((H_L >= min_h) & (H_R >= min_h)).nonzero()
     if not len(valid):
         return None
-    G_L = left_sums(g)[valid]
+    G_L = G_L[valid]
     G_R = G - G_L
     gains = (
         0.5 * (G_L**2 / (H_L[valid] + lam) + G_R**2 / (H_R[valid] + lam) - parent)
         - hp.split_gain_threshold
     )
-    best = int(np.argmax(gains))
+    best = int(gains.argmax())
     if gains[best] <= 0.0:
         return None
-    cut = valid[best]
+    cut = int(valid[best])
     col, value = int(cols.column[cut]), cols.value[cut]
+    if cols.binary[col]:
+        return col, 0.5, float(gains[best]), cut
     x = cols.X[rows, col]
-    return col, float((value + x[x > value].min()) / 2.0), float(gains[best])
+    above = x[x > value].min()
+    threshold = float((value + above) / 2.0)
+    return col, threshold, float(gains[best]), cut if value < threshold <= above else None
 
 
 def _build_tree(
-    cols: _Columns, g: np.ndarray, h: np.ndarray, indices: np.ndarray,
-    depth: int, hp: HyperParams, values: np.ndarray,
+    cols: _Columns, g: np.ndarray, h: np.ndarray, rows: np.ndarray, depth: int,
+    hp: HyperParams, values: np.ndarray, G: float, H: float,
+    sums: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Node:
-    """Grow a tree over the rows `indices`, and write each leaf's weight to
-    `values` at the leaf's rows."""
-    lam, min_h = hp.l2_leaf_penalty, hp.min_child_hessian
-    g_node, h_node = g[indices], h[indices]
-    G = float(g_node.sum())
-    H = float(h_node.sum())
+    """Grow a tree over the rows `rows`, whose gradient and hessian sums
+    are G and H, and write each leaf's weight to `values` at the leaf's
+    rows. `sums` are the node's cut sums (see `_cut_sums`) when its parent
+    has them; otherwise a searched node takes them itself.
+
+    A split hands each child its G and H from the chosen cut's sums, and,
+    when both children may be searched, the smaller child's cut sums, and
+    the larger child its parent's less the smaller's: one matrix product on
+    the smaller child's rows in place of one on each child's.
+    """
+    lam = hp.l2_leaf_penalty
     if H + lam == 0.0:
         # Only a root with lambda == 0 whose every hessian underflowed.
         raise DegenerateTrainingError(
             "node hessian sum is 0 with l2_leaf_penalty 0; the model has saturated"
         )
     found = None
-    # A node this light has no cut that gives both children min_h, so it is
-    # a leaf without a search. The search takes H_R = H - H_L with this same
-    # H, and rounding is monotone: a cut with H_L >= min_h has
-    # fl(H - H_L) <= fl(H - min_h) < min_h, and fails the floor there too.
-    if depth < hp.max_depth and len(indices) >= 2 and H - min_h >= min_h:
-        found = _find_best_split(cols, indices, g_node, h_node, hp)
+    if _searched(depth, rows, H, hp):
+        if sums is None:
+            sums = _cut_sums(cols, rows, g[rows], h[rows])
+        found = _find_best_split(cols, rows, G, H, *sums, hp)
     if found is None:
         leaf = Leaf(-G / (H + lam))
-        values[indices] = leaf.weight
+        values[rows] = leaf.weight
         return leaf
-    col, threshold, gain = found
-    mask = cols.X[indices, col] < threshold
+    col, threshold, gain, cut = found
+    mask = cols.X[rows, col] < threshold
+    sides = rows[mask], rows[~mask]
+    H_L, G_L = sums
+    if cut is None:
+        totals = [(float(g[side].sum()), float(h[side].sum())) for side in sides]
+    else:
+        G_left, H_left = float(G_L[cut]), float(H_L[cut])
+        totals = [(G_left, H_left), (G - G_left, H - H_left)]
+    child_sums: list = [None, None]
+    small = int(len(sides[1]) < len(sides[0]))
+    large = 1 - small
+    if _searched(depth + 1, sides[large], totals[large][1], hp):
+        side = sides[small]
+        small_H_L, small_G_L = child_sums[small] = _cut_sums(cols, side, g[side], h[side])
+        child_sums[large] = H_L - small_H_L, G_L - small_G_L
     return Split(
         column=col,
         threshold=threshold,
         gain=gain,
-        left=_build_tree(cols, g, h, indices[mask], depth + 1, hp, values),
-        right=_build_tree(cols, g, h, indices[~mask], depth + 1, hp, values),
+        left=_build_tree(cols, g, h, sides[0], depth + 1, hp, values, *totals[0], child_sums[0]),
+        right=_build_tree(cols, g, h, sides[1], depth + 1, hp, values, *totals[1], child_sums[1]),
     )
+
+
+def _searched(depth: int, rows: np.ndarray, H: float, hp: HyperParams) -> bool:
+    """Whether a node is searched for a split. A node whose H is below
+    twice min_child_hessian has no cut that gives both children that much,
+    so it is a leaf without a search. The search takes H_R = H - H_L with
+    this same H, and rounding is monotone: a cut with H_L >= min_h has
+    fl(H - H_L) <= fl(H - min_h) < min_h, and fails the floor there too."""
+    min_h = hp.min_child_hessian
+    return depth < hp.max_depth and len(rows) >= 2 and H - min_h >= min_h
 
 
 def tree_values(node: Node, X: np.ndarray) -> np.ndarray:
@@ -272,17 +349,21 @@ def train(
     hp: HyperParams,
     seed: int = 0,
     schema: EncoderSchema | None = None,
+    *,
+    record_loss: bool = True,
 ) -> GbdtModel:
     """Fit a boosted ensemble on a dense matrix and binary labels.
 
     Each round's gradients and hessians are rounded to multiples of
     `_GRID`, so every sum of them is exact and the model does not depend on
-    the order of the rows. A value of X that is not finite, or a label
-    other than 0 and 1, raises ValidationError, and more than
-    `_MAX_TRAINING_ROWS` rows raise ConfigError. A round that leaves a
-    margin that is not finite raises DegenerateTrainingError. The split
-    search is exact and deterministic, so the seed only enters provenance;
-    it is kept in the signature so callers record it uniformly.
+    the order of the rows. A matrix of no rows raises EmptyDatasetError, a
+    value of X that is not finite, or a label other than 0 and 1,
+    ValidationError, and more than `_MAX_TRAINING_ROWS` rows ConfigError. A
+    round that leaves a margin that is not finite raises
+    DegenerateTrainingError. The split search is exact and deterministic,
+    so the seed only enters provenance; it is kept in the signature so
+    callers record it uniformly. Without `record_loss` the model's
+    `training_loss` is empty, and no loss is computed.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -290,6 +371,8 @@ def train(
         raise SchemaMismatchError(
             f"matrix shape {X.shape} does not match {y.shape[0]} labels"
         )
+    if not len(X):
+        raise EmptyDatasetError("cannot train on a matrix of no rows")
     if not np.isfinite(X).all():
         raise ValidationError("training matrix holds a value that is not finite")
     if X.shape[0] > _MAX_TRAINING_ROWS:
@@ -307,7 +390,7 @@ def train(
 
     margins = np.full(X.shape[0], base_score, dtype=np.float64)
     p = sigmoid(margins)
-    losses = [log_loss(y, p)]
+    losses = [log_loss(y, p)] if record_loss else []
     trees: list[Node] = []
     cols = _Columns.of(X)
     all_rows = np.arange(X.shape[0])
@@ -321,10 +404,12 @@ def train(
                 g = _quantize(p - y)
                 h = _quantize(p * (1.0 - p))
                 # the leaves partition the rows, so this fills every entry of values
-                trees.append(_build_tree(cols, g, h, all_rows, 0, hp, values))
+                trees.append(_build_tree(cols, g, h, all_rows, 0, hp, values,
+                                         float(g.sum()), float(h.sum())))
                 margins += hp.learning_rate * values
                 p = sigmoid(margins)
-                losses.append(log_loss(y, p))
+                if record_loss:
+                    losses.append(log_loss(y, p))
         except (RuntimeWarning, FloatingPointError) as exc:
             raise DegenerateTrainingError(
                 f"boosting round {round_no} of {hp.n_rounds} left a margin that is not finite ({exc})"

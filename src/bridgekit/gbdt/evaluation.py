@@ -135,6 +135,8 @@ def cross_validate(
     if not grid:
         raise ConfigError("hyperparameter grid is empty")
     examples = list(dataset.examples)
+    if not examples:
+        raise EmptyDatasetError("cannot cross-validate an empty dataset")
     binary = ["pos" if ex.label == "bridging" else "neg" for ex in examples]
     folds = stratified_folds(binary, k, seed)
 
@@ -159,7 +161,8 @@ def cross_validate(
     for path, members in paths.items():
         longest = replace(path, n_rounds=max(grid[i].n_rounds for i in members))
         for X_tr, y_tr, X_va, y_va in split_data:
-            model = train(X_tr, y_tr, longest, seed=seed)
+            # CV scores the margins and never reads the training losses
+            model = train(X_tr, y_tr, longest, seed=seed, record_loss=False)
             for n_rounds, margins in enumerate(staged_margins(model, X_va)):
                 scored = [i for i in members if grid[i].n_rounds == n_rounds]
                 if scored:

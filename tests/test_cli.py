@@ -612,6 +612,19 @@ class TestPairsTrainEvalChain:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [[], ["--grid", "small"], ["--n-rounds", "5"]])
+    def test_train_on_an_empty_dataset_exits_3(self, tmp_path, capsys, args):
+        pairs = tmp_path / "empty.jsonl"
+        pairs.write_text('{"n_examples":0,"provenance":{"corpus":"","max_distance":35,'
+                         '"partition":"","seed":3},"warnings":[]}\n')
+        out = tmp_path / "model.json"
+        code = main(["train", "--pairs", str(pairs), "--seed", "1", "--out", str(out), *args])
+        assert code == EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot ") and "empty dataset" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_model_that_is_not_json_exits_2(self, chain, tmp_path, capsys):
         bad = tmp_path / "model.json"
         bad.write_text("not a model\n")

@@ -319,6 +319,10 @@ class TestTraining:
         gated = train(X, y, HyperParams(n_rounds=3, split_gain_threshold=1e9))
         assert all(isinstance(t, Leaf) for t in gated.trees)
 
+    def test_a_matrix_of_no_rows_is_an_empty_dataset(self):
+        with pytest.raises(EmptyDatasetError, match="no rows"):
+            train(np.zeros((0, 3)), np.zeros(0), HyperParams())
+
     def test_single_class_labels_are_rejected(self):
         with pytest.raises(DegenerateTrainingError):
             train(np.zeros((4, 1)), np.ones(4), HyperParams())
@@ -504,9 +508,18 @@ class TestPrediction:
         assert short.trees == long.trees[:2]
 
 
+def node_split(cols, rows, g, h, hp):
+    """The trainer's split search on the node of the rows `rows` of a coded
+    matrix, whose gradients and hessians are g and h, given the node's sums
+    as the trainer takes them; returns (column, threshold, gain) or None."""
+    sums = boosting._cut_sums(cols, rows, g, h)
+    found = boosting._find_best_split(cols, rows, float(g.sum()), float(h.sum()), *sums, hp)
+    return found and found[:3]
+
+
 def find_best_split(X, g, h, hp):
     """The trainer's split search on a node whose rows are all of X."""
-    return boosting._find_best_split(boosting._Columns.of(X), np.arange(len(X)), g, h, hp)
+    return node_split(boosting._Columns.of(X), np.arange(len(X)), g, h, hp)
 
 
 def quantize(x):
@@ -800,7 +813,7 @@ class TestSplitSearch:
             else "the node holds every value of every column")
         event("some row of the node has h == 0" if (h == 0).any()
               else "no row of the node has h == 0")
-        found = boosting._find_best_split(boosting._Columns.of(X), rows, g, h, hp)
+        found = node_split(boosting._Columns.of(X), rows, g, h, hp)
         assert split_bits(found) == split_bits(reference_best_split(X[rows], g, h, hp))
 
     @settings(max_examples=200, deadline=None)
@@ -817,6 +830,64 @@ class TestSplitSearch:
         trees, losses = reference_train(X, y, hp)
         assert [tree_bits(t) for t in model.trees] == [tree_bits(t) for t in trees]
         assert [x.hex() for x in model.training_loss] == [x.hex() for x in losses]
+
+    @pytest.mark.parametrize("min_child_hessian", [0.0, 1.0])
+    def test_a_deep_fit_matches_the_reference_trainer_tree_for_tree(
+        self, planted_train_dataset, min_child_hessian
+    ):
+        # depth 6 on 732 rows: deep nodes of many rows, whose sums are
+        # handed down and subtracted over five levels
+        X, y, _ = encode(planted_train_dataset)
+        y = y.astype(np.float64)
+        hp = HyperParams(n_rounds=20, max_depth=6, min_child_hessian=min_child_hessian)
+        model = train(X, y, hp)
+        trees, losses = reference_train(X, y, hp)
+        assert max(depth for tree in model.trees for _, depth, _ in node_rows(tree, X)) == 6
+        assert [tree_bits(t) for t in model.trees] == [tree_bits(t) for t in trees]
+        assert [x.hex() for x in model.training_loss] == [x.hex() for x in losses]
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_handed_down_sums_equal_the_node_sums_bit_for_bit(
+        self, planted_train_dataset, monkeypatch, wide
+    ):
+        # a child's G and H are those of its parent's chosen cut, and a
+        # larger child's cut sums its parent's less its sibling's: each must
+        # equal the sum over the node's own rows, to the bit
+        X, y, _ = encode(planted_train_dataset)
+        if wide:
+            # a column of more than _NARROW_CUTS cuts, summed by histogram
+            X = np.column_stack([X, np.arange(len(X)) % 97])
+        quantize_, cut_sums, search = (boosting._quantize, boosting._cut_sums,
+                                       boosting._find_best_split)
+        rounds, taken, searched = [], set(), []
+
+        def quantizing(x):
+            rounds.append(quantize_(x))
+            return rounds[-1]
+
+        def taking(cols, rows, g, h):
+            taken.add((len(rounds), rows.tobytes()))
+            return cut_sums(cols, rows, g, h)
+
+        def recording(cols, rows, G, H, H_L, G_L, hp):
+            searched.append((len(rounds), rows, G, H, H_L, G_L))
+            return search(cols, rows, G, H, H_L, G_L, hp)
+
+        monkeypatch.setattr(boosting, "_quantize", quantizing)
+        monkeypatch.setattr(boosting, "_cut_sums", taking)
+        monkeypatch.setattr(boosting, "_find_best_split", recording)
+        train(X, y, HyperParams(n_rounds=20, max_depth=6, min_child_hessian=0.0))
+        cols = boosting._Columns.of(X)
+        assert (cols.order is not None) == wide
+        # each cut's rows on the left, over the whole matrix, in cut order
+        left = (X[:, cols.column] <= cols.value).astype(np.float64)
+        for n_quantized, rows, G, H, H_L, G_L in searched:
+            g, h = rounds[n_quantized - 2][rows], rounds[n_quantized - 1][rows]
+            assert (G.hex(), H.hex()) == (float(g.sum()).hex(), float(h.sum()).hex())
+            assert H_L.tobytes() == (h @ left[rows]).tobytes()
+            assert G_L.tobytes() == (g @ left[rows]).tobytes()
+        subtracted = [rows for n, rows, *_ in searched if (n, rows.tobytes()) not in taken]
+        assert len(subtracted) > len(searched) // 4
 
     def test_chosen_cuts_are_within_the_tolerance_of_the_best_unrounded_cuts(
         self, planted_train_dataset
@@ -860,9 +931,9 @@ class TestSplitSearch:
         searched = []
         search = boosting._find_best_split
 
-        def recording(cols, rows, g, h, hp, *args, **kwargs):
-            searched.append(float(h.sum()))
-            return search(cols, rows, g, h, hp, *args, **kwargs)
+        def recording(cols, rows, G, H, *args, **kwargs):
+            searched.append(H)
+            return search(cols, rows, G, H, *args, **kwargs)
 
         monkeypatch.setattr(boosting, "_find_best_split", recording)
         model = train(X, y, hp)
@@ -888,7 +959,9 @@ class TestSplitSearch:
         p = np.full(len(y), 0.5)
         return p - np.asarray(y, dtype=float), p * (1.0 - p)
 
-    def test_identical_columns_resolve_to_the_lowest(self):
+    @pytest.mark.parametrize("narrow_cuts", [boosting._NARROW_CUTS, 0])
+    def test_identical_columns_resolve_to_the_lowest(self, narrow_cuts, monkeypatch):
+        monkeypatch.setattr(boosting, "_NARROW_CUTS", narrow_cuts)
         X = np.array([[0.0, 7.0, 0.0, 0.0], [0.0, 7.0, 0.0, 0.0],
                       [1.0, 7.0, 1.0, 1.0], [1.0, 7.0, 1.0, 1.0]])
         g, h = self.grad([0, 0, 1, 1])
@@ -898,7 +971,8 @@ class TestSplitSearch:
         assert find_best_split(X[:, 1:], g, h, hp)[:2] == (1, 0.5)
         # the same, 12 columns apart among 0/1 columns (high 1), whose cuts
         # are scored by one matrix product, and among other columns (high
-        # 2), each scored by its own histogram
+        # 2), scored by that product too, or, with `_NARROW_CUTS` at 0, each
+        # by its own histogram
         n_rows = 400
         y = np.arange(n_rows) % 2
         g, h = self.grad(y)
@@ -923,16 +997,30 @@ class TestSplitSearch:
             columns = {split.column for split in boosting.splits(model.trees)}
             assert 0 in columns and 1 not in columns
 
+    @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("binary_first", [True, False])
-    def test_a_0_1_column_ties_a_numeric_column_to_the_lower(self, binary_first):
+    def test_a_0_1_column_ties_a_numeric_column_to_the_lower(self, binary_first, wide):
         binary = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0])
-        # the same partition, so the same sums in the same order
-        columns = [binary, 3.0 * binary]
-        X = np.column_stack(columns if binary_first else columns[::-1])
-        # one column is scored by the matrix product, the other by its histogram
-        cols = boosting._Columns.of(X)
-        assert cols.zero.shape[1] == len(cols.codes) == 1
+        numeric = 3.0 * binary
         g, h = self.grad([0, 0, 1, 1, 1, 0])
+        if wide:
+            # rows of g == h == 0 give the numeric column more than
+            # _NARROW_CUTS cuts and change no sum; they go right on both
+            extra = boosting._NARROW_CUTS + 1
+            binary = np.r_[binary, np.ones(extra)]
+            numeric = np.r_[numeric, 10.0 + np.arange(extra)]
+            g, h = np.r_[g, np.zeros(extra)], np.r_[h, np.zeros(extra)]
+        # the same partition, so the same sums in the same order
+        columns = [binary, numeric]
+        X = np.column_stack(columns if binary_first else columns[::-1])
+        cols = boosting._Columns.of(X)
+        if wide:
+            # the 0/1 column is scored by the matrix product, the other by
+            # its histogram
+            assert cols.left.shape[1] == len(cols.codes) == 1
+        else:
+            # both by the matrix product
+            assert cols.left.shape[1] == 2 and cols.order is None
         hp = HyperParams(min_child_hessian=0.1)
         found = find_best_split(X, g, h, hp)
         assert found[:2] == (0, 0.5 if binary_first else 1.5)
@@ -947,18 +1035,19 @@ class TestSplitSearch:
         n_rows = 500
         X = np.r_[np.zeros(n_rows), np.ones(n_rows)][:, None]
         cols = boosting._Columns.of(X)
-        assert cols.zero.shape[1] == 1
+        assert cols.binary.tolist() == [True] and cols.left.shape == (2 * n_rows, 1)
         rows = np.flatnonzero(X[:, 0] == value)
         hp = HyperParams(min_child_hessian=0.0)
         for seed in range(20):
             rng = np.random.default_rng(seed)
             p = rng.uniform(size=n_rows)
             g, h = quantize(p - rng.integers(0, 2, n_rows)), quantize(p * (1.0 - p))
-            assert boosting._find_best_split(cols, rows, g, h, hp) is None
+            assert node_split(cols, rows, g, h, hp) is None
 
     def test_a_column_of_negative_zeros_and_ones_splits_at_one_half(self):
         X = np.array([[-0.0], [1.0], [-0.0], [1.0]])
-        assert boosting._Columns.of(X).zero.shape == (4, 1)
+        cols = boosting._Columns.of(X)
+        assert cols.binary.tolist() == [True] and cols.left.tolist() == [[1.0], [0.0], [1.0], [0.0]]
         y = [0, 1, 0, 1]
         g, h = self.grad(y)
         hp = HyperParams(min_child_hessian=0.1)
@@ -967,6 +1056,19 @@ class TestSplitSearch:
         assert split_bits(found) == split_bits(reference_best_split(X, g, h, hp))
         (tree,) = train(X, y, replace(hp, n_rounds=1, max_depth=1)).trees
         assert tree.threshold.hex() == (0.5).hex()
+
+    def test_a_midpoint_that_rounds_to_the_lower_value_parts_the_rows_by_the_threshold(self):
+        # the midpoint of 1 and the next float is 1, so the rows at 1 go
+        # right, unlike the cut's: each side's sums are those of its rows
+        above = np.nextafter(1.0, 2.0)
+        X = np.array([[0.0], [1.0], [above], [above]])
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        hp = HyperParams(n_rounds=2, max_depth=2, min_child_hessian=0.0)
+        model = train(X, y, hp)
+        assert model.trees[0].threshold == 1.0
+        trees, losses = reference_train(X, y, hp)
+        assert [tree_bits(t) for t in model.trees] == [tree_bits(t) for t in trees]
+        assert [x.hex() for x in model.training_loss] == [x.hex() for x in losses]
 
     def test_tied_thresholds_resolve_to_the_lowest(self):
         # splits at 0.5 and 1.5 mirror each other: the same two terms in
@@ -1432,9 +1534,9 @@ class TestCrossValidate:
 
         fits = []
 
-        def spy(X, y, hp, seed=0, schema=None):
+        def spy(X, y, hp, seed=0, schema=None, **kwargs):
             fits.append(hp)
-            return train(X, y, hp, seed=seed, schema=schema)
+            return train(X, y, hp, seed=seed, schema=schema, **kwargs)
 
         monkeypatch.setattr(evaluation, "train", spy)
         best, results = cross_validate(planted_train_dataset, grid, k=k, seed=seed)
@@ -1459,6 +1561,15 @@ class TestCrossValidate:
         for n, margins in enumerate(staged):
             prefix = replace(planted_model, trees=planted_model.trees[:n])
             assert margins.tobytes() == predict_margin(prefix, X).tobytes()
+
+    def test_an_empty_dataset_is_an_empty_dataset_error(self, planted_train_dataset):
+        empty = replace(planted_train_dataset, examples=())
+        with pytest.raises(EmptyDatasetError, match="empty dataset"):
+            cross_validate(empty, [HyperParams()], k=5, seed=0)
+        # a dataset with fewer examples than folds stays a config error
+        few = replace(planted_train_dataset, examples=planted_train_dataset.examples[:4])
+        with pytest.raises(ConfigError, match="cannot split into 5 folds"):
+            cross_validate(few, [HyperParams()], k=5, seed=0)
 
     def test_empty_grid_is_rejected(self, planted_train_dataset):
         with pytest.raises(ConfigError, match="grid is empty"):
