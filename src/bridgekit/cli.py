@@ -458,17 +458,15 @@ def _pipeline(config: PipelineConfig, base: Path, run_dir: Path, report: dict):
         raw_eval = _read_many([base / rel for rel in corpus.eval_files], corpus.dialect)
 
         yield f"harmonize:{name}"
-        train_docs, harmonize_report = harmonize_corpus(raw_train, exclusions)
-        eval_docs, eval_report = harmonize_corpus(raw_eval, exclusions)
-        harmonize_report.merge(eval_report)
-        splits[name] = {"train": train_docs, "eval": eval_docs}
+        harmonized, harmonize_report = harmonize_corpus(raw_train + raw_eval, exclusions)
+        splits[name] = {"train": harmonized[:len(raw_train)], "eval": harmonized[len(raw_train):]}
         for role, docs in splits[name].items():
             _write(run_dir / f"harmonized/{name}_{role}.jsonl", _canonical_lines(docs))
         harmonize_summary = harmonize_report.to_dict()
         _write(run_dir / f"harmonize_report_{name}.json", harmonize_summary)
         report["corpora"][name] = {
             "harmonize": harmonize_summary,
-            "bridging_rate_per_1k": bridging_rate_per_1k(train_docs + eval_docs),
+            "bridging_rate_per_1k": bridging_rate_per_1k(harmonized),
         }
         report["warnings"].extend(
             f"{name}: unresolved entity type {label!r}"
@@ -666,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="residuals, distributions, confident errors")
     p.add_argument("--pairs", required=True)
-    p.add_argument("--docs", nargs="*", default=None)
+    p.add_argument("--docs", nargs="+", default=None)
     p.add_argument("--dialect", choices=sorted(DIALECTS), default=None)
     p.add_argument("--model", default=None)
     p.add_argument("--tau", **_flag("tau"))

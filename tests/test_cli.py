@@ -16,7 +16,7 @@ import types
 import warnings
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -499,6 +499,16 @@ class TestPairsTrainEvalChain:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot read corpus file {missing}: ")
         assert captured.err.count("\n") == 1
+
+    def test_analyze_docs_without_a_file_is_a_usage_error(self, chain, tmp_path, capsys):
+        out = tmp_path / "analysis.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--pairs", str(chain["pairs"]), "--docs", "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --docs: expected at least one argument" in captured.err
+        assert not out.exists()
 
     def test_analyze_prints_nothing_when_its_model_is_malformed(self, chain, tmp_path, capsys):
         bad = tmp_path / "model.json"
@@ -1556,6 +1566,254 @@ class TestRun:
         run_dir = next((tmp_path / "runs").iterdir())
         partial = json.loads((run_dir / "report.partial.json").read_text())
         assert partial["failed_stage"] == "datasets:corpusA"
+
+
+# The planted corpus of each dialect that TestRunIsItsChain draws: the
+# bracket dialect carries one link per anaphor, and the standoff corpus
+# marks definiteness on the surface, as in base_config.
+CHAIN_CORPORA = {
+    "bracket": {"single_link_per_anaphor": True},
+    "standoff": {"schema": "arrau_like", "surface_definiteness": True},
+    "canonical": {},
+}
+
+
+def _ok(*argv) -> tuple[str, str]:
+    """Run one command in-process; it must succeed. Its stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main([str(arg) for arg in argv])
+    assert code == EXIT_OK, stderr.getvalue()
+    return stdout.getvalue(), stderr.getvalue()
+
+
+def _chain_corpus(tmp: Path, name: str, dialect: str, docs, dev: bool, extra: bool, n_eval: int):
+    """Write `docs` as corpus `name`'s files, the last `n_eval` for evaluation,
+    splitting off one document into `dev` and one into `extra_test` when
+    asked. Its config entry, and its training documents."""
+    parts = {"train": docs[:-n_eval], "test": docs[-n_eval:]}
+    if dev:
+        parts["train"], parts["dev"] = parts["train"][:-1], parts["train"][-1:]
+    if extra:
+        parts["test"], parts["extra_test"] = parts["test"][:-1], parts["test"][-1:]
+    entry = {"name": name, "dialect": dialect}
+    for part, chunk in parts.items():
+        entry[part] = [write_dialect(tmp / f"{name}_{part}", dialect, chunk).name]
+    return entry, parts["train"] + parts.get("dev", [])
+
+
+def _run_and_chain(tmp: Path, config: dict) -> None:
+    """`run` on `config`, then every run output rebuilt by the subcommands
+    from the same input files: byte for byte for the files the subcommands
+    write, and as parsed values for the payloads that `run` nests in
+    `eval/metrics.json` and `report.json`. What no subcommand makes (the
+    harmonize report of a whole corpus, a custom grid's CV, the pair-types
+    CSV, the bridging rate and corpus residuals) comes from the library call
+    that README *CLI* names for it."""
+    from bridgekit.cli import _dump_json
+    from bridgekit.gbdt import HyperParams, cross_validate
+    from bridgekit.harmonize import read_exclusion_list
+    from bridgekit.pairgen import bridging_rate_per_1k, dataset_from_jsonl
+    from bridgekit.stats import (
+        chi_square_residuals, definiteness_contingency_corpus, entity_pair_distribution,
+    )
+
+    config_path = tmp / "config.json"
+    config_path.write_text(json.dumps(config))
+    _ok("run", "--config", config_path)
+    (run_dir,) = (tmp / "runs").iterdir()
+    files = run_files(run_dir)
+    report = json.loads(files["report.json"])
+
+    chain = tmp / "chain"
+    seed = config["seed"]
+    exclusions = frozenset()
+    exclusion_flags = []
+    if "exclusion_list" in config:
+        exclusions = read_exclusion_list(tmp / config["exclusion_list"])
+        exclusion_flags = ["--exclusions", tmp / config["exclusion_list"]]
+    rebuilt: dict[str, bytes] = {}
+    expected = {"run_id": run_dir.name, "config": report["config"], "corpora": {},
+                "metrics": {}, "baselines": {}, "importance": {}, "residuals": {},
+                "distributions": {}, "confident_errors": {}}
+    harmonize_warnings, dataset_warnings = [], []
+    names = [corpus["name"] for corpus in config["corpora"]]
+    for corpus in config["corpora"]:
+        name, dialect = corpus["name"], corpus["dialect"]
+        roles = {"train": corpus.get("train", []) + corpus.get("dev", []),
+                 "eval": corpus.get("test", []) + corpus.get("extra_test", [])}
+        raw, docs = [], []
+        for role, inputs in roles.items():
+            harmonized = chain / f"harmonized/{name}_{role}.jsonl"
+            harmonized.parent.mkdir(parents=True, exist_ok=True)
+            chunks = []
+            for rel in inputs:
+                _ok("harmonize", "--in", tmp / rel, "--dialect", dialect,
+                    "--out", chain / "h.jsonl", *exclusion_flags)
+                chunks.append((chain / "h.jsonl").read_bytes())
+                raw += read_documents(tmp / rel, dialect)
+            rebuilt[f"harmonized/{name}_{role}.jsonl"] = b"".join(chunks)
+            harmonized.write_bytes(b"".join(chunks))
+            docs += read_documents(harmonized)
+            _, err = _ok("pairs", "--in", harmonized, "--seed", seed, "--corpus", name,
+                         "--partition", role, "--out", chain / f"datasets/{name}_{role}.jsonl",
+                         "--csv", chain / f"datasets/{name}_{role}.csv")
+            dataset_warnings += [f"{name}/{role}: {line.removeprefix('warning: ')}"
+                                 for line in err.splitlines()]
+            for suffix in ("jsonl", "csv"):
+                rel = f"datasets/{name}_{role}.{suffix}"
+                rebuilt[rel] = (chain / rel).read_bytes()
+        harmonize_report = harmonize_corpus(raw, exclusions)[1].to_dict()
+        rebuilt[f"harmonize_report_{name}.json"] = _dump_json(harmonize_report).encode()
+        harmonize_warnings += [f"{name}: unresolved entity type {label!r}"
+                               for label in harmonize_report["unresolved_entity_types"]]
+        datasets = {role: dataset_from_jsonl(rebuilt[f"datasets/{name}_{role}.jsonl"])
+                    for role in roles}
+        expected["corpora"][name] = {
+            "harmonize": json.loads(_dump_json(harmonize_report)),
+            "bridging_rate_per_1k": bridging_rate_per_1k(docs),
+            "dataset_counts": {role: ds.label_counts() for role, ds in datasets.items()},
+            "max_distance": {role: ds.provenance.max_distance for role, ds in datasets.items()},
+        }
+
+        train_pairs = chain / f"datasets/{name}_train.jsonl"
+        common = ["--pairs", train_pairs, "--seed", seed,
+                  "--lemma-top-k", config["lemma_top_k"]]
+        chosen = report["corpora"][name]["best_params"]
+        out, _ = _ok("train", *common, *(
+            arg for key, value in chosen.items()
+            for arg in ("--" + key.replace("_", "-"), repr(value))
+        ), "--out", chain / f"models/{name}.json")
+        summary = json.loads(out)
+        rebuilt[f"models/{name}.json"] = (chain / f"models/{name}.json").read_bytes()
+        expected["corpora"][name].update(best_params=summary["params"],
+                                         final_training_loss=summary["final_training_loss"])
+        if config["grid"] == "default":
+            out, _ = _ok("train", *common, "--grid", "default", "--folds", config["cv_folds"],
+                         "--out", chain / f"models/{name}_cv.json")
+            cv = json.loads(out)["cv"]
+            cv_model = (chain / f"models/{name}_cv.json").read_bytes()
+            assert cv_model == rebuilt[f"models/{name}.json"]
+        else:
+            _, results = cross_validate(
+                datasets["train"], [HyperParams(**entry) for entry in config["grid"]],
+                k=config["cv_folds"], seed=seed, lemma_top_k=config["lemma_top_k"])
+            cv = [{"params": asdict(r.params), "mean_f1": r.mean_f1, "fold_f1": list(r.fold_f1)}
+                  for r in results]
+        rebuilt[f"cv/{name}.json"] = _dump_json(cv).encode()
+
+        distribution = entity_pair_distribution(docs, config["distribution_threshold"])
+        rebuilt[f"analysis/{name}_pair_types.csv"] = distribution.to_csv().encode()
+
+    runs = config["baseline_runs"]
+    for name in names:
+        eval_pairs = chain / f"datasets/{name}_eval.jsonl"
+        eval_docs = chain / f"harmonized/{name}_eval.jsonl"
+        _ok("importance", "--model", chain / f"models/{name}.json", "--pairs", eval_pairs,
+            "--repeats", runs, "--seed", seed, "--out", chain / f"importance/{name}.json")
+        for model in names:
+            out, _ = _ok("eval", "--model", chain / f"models/{model}.json", "--pairs", eval_pairs,
+                         "--seed", seed, "--baseline-p", config["baseline_p"],
+                         "--baseline-runs", runs)
+            payload = json.loads(out)
+            expected["metrics"].setdefault(model, {})[name] = payload["model"]
+            expected["baselines"][name] = payload["random_baseline"]
+            _ok("analyze", "--pairs", eval_pairs, "--docs", eval_docs,
+                "--model", chain / f"models/{model}.json", "--tau", config["tau"],
+                "--threshold", config["distribution_threshold"], "--out", chain / "analysis.json")
+            analysis = json.loads((chain / "analysis.json").read_text())
+            expected["confident_errors"][f"{model}_on_{name}"] = analysis["confident_errors"]
+        rebuilt[f"importance/{name}.json"] = (chain / f"importance/{name}.json").read_bytes()
+        expected["importance"][name] = json.loads(rebuilt[f"importance/{name}.json"])
+        # residuals and distributions do not depend on the model analyze reads
+        if config["residual_source"] == "dataset":
+            expected["residuals"][name] = analysis["residuals"]
+        else:
+            table = definiteness_contingency_corpus(read_documents(eval_docs))
+            residuals = chi_square_residuals(table).to_dict()
+            expected["residuals"][name] = json.loads(_dump_json(residuals))
+        # run's pair-type distribution counts the links of the training and
+        # the evaluation documents, its other two the evaluation documents only
+        _ok("analyze", "--pairs", eval_pairs,
+            "--docs", chain / f"harmonized/{name}_train.jsonl", eval_docs,
+            "--threshold", config["distribution_threshold"], "--out", chain / "pair_types.json")
+        expected["distributions"][name] = {
+            "pair_types": json.loads((chain / "pair_types.json").read_text())[
+                "pair_type_distribution"],
+            "anaphor_entity": analysis["anaphor_entity_distribution"],
+            "subtypes": analysis["subtype_distribution"],
+        }
+    expected["warnings"] = harmonize_warnings + dataset_warnings
+
+    assert sorted(files) == sorted([*rebuilt, "eval/metrics.json", "report.json",
+                                    "resolved_config.json"])
+    for rel, data in rebuilt.items():
+        assert files[rel] == data, rel
+    assert json.loads(files["eval/metrics.json"]) == {
+        "models": expected["metrics"], "baselines": expected["baselines"]}
+    assert report == expected
+
+
+class TestRunIsItsChain:
+    """`run` is its subcommand chain: harmonize, pairs, train, eval,
+    importance and analyze, on the same input files, make every output of a
+    run (README *CLI* lists which command makes which, and what differs)."""
+
+    @settings(max_examples=5, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_every_run_output_is_what_its_subcommand_makes(self, data):
+        config = {
+            "seed": data.draw(st.integers(-9, 9), label="seed"),
+            "corpora": [],
+            "cv_folds": data.draw(st.sampled_from((2, 3)), label="cv_folds"),
+            "grid": data.draw(st.lists(st.fixed_dictionaries({
+                "n_rounds": st.integers(1, 10),
+                "max_depth": st.integers(1, 3),
+                "learning_rate": st.sampled_from((0.3, 0.5)),
+            }), min_size=1, max_size=2), label="grid"),
+            "lemma_top_k": data.draw(st.sampled_from((0, 3, 200)), label="lemma_top_k"),
+            "baseline_p": data.draw(st.sampled_from((0.25, 1 / 3)), label="baseline_p"),
+            "baseline_runs": data.draw(st.integers(1, 3), label="baseline_runs"),
+            "tau": data.draw(st.sampled_from((0.0, 0.1, 0.5)), label="tau"),
+            "distribution_threshold": data.draw(st.sampled_from((0.0, 0.01, 0.2)),
+                                                label="distribution_threshold"),
+            "residual_source": data.draw(st.sampled_from(("dataset", "corpus")),
+                                         label="residual_source"),
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            config["output_dir"] = str(tmp / "runs")
+            train_links = []
+            for i in range(data.draw(st.integers(1, 2), label="corpora")):
+                dialect = data.draw(st.sampled_from(sorted(CHAIN_CORPORA)), label="dialect")
+                docs = planted_rule_corpus(data.draw(st.integers(0, 99), label="corpus seed"),
+                                           n_docs=data.draw(st.integers(6, 10), label="n_docs"),
+                                           **CHAIN_CORPORA[dialect])
+                entry, train_docs = _chain_corpus(
+                    tmp, f"c{i}", dialect, docs, dev=data.draw(st.booleans(), label="dev"),
+                    extra=data.draw(st.booleans(), label="extra_test"),
+                    n_eval=data.draw(st.integers(2, 3), label="n_eval"))
+                config["corpora"].append(entry)
+                train_links += [(doc.doc_id, link.anaphor_id)
+                                for doc in train_docs for link in doc.bridging]
+            if data.draw(st.booleans(), label="exclusion list"):
+                doc_id, anaphor_id = data.draw(st.sampled_from(train_links), label="excluded")
+                (tmp / "skip.tsv").write_text(f"{doc_id}\t{anaphor_id}\n")
+                config["exclusion_list"] = "skip.tsv"
+            _run_and_chain(tmp, config)
+
+    def test_the_default_grid_cv_is_what_train_grid_default_prints(self, tmp_path):
+        docs = planted_rule_corpus(4, n_docs=6, single_link_per_anaphor=True)
+        entry, train_docs = _chain_corpus(tmp_path, "tiny", "bracket", docs,
+                                          dev=False, extra=False, n_eval=2)
+        link = train_docs[0].bridging[0]
+        (tmp_path / "skip.tsv").write_text(f"{train_docs[0].doc_id}\t{link.anaphor_id}\n")
+        config = {"seed": 3, "output_dir": str(tmp_path / "runs"), "corpora": [entry],
+                  "grid": "default", "cv_folds": 2, "lemma_top_k": 200,
+                  "exclusion_list": "skip.tsv", "baseline_p": 1 / 3,
+                  "baseline_runs": 2, "tau": 0.1, "distribution_threshold": 0.01,
+                  "residual_source": "dataset"}
+        _run_and_chain(tmp_path, config)
 
 
 class TestConsoleEntryPoint:
