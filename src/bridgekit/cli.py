@@ -343,19 +343,24 @@ def cmd_harmonize(args) -> int:
     outputs.append((args.out, _canonical_lines(harmonized)))
     _write_all(outputs)
     print(format_report(report))
+    _warn_unresolved(report)
+    return EXIT_OK
+
+
+def _warn_unresolved(report) -> None:
     if report.unresolved_entity_types:
         print(
             "warning: unresolved entity type labels: "
             + ", ".join(report.unresolved_entity_types),
             file=sys.stderr,
         )
-    return EXIT_OK
 
 
 def cmd_pairs(args) -> int:
     docs = _read_many(args.input, args.dialect)
     if args.harmonize:
-        docs, _ = harmonize_corpus(docs)
+        docs, report = harmonize_corpus(docs)
+        _warn_unresolved(report)
     dataset = _pair_dataset(docs, args.seed, args.corpus, args.partition, args.pronoun_tags,
                             args.out, args.csv)
     counts = dataset.label_counts()

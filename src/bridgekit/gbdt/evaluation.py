@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 from ..errors import ConfigError, EmptyDatasetError
 from ..pairgen import PairDataset, PairExample
@@ -15,6 +16,10 @@ np = lazy_numpy()
 
 # Probabilities at or above this threshold count as a positive prediction.
 DECISION_THRESHOLD = 0.5
+
+# The order in which CV deals examples to its folds: the order in which
+# `build_balanced_dataset` writes them.
+_DEAL_ORDER = attrgetter("label", "doc_id", "antecedent_id", "anaphor_id")
 
 
 @dataclass(frozen=True)
@@ -130,11 +135,13 @@ def cross_validate(
     vocabulary leaks into the encoding; pass the final model's
     `lemma_top_k` so selection sees the encoding that will be served. Ties
     in mean F1 prefer fewer rounds, then smaller depth, then earlier grid
-    position.
+    position. The examples are dealt in (label, doc_id, antecedent_id,
+    anaphor_id) order, so the order of the dataset's examples does not
+    matter.
     """
     if not grid:
         raise ConfigError("hyperparameter grid is empty")
-    examples = list(dataset.examples)
+    examples = sorted(dataset.examples, key=_DEAL_ORDER)
     if not examples:
         raise EmptyDatasetError("cannot cross-validate an empty dataset")
     binary = ["pos" if ex.label == "bridging" else "neg" for ex in examples]

@@ -8,6 +8,7 @@ links, links with split antecedents and links whose anaphor is given, and
 checks the subtype of each link it keeps. Givenness is read from the
 flattened mentions, because flattening can move a mention's start and so its
 givenness; the fixed order makes every reported count deterministic.
+`harmonize_corpus` counts every document's passes into one report.
 """
 from __future__ import annotations
 
@@ -87,44 +88,21 @@ class HarmonizeReport:
         default_factory=dict
     )
 
-    def merge(self, other: "HarmonizeReport") -> None:
-        self.removed_split_antecedent += other.removed_split_antecedent
-        self.removed_given_anaphor += other.removed_given_anaphor
-        self.flattened_discontinuous += other.flattened_discontinuous
-        self.entity_type_remaps += other.entity_type_remaps
-        for label in other.unresolved_entity_types:
-            if label not in self.unresolved_entity_types:
-                self.unresolved_entity_types.append(label)
-        self.subtype_violations.extend(other.subtype_violations)
-        self.excluded_links += other.excluded_links
-        self.merge_conflicts.extend(other.merge_conflicts)
-        self.chain_type_conflicts.extend(other.chain_type_conflicts)
-        self.flattened_spans.update(other.flattened_spans)
-
     def to_dict(self) -> dict:
-        return {
-            "removed_split_antecedent": self.removed_split_antecedent,
-            "removed_given_anaphor": self.removed_given_anaphor,
-            "flattened_discontinuous": self.flattened_discontinuous,
-            "entity_type_remaps": self.entity_type_remaps,
-            "unresolved_entity_types": list(self.unresolved_entity_types),
-            "subtype_violations": [
-                {
-                    "doc_id": doc_id,
-                    "anaphor_id": link.anaphor_id,
-                    "antecedent_ids": list(link.antecedent_ids),
-                    "subtype": link.subtype,
-                }
-                for doc_id, link in self.subtype_violations
-            ],
-            "excluded_links": self.excluded_links,
-            "merge_conflicts": [list(entry) for entry in self.merge_conflicts],
-            "chain_type_conflicts": [list(entry) for entry in self.chain_type_conflicts],
-            "flattened_spans": {
-                f"{doc_id}/{mention_id}": [list(span) for span in spans]
-                for (doc_id, mention_id), spans in sorted(self.flattened_spans.items())
-            },
+        """The fields as they are, but each subtype violation as its record
+        and each flattened mention's spans keyed ``doc_id/mention_id``. Every
+        writer sorts the keys and writes a tuple as a list."""
+        out = dict(vars(self))
+        out["subtype_violations"] = [
+            {"doc_id": doc_id, "anaphor_id": link.anaphor_id,
+             "antecedent_ids": link.antecedent_ids, "subtype": link.subtype}
+            for doc_id, link in self.subtype_violations
+        ]
+        out["flattened_spans"] = {
+            f"{doc_id}/{mention_id}": spans
+            for (doc_id, mention_id), spans in self.flattened_spans.items()
         }
+        return out
 
 
 def format_report(report: HarmonizeReport) -> str:
@@ -189,15 +167,34 @@ def harmonize_document(
     rule drops is counted under the first of them.
     """
     report = HarmonizeReport()
+    return _harmonize(doc, exclusions, report), report
+
+
+def harmonize_corpus(
+    docs: list[Document], exclusions: frozenset[tuple[str, str]] = frozenset()
+) -> tuple[list[Document], HarmonizeReport]:
+    """Harmonize each document independently, counting every document into
+    one report in document order."""
+    report = HarmonizeReport()
+    return [_harmonize(doc, exclusions, report) for doc in docs], report
+
+
+def _harmonize(
+    doc: Document, exclusions: frozenset[tuple[str, str]], report: HarmonizeReport
+) -> Document:
+    """`harmonize_document`'s passes, counting into `report`, which may
+    already hold other documents' counts."""
     unknown = report.unresolved_entity_types
     types_by_chain: dict[str, set[str]] = {}
     mentions = []
+    flattened = rebuilt = False
     for m in doc.mentions:
         spans, unified = m.spans, m.entity_type_unified
         if m.discontinuous:
             report.flattened_spans[(doc.doc_id, m.id)] = spans
             spans = ((spans[0][0], spans[-1][1]),)
             report.flattened_discontinuous += 1
+            flattened = True
         if unified == UNRESOLVED:
             try:
                 unified = unify_entity_type(doc.schema, m.entity_type_original)
@@ -210,15 +207,16 @@ def harmonize_document(
         if spans is not m.spans or unified is not m.entity_type_unified:
             m = _make_mention(m.id, spans, m.head_index, m.entity_type_original,
                               unified, m.infstat, m.definiteness, m.chain_id)
+            rebuilt = True
         mentions.append(m)
         if m.chain_id is not None and unified != UNRESOLVED:
             types_by_chain.setdefault(m.chain_id, set()).add(unified)
-    report.chain_type_conflicts = [
+    report.chain_type_conflicts.extend(
         (doc.doc_id, chain_id)
         for chain_id, types in sorted(types_by_chain.items())
         if len(types) > 1
-    ]
-    if report.flattened_discontinuous:
+    )
+    if flattened:
         # two mentions of one chain left with the same span are reported,
         # not merged
         first_by_key: dict[tuple, str] = {}
@@ -229,7 +227,7 @@ def harmonize_document(
                     report.merge_conflicts.append((doc.doc_id, first, m.id))
     # a rebuilt document starts with an empty instance dict, so its cached
     # lookup tables are computed from its own mentions
-    if report.flattened_discontinuous or report.entity_type_remaps:
+    if rebuilt:
         doc = _make_document(doc.doc_id, doc.genre, doc.schema, doc.tokens,
                              tuple(mentions), doc.bridging)
 
@@ -250,18 +248,4 @@ def harmonize_document(
     if len(kept) < len(doc.bridging):
         doc = _make_document(doc.doc_id, doc.genre, doc.schema, doc.tokens,
                              doc.mentions, tuple(kept))
-    return doc, report
-
-
-def harmonize_corpus(
-    docs: list[Document], exclusions: frozenset[tuple[str, str]] = frozenset()
-) -> tuple[list[Document], HarmonizeReport]:
-    """Harmonize each document independently and sum the per-document
-    reports in document order."""
-    out = []
-    total = HarmonizeReport()
-    for doc in docs:
-        harmonized, report = harmonize_document(doc, exclusions)
-        out.append(harmonized)
-        total.merge(report)
-    return out, total
+    return doc

@@ -273,6 +273,22 @@ class TestHarmonize:
         assert code == EXIT_OK
         assert "unresolved entity type labels: gadget" in capsys.readouterr().err
 
+    def test_pairs_harmonize_warns_as_harmonize_does(self, tmp_path, capsys):
+        text = emit_canonical(planted_rule_corpus(7, n_docs=6)).replace(
+            b'"entity_type_original":"abstract"', b'"entity_type_original":"gadget"', 1)
+        src = tmp_path / "u.jsonl"
+        src.write_bytes(text)
+        code = main(["pairs", "--in", str(src), "--seed", "5", "--harmonize",
+                     "--out", str(tmp_path / "p.jsonl")])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == "warning: unresolved entity type labels: gadget\n"
+        # the dataset is the one that harmonize and then pairs make
+        main(["harmonize", "--in", str(src), "--out", str(tmp_path / "h.jsonl")])
+        assert capsys.readouterr().err == "warning: unresolved entity type labels: gadget\n"
+        main(["pairs", "--in", str(tmp_path / "h.jsonl"), "--seed", "5",
+              "--out", str(tmp_path / "hp.jsonl")])
+        assert (tmp_path / "p.jsonl").read_bytes() == (tmp_path / "hp.jsonl").read_bytes()
+
     def test_exclusion_list_is_applied(self, fixture_path, tmp_path):
         excl = tmp_path / "excl.tsv"
         excl.write_text("fixdoc1\tm17\n")

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import warnings
 from dataclasses import asdict, replace
 
@@ -1344,8 +1345,9 @@ def reference_predict_proba(model, X):
 def reference_cross_validate(dataset, grid, k, seed):
     """The grid search that `cross_validate` must match: one fit per path
     and fold, each grid point scored by predicting its prefix of the trees
-    from scratch."""
-    examples = list(dataset.examples)
+    from scratch, with the examples dealt in key order."""
+    examples = sorted(dataset.examples,
+                      key=lambda ex: (ex.label, ex.doc_id, ex.antecedent_id, ex.anaphor_id))
     binary = ["pos" if ex.label == "bridging" else "neg" for ex in examples]
     split_data = []
     for fold in stratified_folds(binary, k, seed):
@@ -1561,6 +1563,15 @@ class TestCrossValidate:
         for n, margins in enumerate(staged):
             prefix = replace(planted_model, trees=planted_model.trees[:n])
             assert margins.tobytes() == predict_margin(prefix, X).tobytes()
+
+    def test_the_order_of_the_examples_does_not_matter(self, planted_train_dataset):
+        grid = [HyperParams(n_rounds=n, max_depth=d, learning_rate=0.3)
+                for n in (2, 6) for d in (1, 3)]
+        expected = cross_validate(planted_train_dataset, grid, k=3, seed=5)
+        examples = list(planted_train_dataset.examples)
+        random.Random(1).shuffle(examples)
+        shuffled = replace(planted_train_dataset, examples=tuple(examples))
+        assert cross_validate(shuffled, grid, k=3, seed=5) == expected
 
     def test_an_empty_dataset_is_an_empty_dataset_error(self, planted_train_dataset):
         empty = replace(planted_train_dataset, examples=())

@@ -8,6 +8,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bridgekit import harmonize as harmonize_module
+from bridgekit.cli import _dump_json
 from bridgekit.errors import ParseError, UnknownEntityTypeError, ValidationError
 from bridgekit.harmonize import (
     ARRAU_ENTITY_MAP,
@@ -34,9 +36,9 @@ from bridgekit.model import (
 from bridgekit.synth import random_corpus
 
 
-def build_doc(mentions, bridging=(), schema="arrau_like", n_tokens=30) -> Document:
+def build_doc(mentions, bridging=(), schema="arrau_like", n_tokens=30, doc_id="d1") -> Document:
     doc = Document(
-        doc_id="d1",
+        doc_id=doc_id,
         genre="test",
         schema=schema,
         tokens=tuple(
@@ -417,12 +419,26 @@ HARMONIZE_SHA256 = {
     "canonical": "bd5570730b8d4526cb39e7466bce49e67b88516398c2ccf839383af0fa874d7c",
 }
 
+# sha256 of the two reports of `harmonize_bytes` in the layout that
+# `harmonize --report` writes (`cli._dump_json`: indent 2, non-ASCII kept),
+# which the compact hashes above do not cover
+REPORT_SHA256 = {
+    "gum_like": "ebe64ca5df8bd28a949bb3cd733af02367f13361a1278522ae7bc015bb10633d",
+    "arrau_like": "61c9883f4a5143cabcefbfa09a8b9706ea3f0381f727687e9240cd3e71271ca5",
+    "canonical": "b50ae652d28f33c5497ecb222f2745d370b1f1d1bc78bb65b2732e8d63030028",
+}
+
+
+def golden_corpus(flavor: str) -> tuple[list[Document], frozenset[tuple[str, str]]]:
+    """A random corpus with the rule fixture, and an exclusion list for it."""
+    docs = random_corpus(3, 60, flavor=flavor) + [TestHarmonizeDocument().fixture_doc()]
+    return docs, frozenset((doc.doc_id, f"m{k}") for doc in docs for k in (1, 4))
+
 
 def harmonize_bytes(flavor: str) -> tuple[bytes, list[HarmonizeReport]]:
-    """The canonical output and the sorted-key report JSON of harmonizing a
-    random corpus without and with exclusions, each harmonized once more."""
-    docs = random_corpus(3, 60, flavor=flavor) + [TestHarmonizeDocument().fixture_doc()]
-    exclusions = frozenset((doc.doc_id, f"m{k}") for doc in docs for k in (1, 4))
+    """The canonical output and the sorted-key report JSON of harmonizing
+    the golden corpus without and with exclusions, each harmonized once more."""
+    docs, exclusions = golden_corpus(flavor)
     data, reports = [], []
     for excluded in (frozenset(), exclusions):
         out, report = harmonize_corpus(docs, excluded)
@@ -439,21 +455,88 @@ class TestGoldenBytes:
         data, _ = harmonize_bytes(flavor)
         assert hashlib.sha256(data).hexdigest() == HARMONIZE_SHA256[flavor]
 
+    @pytest.mark.parametrize("flavor", sorted(REPORT_SHA256))
+    def test_written_reports_match_golden_hashes(self, flavor):
+        _, reports = harmonize_bytes(flavor)
+        data = "".join(_dump_json(report.to_dict()) for report in reports).encode()
+        assert hashlib.sha256(data).hexdigest() == REPORT_SHA256[flavor]
+
     def test_the_golden_corpora_exercise_every_rule(self):
-        total = HarmonizeReport()
-        for flavor in HARMONIZE_SHA256:
-            for report in harmonize_bytes(flavor)[1]:
-                total.merge(report)
-        assert all(value for value in total.to_dict().values())
+        reports = [report for flavor in HARMONIZE_SHA256 for report in harmonize_bytes(flavor)[1]]
+        for f in dataclasses.fields(HarmonizeReport):
+            assert any(getattr(report, f.name) for report in reports), f.name
 
 
 class TestReport:
-    def test_merge_sums_counts_and_dedups_labels(self):
-        a = HarmonizeReport(removed_split_antecedent=1, unresolved_entity_types=["x"])
-        b = HarmonizeReport(removed_split_antecedent=2, unresolved_entity_types=["x", "y"])
-        a.merge(b)
-        assert a.removed_split_antecedent == 3
-        assert a.unresolved_entity_types == ["x", "y"]
+    @staticmethod
+    def summed(reports: list[HarmonizeReport]) -> HarmonizeReport:
+        """The reports added field by field: counts add, unresolved labels
+        keep first-seen order, and the other lists and the spans keep
+        report order."""
+        total = HarmonizeReport()
+        for report in reports:
+            for f in dataclasses.fields(HarmonizeReport):
+                mine, theirs = getattr(total, f.name), getattr(report, f.name)
+                if f.name == "unresolved_entity_types":
+                    mine += [label for label in theirs if label not in mine]
+                elif isinstance(mine, int):
+                    setattr(total, f.name, mine + theirs)
+                elif isinstance(mine, dict):
+                    mine.update(theirs)
+                else:
+                    mine += theirs
+        return total
+
+    def assert_corpus_report_is_the_sum(self, docs, exclusions=frozenset()):
+        out, report = harmonize_corpus(docs, exclusions)
+        per_doc = [harmonize_document(doc, exclusions) for doc in docs]
+        assert out == [doc for doc, _ in per_doc]
+        assert report == self.summed([rep for _, rep in per_doc])
+        return report
+
+    @pytest.mark.parametrize("flavor", sorted(HARMONIZE_SHA256))
+    def test_the_corpus_report_sums_the_document_reports(self, flavor):
+        docs, exclusions = golden_corpus(flavor)
+        for excluded in (frozenset(), exclusions):
+            self.assert_corpus_report_is_the_sum(docs, excluded)
+
+    def test_documents_that_share_an_unknown_label_report_it_once(self):
+        docs = [
+            build_doc([men("m1", ((1, 1),), etype="gadget"), men("m2", ((3, 3),), etype="widget")]),
+            build_doc([men("m1", ((1, 1),), etype="widget"), men("m2", ((3, 3),), etype="gizmo")],
+                      doc_id="d2"),
+        ]
+        report = self.assert_corpus_report_is_the_sum(docs)
+        assert report.unresolved_entity_types == ["gadget", "widget", "gizmo"]
+
+    def test_one_span_twice_in_a_chain_without_flattening_is_no_conflict(self):
+        # the first document flattens a mention; the second flattens none,
+        # so its two same-chain mentions of one span are not scanned
+        docs = [
+            build_doc([men("m1", ((3, 3), (7, 7)), chain="c1")]),
+            build_doc([men("m1", ((3, 5),), chain="c1"), men("m2", ((3, 5),), chain="c1")],
+                      doc_id="d2"),
+        ]
+        report = self.assert_corpus_report_is_the_sum(docs)
+        assert report.flattened_discontinuous == 1 and report.merge_conflicts == []
+
+    def test_a_document_no_rule_changes_is_returned_as_it_is(self):
+        # the fixture document changes, and the harmonized one after it does not
+        done, _ = harmonize_document(TestHarmonizeDocument().fixture_doc())
+        out, _ = harmonize_corpus([TestHarmonizeDocument().fixture_doc(), done])
+        assert out[1] is done
+
+    def test_a_corpus_call_makes_one_report(self, monkeypatch):
+        made = []
+
+        class Counted(HarmonizeReport):
+            def __init__(self):
+                made.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(harmonize_module, "HarmonizeReport", Counted)
+        _, report = harmonize_corpus(random_corpus(3, 5, flavor="arrau_like"))
+        assert made == [report]
 
     def test_to_dict_is_json_serializable(self):
         _, report = harmonize_document(TestHarmonizeDocument().fixture_doc())
