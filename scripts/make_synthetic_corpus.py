@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
 """Generate a synthetic corpus on disk in any supported dialect.
 
+A planted corpus takes its shape from --dialect (`synth.PLANTED_SHAPE`), so
+that its reader reads the planted rule back: in bracket each anaphor keeps
+only its nearest antecedent; in standoff it has the ARRAU schema and labels,
+and the lemma "the" marks a definite mention, since the dialect drops the
+annotation; in canonical it is a gum_like corpus with a link per rule pair.
+
 Examples:
     python scripts/make_synthetic_corpus.py --kind planted --seed 42 \
-        --single-link --out corpora/planted.brk --dialect bracket
+        --out corpora/planted.brk --dialect bracket
     python scripts/make_synthetic_corpus.py --kind planted --seed 200 \
-        --schema arrau_like --surface-definiteness \
         --out corpora/planted.sff --dialect standoff
     python scripts/make_synthetic_corpus.py --kind random --n-docs 40 \
         --out corpora/mixed.jsonl
@@ -18,16 +23,8 @@ from pathlib import Path
 
 from bridgekit.errors import DialectViolationError
 from bridgekit.ingest import DIALECTS
-from bridgekit.synth import balanced_sampling_corpus, planted_rule_corpus, random_corpus
-
-
-# The flags that apply to one --kind only; any other kind rejects them.
-KIND_FLAGS = {
-    "flavor": "random",
-    "schema": "planted",
-    "surface_definiteness": "planted",
-    "single_link": "planted",
-}
+from bridgekit.synth import (PLANTED_SHAPE, balanced_sampling_corpus, planted_rule_corpus,
+                             random_corpus)
 
 
 def positive_int(text: str) -> int:
@@ -42,13 +39,7 @@ def build(args) -> list:
         return random_corpus(args.seed, args.n_docs, flavor=args.flavor or "canonical")
     if args.kind == "sampling":
         return balanced_sampling_corpus(args.seed, n_docs=args.n_docs)
-    return planted_rule_corpus(
-        args.seed,
-        n_docs=args.n_docs,
-        schema=args.schema or "gum_like",
-        surface_definiteness=args.surface_definiteness,
-        single_link_per_anaphor=args.single_link,
-    )
+    return planted_rule_corpus(args.seed, n_docs=args.n_docs, **PLANTED_SHAPE[args.dialect])
 
 
 def main(argv=None) -> int:
@@ -58,20 +49,11 @@ def main(argv=None) -> int:
     parser.add_argument("--n-docs", type=positive_int, default=24)
     parser.add_argument("--flavor", choices=["canonical", "gum_like", "arrau_like"],
                         help="schema flavor for --kind random (default canonical)")
-    parser.add_argument("--schema", choices=["gum_like", "arrau_like"],
-                        help="schema for --kind planted (default gum_like)")
-    parser.add_argument("--surface-definiteness", action="store_true",
-                        help="mark definites with a 'the' token instead of annotation "
-                             "(--kind planted)")
-    parser.add_argument("--single-link", action="store_true",
-                        help="at most one bridging link per anaphor, bracket-compatible "
-                             "(--kind planted)")
     parser.add_argument("--dialect", choices=sorted(DIALECTS), default="canonical")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    for name, kind in KIND_FLAGS.items():
-        if getattr(args, name) and args.kind != kind:
-            parser.error(f"--{name.replace('_', '-')} applies only to --kind {kind}")
+    if args.flavor and args.kind != "random":
+        parser.error("--flavor applies only to --kind random")
 
     docs = build(args)
     # render before creating anything, so a corpus the dialect cannot carry

@@ -3,9 +3,9 @@
 
 Builds a bracket-dialect corpus and a standoff-dialect corpus that share the
 same planted bridging rule (definite anaphor + same unified entity type +
-short distance), runs the full pipeline on them, and prints the headline
-numbers: per-corpus in/cross-domain F1, random baselines, and the
-definiteness residual table.
+short distance), each in its dialect's planted shape (`synth.PLANTED_SHAPE`),
+runs the full pipeline on them, and prints the headline numbers: per-corpus
+in/cross-domain F1, random baselines, and the definiteness residual table.
 
     python scripts/run_synthetic_experiment.py --workspace /tmp/synth_exp
 """
@@ -18,11 +18,13 @@ from pathlib import Path
 
 from bridgekit.cli import main as cli_main
 from bridgekit.ingest import DIALECTS
-from bridgekit.synth import planted_rule_corpus
+from bridgekit.synth import PLANTED_SHAPE, planted_rule_corpus
 
 
-def write_corpus(workspace: Path, name: str, dialect: str, docs: list) -> dict:
-    """Write `docs` as `name`'s training and test files; return its config entry."""
+def write_corpus(workspace: Path, name: str, dialect: str, seed: int) -> dict:
+    """Write the 12-document planted corpus of `seed`, in its dialect's
+    shape, as `name`'s training and test files; return its config entry."""
+    docs = planted_rule_corpus(seed, n_docs=12, **PLANTED_SHAPE[dialect])
     entry = {"name": name, "dialect": dialect}
     for part, chunk in (("train", docs[:9]), ("test", docs[9:])):
         file = f"{name}_{part}{DIALECTS[dialect].suffix}"
@@ -33,11 +35,8 @@ def write_corpus(workspace: Path, name: str, dialect: str, docs: list) -> dict:
 
 def write_config(workspace: Path, seed: int) -> Path:
     corpora = [
-        write_corpus(workspace, "bracketland", "bracket",
-                     planted_rule_corpus(seed, n_docs=12, single_link_per_anaphor=True)),
-        write_corpus(workspace, "standofflandia", "standoff",
-                     planted_rule_corpus(seed + 1, n_docs=12, schema="arrau_like",
-                                         surface_definiteness=True)),
+        write_corpus(workspace, "bracketland", "bracket", seed),
+        write_corpus(workspace, "standofflandia", "standoff", seed + 1),
     ]
     config = {
         "seed": seed,

@@ -220,10 +220,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     elif isinstance(grid_raw, list) and grid_raw and all(isinstance(e, dict) for e in grid_raw):
         for entry in grid_raw:
             _reject_unknown_keys(entry, HyperParams, "grid entry")
-        try:
-            grid = tuple(HyperParams(**entry) for entry in grid_raw)
-        except OverflowError as exc:
-            raise ConfigError(f"bad grid entry: {exc}")
+        grid = tuple(HyperParams(**entry) for entry in grid_raw)
     else:
         raise ConfigError("grid must be \"default\" or a non-empty list of objects")
 

@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 from dataclasses import dataclass, field, fields
 from functools import cache
 from json.encoder import encode_basestring
@@ -81,13 +83,26 @@ def write_file(path: str | Path, chunks: Iterable[bytes]) -> None:
         raise
 
 
+# A JSON string, or a JSON integer: digits that neither follow nor precede a
+# digit, sign, fraction or exponent
+_STRING_OR_INTEGER = re.compile(r'"(?:[^"\\]|\\.)*"|(?<![\d.eE+-])-?(\d+)(?![\d.eE])')
+
+
 def json_value(text: str, first_line: int = 1):
     """The JSON value of `text`, whose first line is line `first_line` of
-    its input. Text that is not JSON raises ParseError naming its line."""
+    its input. Text that is not JSON raises ParseError naming its line, and
+    so does an integer longer than Python converts (4,300 digits by
+    default): the first such digit run outside a string."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", first_line + exc.lineno - 1)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        start = next((m.start() for m in _STRING_OR_INTEGER.finditer(text)
+                      if m[1] and len(m[1]) > limit), 0)
+        raise ParseError("invalid JSON: an integer has too many digits",
+                         first_line + text.count("\n", 0, start)) from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply", first_line)
 
@@ -136,8 +151,7 @@ class Setting:
     choices: tuple[str, ...] = ()
 
     def check(self, key: str, value):
-        """`value` as the setting's type, or a ConfigError naming `key`. An
-        integer too large for a float setting raises OverflowError."""
+        """`value` as the setting's type, or a ConfigError naming `key`."""
         check, expected = _KINDS[self.kind]
         if not check(value):
             raise ConfigError(f"{key} must be {expected}, got {value!r}")
@@ -149,7 +163,10 @@ class Setting:
             raise ConfigError(f"{key} must be >= {self.low}")
         if self.choices and value not in self.choices:
             raise ConfigError(f"{key} must be {' or '.join(self.choices)}")
-        return self.kind(value)
+        try:
+            return self.kind(value)
+        except OverflowError:
+            raise ConfigError(f"{key} is an integer too large for a float") from None
 
 
 def setting(default, kind: type, **bounds):

@@ -23,9 +23,6 @@ class ContingencyTable2x2:
     """Anaphor definiteness (rows def/ind) against bridging status
     (columns bridge/non-bridge)."""
     counts: tuple[tuple[int, int], tuple[int, int]]
-    # Examples whose definiteness was neither def nor ind, dropped from the
-    # table but kept on record.
-    excluded_none: int = 0
 
 
 @dataclass(frozen=True)
@@ -54,21 +51,16 @@ class ResidualTable:
 
 def definiteness_contingency(dataset: PairDataset) -> ContingencyTable2x2:
     """Count anaphor definiteness against the bridging label in a pair
-    dataset. Examples with definiteness outside def/ind are excluded and
-    counted separately."""
+    dataset. Examples with definiteness outside def/ind are left out."""
     counts = [[0, 0], [0, 0]]
-    excluded = 0
     for ex in dataset.examples:
         definite = ex.features.n_definite
         if definite not in ROW_LABELS:
-            excluded += 1
             continue
         row = ROW_LABELS.index(definite)
         col = 0 if ex.label == "bridging" else 1
         counts[row][col] += 1
-    table = ContingencyTable2x2(
-        counts=tuple(tuple(row) for row in counts), excluded_none=excluded
-    )
+    table = ContingencyTable2x2(counts=tuple(tuple(row) for row in counts))
     if sum(sum(row) for row in table.counts) == 0:
         raise EmptyDatasetError("no def/ind examples left for the contingency table")
     return table
@@ -127,12 +119,6 @@ class PairTypeDistribution:
     counts: dict[tuple[str, str], int]
     total: int
     threshold: float
-
-    def proportion(self, ante_type: str, ana_type: str) -> float:
-        return self.counts.get((ante_type, ana_type), 0) / self.total
-
-    def visible(self, ante_type: str, ana_type: str) -> bool:
-        return self.proportion(ante_type, ana_type) >= self.threshold
 
     def rows(self) -> list[tuple[str, str, float, bool]]:
         """Long format, sorted by (ante, ana): one row per observed cell."""

@@ -7,7 +7,8 @@ Three families:
 - planted_rule_corpus: a corpus whose bridging links follow an exact
   feature rule (definite anaphor, same unified entity type, start distance
   under a limit), so a classifier trained on it has a known target and
-  feature-importance expectations are checkable.
+  feature-importance expectations are checkable. `PLANTED_SHAPE` gives
+  the keywords under which each dialect carries the rule.
 - balanced_sampling_corpus: a corpus with an exact number of bridging
   links, abundant negatives, pronoun mentions, and out-of-range pairs, for
   exercising the balanced sampler's filters.
@@ -272,6 +273,18 @@ def planted_rule_corpus(
 
         docs.append(_document(f"plant_{d}", "synth", schema, tokens, mentions, links))
     return docs
+
+
+# The planted_rule_corpus keywords of each corpus dialect (the keys of
+# ingest.DIALECTS), under which a planted corpus reads back with its rule
+# intact: the bracket dialect carries one link per anaphor, and the standoff
+# dialect reads the ARRAU inventory and drops the definiteness annotation,
+# so the lemma "the" carries it.
+PLANTED_SHAPE = {
+    "bracket": {"single_link_per_anaphor": True},
+    "standoff": {"schema": "arrau_like", "surface_definiteness": True},
+    "canonical": {},
+}
 
 
 # ---------------------------------------------------------------------------

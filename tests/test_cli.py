@@ -40,7 +40,7 @@ from bridgekit.errors import ConfigError
 from bridgekit.gbdt import DEFAULT_LEMMA_TOP_K, HyperParams
 from bridgekit.harmonize import harmonize_corpus
 from bridgekit.ingest import DIALECTS, emit_bracket, emit_canonical, parse_canonical, read_documents
-from bridgekit.synth import planted_rule_corpus
+from bridgekit.synth import PLANTED_SHAPE, planted_rule_corpus
 
 ARRAU_POOL = ("person", "concrete", "space", "abstract", "plan")
 
@@ -51,12 +51,10 @@ def write_bracket(path: Path, docs) -> None:
 
 def base_config(tmp: Path) -> dict:
     """Two small corpora in different dialects, written relative to tmp."""
-    a = planted_rule_corpus(100, n_docs=8, single_link_per_anaphor=True)
+    a = planted_rule_corpus(100, n_docs=8, **PLANTED_SHAPE["bracket"])
     write_bracket(tmp / "a_train.brk", a[:6])
     write_bracket(tmp / "a_test.brk", a[6:])
-    b = planted_rule_corpus(
-        200, n_docs=8, label_pool=ARRAU_POOL, schema="arrau_like", surface_definiteness=True
-    )
+    b = planted_rule_corpus(200, n_docs=8, **PLANTED_SHAPE["standoff"])
     write_dialect(tmp / "b_train", "standoff", b[:6])
     write_dialect(tmp / "b_test", "standoff", b[6:])
     return {
@@ -691,7 +689,8 @@ class TestPairsTrainEvalChain:
         bad.write_text(json.dumps(obj))
         assert main(["eval", "--model", str(bad), "--pairs", str(chain["pairs"])]) == EXIT_PARSE
         assert capsys.readouterr().err == (
-            f"error: malformed model {bad}: OverflowError: int too large to convert to float\n"
+            f"error: malformed model {bad}: ConfigError: learning_rate is an integer too large "
+            "for a float\n"
         )
 
     @pytest.mark.parametrize(
@@ -1261,7 +1260,7 @@ class TestConfig:
         payload = {**self.minimal(tmp_path), "grid": [{"learning_rate": 10**400}]}
         assert main(["run", "--config", str(self.write(tmp_path, payload))]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "error: bad grid entry: int too large to convert to float\n"
+            "error: learning_rate is an integer too large for a float\n"
         )
 
     @pytest.mark.parametrize("value", [True, False, "x", None, [0.3]])
@@ -1584,16 +1583,6 @@ class TestRun:
         assert partial["failed_stage"] == "datasets:corpusA"
 
 
-# The planted corpus of each dialect that TestRunIsItsChain draws: the
-# bracket dialect carries one link per anaphor, and the standoff corpus
-# marks definiteness on the surface, as in base_config.
-CHAIN_CORPORA = {
-    "bracket": {"single_link_per_anaphor": True},
-    "standoff": {"schema": "arrau_like", "surface_definiteness": True},
-    "canonical": {},
-}
-
-
 def _ok(*argv) -> tuple[str, str]:
     """Run one command in-process; it must succeed. Its stdout and stderr."""
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -1801,10 +1790,10 @@ class TestRunIsItsChain:
             config["output_dir"] = str(tmp / "runs")
             train_links = []
             for i in range(data.draw(st.integers(1, 2), label="corpora")):
-                dialect = data.draw(st.sampled_from(sorted(CHAIN_CORPORA)), label="dialect")
+                dialect = data.draw(st.sampled_from(sorted(PLANTED_SHAPE)), label="dialect")
                 docs = planted_rule_corpus(data.draw(st.integers(0, 99), label="corpus seed"),
                                            n_docs=data.draw(st.integers(6, 10), label="n_docs"),
-                                           **CHAIN_CORPORA[dialect])
+                                           **PLANTED_SHAPE[dialect])
                 entry, train_docs = _chain_corpus(
                     tmp, f"c{i}", dialect, docs, dev=data.draw(st.booleans(), label="dev"),
                     extra=data.draw(st.booleans(), label="extra_test"),
@@ -1872,10 +1861,8 @@ class TestCollectorPause:
     collects once; documents, datasets and models hold no cycles."""
 
     def test_commands_leave_no_cycles_of_their_own_objects(self, tmp_path, collector_state):
-        gum = planted_rule_corpus(3, n_docs=6, single_link_per_anaphor=True)
-        arrau = planted_rule_corpus(
-            4, n_docs=6, label_pool=ARRAU_POOL, schema="arrau_like", surface_definiteness=True
-        )
+        gum = planted_rule_corpus(3, n_docs=6, **PLANTED_SHAPE["bracket"])
+        arrau = planted_rule_corpus(4, n_docs=6, **PLANTED_SHAPE["standoff"])
         write_bracket(tmp_path / "c.brk", gum)
         write_dialect(tmp_path / "c", "standoff", arrau)
         (tmp_path / "c.jsonl").write_bytes(emit_canonical(gum))

@@ -1132,7 +1132,11 @@ class TestModelSerialization:
         ("{broken", "^line 1: invalid JSON: Expecting property name enclosed in double quotes$"),
         ('{\n  "seed": 1,\n  "trees": [}\n', "^line 3: invalid JSON: Expecting value$"),
         ("[" * 100_000, "^line 1: invalid JSON: nested too deeply$"),
-    ], ids=["not json", "pretty printed", "nested too deeply"])
+        # the line of the first integer too long for Python, past a string,
+        # a fraction and an exponent of as many digits
+        (f'{{\n  "a": "{"9" * 5000}",\n  "b": [0.{"9" * 5000}, 1E-{"9" * 5000}],\n'
+         f'  "c": -{"9" * 5000}\n}}\n', "^line 4: invalid JSON: an integer has too many digits$"),
+    ], ids=["not json", "pretty printed", "nested too deeply", "too many digits"])
     def test_a_file_that_is_not_json_is_a_parse_error(self, tmp_path, text, message):
         path = tmp_path / "model.json"
         path.write_text(text, encoding="utf-8")

@@ -912,6 +912,13 @@ class TestCanonical:
         with pytest.raises(ParseError, match="line 2: invalid JSON: nested too deeply"):
             parse_canonical(good + "[" * 100_000 + "\n")
 
+    def test_an_integer_with_too_many_digits_names_its_line(self):
+        good = emit_canonical(random_corpus(5, n_docs=2)).decode().splitlines()
+        good[1] = good[1].replace('"head_index":', '"head_index":' + "1" * 5000, 1)
+        message = "^line 2: invalid JSON: an integer has too many digits$"
+        with pytest.raises(ParseError, match=message):
+            parse_canonical("\n".join(good))
+
     @pytest.mark.parametrize(
         ("mutate", "message"),
         [

@@ -605,7 +605,9 @@ class TestSerialization:
     @pytest.mark.parametrize(
         ("broken", "message"),
         [("{broken", "invalid JSON: Expecting property name"),
-         ("[" * 100_000, "invalid JSON: nested too deeply")],
+         ("[" * 100_000, "invalid JSON: nested too deeply"),
+         pytest.param('{"n_examples": ' + "1" * 5000 + "}",
+                      "invalid JSON: an integer has too many digits", id="too many digits")],
     )
     def test_invalid_json_names_the_file_line(self, sampling_docs, broken, message):
         lines = dataset_to_jsonl(build_balanced_dataset(sampling_docs, seed=7)).decode().splitlines()

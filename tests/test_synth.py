@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bridgekit.harmonize import ENTITY_MAPS, harmonize_corpus
-from bridgekit.ingest import emit_canonical, emit_standoff, parse_standoff
-from bridgekit.model import BridgingLink, Token, mention_start, validate_document
+from bridgekit.ingest import DIALECTS, emit_canonical, emit_standoff, parse_standoff
+from bridgekit.model import UNRESOLVED, BridgingLink, Token, mention_start, validate_document
 from bridgekit.pairgen import derive_definiteness, is_pronoun
 from bridgekit.synth import (
     ARRAU_POOL,
+    PLANTED_SHAPE,
     _DEPRELS,
     _FILLER_XPOS,
     _SUBTYPE_CYCLE,
@@ -263,6 +264,29 @@ class TestPlantedRuleCorpus:
                 assert derive_definiteness(parsed, m_new) == m_orig.definiteness
 
 
+class TestPlantedShape:
+    def test_each_dialect_has_one_shape(self):
+        assert PLANTED_SHAPE.keys() == DIALECTS.keys()
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**16), dialect=st.sampled_from(sorted(DIALECTS)))
+    def test_each_dialect_reads_its_planted_rule_back(self, seed, dialect):
+        # written in its dialect's shape and read back, a planted corpus
+        # resolves every label, and the definiteness the features read is
+        # the one the rule was planted with
+        docs = planted_rule_corpus(seed, n_docs=2, **PLANTED_SHAPE[dialect])
+        text = b"".join(map(DIALECTS[dialect].emit, docs))
+        reread, report = harmonize_corpus(DIALECTS[dialect].read(text))
+        assert report.unresolved_entity_types == []
+        for planted, doc in zip(docs, reread, strict=True):
+            assert doc.doc_id == planted.doc_id
+            assert sorted(m.id for m in doc.mentions) == sorted(m.id for m in planted.mentions)
+            for m in planted.mentions:
+                read = doc.mention_by_id[m.id]
+                assert read.entity_type_unified != UNRESOLVED
+                assert derive_definiteness(doc, read) == m.definiteness
+
+
 class TestBalancedSamplingCorpus:
     def test_exact_link_count_and_distances(self):
         docs = balanced_sampling_corpus(9)
@@ -310,9 +334,6 @@ class TestMakeSyntheticCorpusScript:
         ("flag", "only_for"),
         [
             (["--flavor", "canonical"], "random"),
-            (["--schema", "gum_like"], "planted"),
-            (["--surface-definiteness"], "planted"),
-            (["--single-link"], "planted"),
         ],
     )
     def test_a_flag_of_another_kind_is_a_usage_error(self, script, tmp_path, capsys, flag,
@@ -327,14 +348,12 @@ class TestMakeSyntheticCorpusScript:
         out = tmp_path / "ok.jsonl"
         assert script.main(["--kind", only_for, "--n-docs", "2", *flag, "--out", str(out)]) == 0
 
-    @pytest.mark.parametrize("kind", ["planted", "random"])
     def test_a_corpus_the_bracket_dialect_cannot_carry_is_a_usage_error(self, script, tmp_path,
-                                                                        capsys, kind):
-        # planted without --single-link gives an anaphor two links; random
-        # gives split antecedents and discontinuous mentions
+                                                                        capsys):
+        # random gives split antecedents and discontinuous mentions
         out = tmp_path / "sub" / "c.brk"
         with pytest.raises(SystemExit) as exc:
-            script.main(["--kind", kind, "--dialect", "bracket", "--out", str(out)])
+            script.main(["--kind", "random", "--dialect", "bracket", "--out", str(out)])
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()
         assert [line for line in err if "error:" in line] == err[-1:]
